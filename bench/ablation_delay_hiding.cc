@@ -36,8 +36,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
         DelayMode::Stall,
     };
 
-    // Cells in the serial row order (budget, mode); each mode's
-    // series batches across the three budgets.
+    // Cells in report row order (budget, mode).
     const std::size_t budgets[] = {64u * 1024, 256u * 1024,
                                    512u * 1024};
     std::vector<TimingCellConfig> cells;

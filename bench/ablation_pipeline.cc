@@ -160,19 +160,20 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     // --- staleness sensitivity ----------------------------------------
     ctx.printf("\ngshare.fast (64KB) mean misprediction vs row "
                "staleness:\n%-12s %-12s\n", "staleness", "misp (%)");
-    for (unsigned lag : {0u, 1u, 3u, 6u, 10u}) {
-        double mean = 0;
-        suiteAccuracyReport(
-            suite,
-            [&] {
-                return std::make_unique<GshareFastPredictor>(
-                    std::size_t{1} << 18, lag, 0);
-            },
-            &mean, ctx.report(),
-            "gshare.fast(lag=" + std::to_string(lag) + ")", 64 * 1024,
-            ctx.metricsIfEnabled(), ctx.pool());
-        ctx.printf("%-12u %-12.2f\n", lag, mean);
-    }
+    const unsigned lags[] = {0u, 1u, 3u, 6u, 10u};
+    std::vector<AccuracyCellConfig> lagCells;
+    for (unsigned lag : lags)
+        lagCells.push_back(
+            {[lag] {
+                 return std::make_unique<GshareFastPredictor>(
+                     std::size_t{1} << 18, lag, 0);
+             },
+             "gshare.fast(lag=" + std::to_string(lag) + ")",
+             64 * 1024});
+    suiteAccuracyReportEnsemble(suite, lagCells, ctx.report(),
+                                ctx.metricsIfEnabled(), ctx.pool());
+    for (std::size_t i = 0; i < lagCells.size(); ++i)
+        ctx.printf("%-12u %-12.2f\n", lags[i], lagCells[i].meanPercent);
     ctx.printf("\nPaper reference: stale fetch history has "
                "\"minimal impact\" (Section 3.3.1).\n");
     return 0;

@@ -36,9 +36,9 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     const std::size_t entries = budget * 4;
     const unsigned row_lag = 6; // ~the 256KB access latency - 1
 
-    // Accuracy cells first, then timing cells, each list batching
-    // the whole delay sweep into one trace pass per workload (every
-    // delay point is the same gshare.fast family).
+    // Accuracy cells first, then timing cells. The accuracy list
+    // batches the whole delay sweep into one trace pass per workload
+    // (every delay point is the same gshare.fast family).
     const unsigned delays[] = {0u, 4u, 16u, 64u, 256u, 1024u};
     std::vector<AccuracyCellConfig> accCells;
     std::vector<TimingCellConfig> timCells;

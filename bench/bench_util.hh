@@ -52,7 +52,9 @@ requireNoExtraArgs(int argc, char **argv,
                  argv[1]);
     std::fprintf(stderr,
                  "usage: %s [--report FILE] [--trace FILE] "
-                 "[--jobs N] [--ensemble 0|1]%s%s\n",
+                 "[--jobs N] [--ensemble 0|1]%s%s\n"
+                 "  --ensemble 0|1: batched accuracy replay off/on "
+                 "(accuracy sweeps only)\n",
                  argv[0], extra_usage.empty() ? "" : " ",
                  extra_usage.c_str());
     std::exit(2);
@@ -106,9 +108,11 @@ takeJobsFlag(int &argc, char **argv)
 
 /**
  * `--ensemble 0|1` / `--ensemble=0|1`: the CLI mirror of the
- * BPSIM_ENSEMBLE environment variable (core/ensemble.hh). The flag
- * simply sets the variable for this process, so the sweep engines —
- * which only consult ensembleEnabled() — need no plumbing, and the
+ * BPSIM_ENSEMBLE environment variable (core/ensemble.hh), which
+ * switches batched replay in *accuracy* sweeps only — timing sweeps
+ * always run one cell per (config, workload). The flag simply sets
+ * the variable for this process, so the accuracy sweep engine —
+ * which only consults ensembleEnabled() — needs no plumbing, and the
  * flag wins over an inherited environment value. Anything but a
  * literal "0" or "1" is a usage error (exit 2); a trailing
  * `--ensemble` with no value is left for requireNoExtraArgs. Returns

@@ -41,8 +41,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     // Budget-major, kind-minor — the row order of the serial sweep.
     // The ensemble engine groups the cells by kind across budgets
     // and replays each group in one pass per trace; rows and means
-    // come out byte-identical to the per-cell suiteAccuracyReport
-    // calls this loop used to make.
+    // come out byte-identical to running each cell on its own.
     std::vector<AccuracyCellConfig> cells;
     for (std::size_t budget : figure1BudgetsBytes())
         for (auto k : kinds) {

@@ -33,9 +33,8 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
         PredictorKind::MultiComponent,
     };
 
-    // Cells in the serial row order (budget, kind, ideal then
-    // overriding); each kind's ideal and overriding series batch
-    // across budgets into one trace pass per workload.
+    // Cells in report row order (budget, kind, ideal then
+    // overriding).
     std::vector<TimingCellConfig> cells;
     for (std::size_t budget : largeBudgetsBytes())
         for (auto k : kinds)

@@ -27,9 +27,8 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
     CoreConfig cfg;
 
-    // Both graphs' cells in the serial row order (mode-major,
-    // budget, kind); the ensemble engine batches each (mode, kind)
-    // series across budgets into one trace pass per workload.
+    // Both graphs' cells in report row order (mode-major, budget,
+    // kind).
     const DelayMode modes[] = {DelayMode::Ideal,
                                DelayMode::Overriding};
     std::vector<TimingCellConfig> cells;

@@ -37,11 +37,8 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
         {PredictorKind::GshareFast, 64 * 1024},
     };
 
-    // One TimingCellConfig per column. The four kinds are distinct
-    // but each owns a private core paused at side-effect-free
-    // boundaries, so the engine merges them into ONE heterogeneous
-    // group per workload: one trace pass for the whole figure
-    // (core.ensemble.timing.hetero_* gauges report the merge).
+    // One TimingCellConfig per column; every (column, workload)
+    // cell is one independent core run on the pool.
     std::vector<TimingCellConfig> cells;
     for (const auto &[k, b] : configs)
         cells.push_back({[k = k, b = b] {

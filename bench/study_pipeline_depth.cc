@@ -30,10 +30,8 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
                 "512KB predictors vs front-end depth", ops);
     SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
 
-    // Cells in the serial row order (depth, then the three series).
-    // The core config differs per depth, but TimingCellConfig
-    // carries it per cell, so each series still batches across all
-    // five depths in one trace pass per workload.
+    // Cells in report row order (depth, then the three series);
+    // TimingCellConfig carries the per-depth core config.
     const unsigned depths[] = {6u, 10u, 15u, 20u, 25u};
     const std::tuple<PredictorKind, DelayMode> series[] = {
         {PredictorKind::Perceptron, DelayMode::Ideal},

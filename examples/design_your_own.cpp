@@ -109,20 +109,26 @@ main()
     std::printf("%-12s %12s %12s\n", "benchmark", "gshare(%)",
                 "agree(%)");
 
-    double gshare_mean = 0, agree_mean = 0;
-    const auto gshare_res = suiteAccuracy(
-        suite,
-        [] { return makePredictor(PredictorKind::Gshare, 16 * 1024); },
-        &gshare_mean);
-    const auto agree_res = suiteAccuracy(
-        suite, [] { return std::make_unique<AgreePredictor>(1 << 16); },
-        &agree_mean);
+    // One config list: the library predictor and the custom one run
+    // side by side over every workload (unknown types like
+    // AgreePredictor simply take the one-cell-at-a-time path).
+    std::vector<AccuracyCellConfig> cells = {
+        {[] { return makePredictor(PredictorKind::Gshare, 16 * 1024); },
+         "gshare", 16 * 1024},
+        {[] { return std::make_unique<AgreePredictor>(1 << 16); },
+         "agree", 16 * 1024},
+    };
+    obs::RunReport report;
+    suiteAccuracyReportEnsemble(suite, cells, report);
+    const auto &gshare = cells[0];
+    const auto &agree = cells[1];
 
     for (std::size_t i = 0; i < suite.size(); ++i)
         std::printf("%-12s %12.2f %12.2f\n", suite.name(i).c_str(),
-                    gshare_res[i].percent(), agree_res[i].percent());
-    std::printf("%-12s %12.2f %12.2f\n", "mean", gshare_mean,
-                agree_mean);
+                    gshare.results[i].percent(),
+                    agree.results[i].percent());
+    std::printf("%-12s %12.2f %12.2f\n", "mean", gshare.meanPercent,
+                agree.meanPercent);
 
     std::printf("\nThe same object plugs into the timing simulator "
                 "via SingleCycleFetchPredictor or\nOverridingFetchPredictor "

@@ -8,7 +8,6 @@
 #include "common/bitutil.hh"
 #include "common/vec_kernels.hh"
 #include "core/dispatch.hh"
-#include "pipeline/alt_delay_hiding.hh"
 #include "predictors/multicomponent.hh"
 #include "predictors/perceptron.hh"
 #include "robust/fault_injector.hh"
@@ -47,28 +46,23 @@ struct ReplayHook
  * Peel the stock robustness decorators off @p p and return the
  * innermost predictor. Each peeled wrapper appends its post-update
  * hook to @p hooks (outermost first — callers fire them in reverse,
- * matching the nested update() call order: innermost tail first) and
- * its dynamic type to @p chain, when either is non-null.
+ * matching the nested update() call order: innermost tail first)
+ * when @p hooks is non-null.
  */
 DirectionPredictor *
-unwrapDirection(DirectionPredictor *p, std::vector<ReplayHook> *hooks,
-                std::vector<std::type_index> *chain)
+unwrapDirection(DirectionPredictor *p, std::vector<ReplayHook> *hooks)
 {
     for (;;) {
         if (auto *f =
                 dynamic_cast<robust::FaultInjectingPredictor *>(p)) {
             if (hooks)
                 hooks->push_back({ReplayHook::Kind::Fault, f});
-            if (chain)
-                chain->emplace_back(typeid(*f));
             p = &f->inner();
             continue;
         }
         if (auto *pr = dynamic_cast<robust::ProtectedPredictor *>(p)) {
             if (hooks)
                 hooks->push_back({ReplayHook::Kind::Protect, pr});
-            if (chain)
-                chain->emplace_back(typeid(*pr));
             p = &pr->inner();
             continue;
         }
@@ -501,7 +495,7 @@ const std::type_info *
 ensembleAccuracyInnerType(DirectionPredictor &member)
 {
     DirectionPredictor *inner =
-        unwrapDirection(&member, nullptr, nullptr);
+        unwrapDirection(&member, nullptr);
     if (!withConcretePredictor(*inner, [](auto &) {}))
         return nullptr;
     return &typeid(*inner);
@@ -543,7 +537,7 @@ runAccuracyEnsemble(const std::vector<DirectionPredictor *> &members,
     for (std::size_t j = 0; j < width; ++j) {
         if (members[j] == nullptr)
             return genericEnsembleLoop(members, view);
-        inners[j] = unwrapDirection(members[j], &hooks[j], nullptr);
+        inners[j] = unwrapDirection(members[j], &hooks[j]);
         anyHooks = anyHooks || !hooks[j].empty();
     }
     const std::type_info &t0 = typeid(*inners[0]);
@@ -589,157 +583,6 @@ ensembleEnabled()
 {
     const char *env = std::getenv("BPSIM_ENSEMBLE");
     return !(env && env[0] == '0' && env[1] == '\0');
-}
-
-namespace {
-
-/**
- * Collect the direction predictors inside a stock delay wrapper, in
- * a fixed per-wrapper order. Returns false for unknown wrapper types
- * (protected fetch predictors, user wrappers) — those cells must
- * stay serial, mirroring the accuracy probe's refusal of wrapped
- * direction predictors.
- */
-bool
-innerPredictorsOf(FetchPredictor &fp,
-                  std::vector<DirectionPredictor *> &out)
-{
-    if (auto *p = dynamic_cast<SingleCycleFetchPredictor *>(&fp)) {
-        out.push_back(&p->inner());
-        return true;
-    }
-    if (auto *p = dynamic_cast<OverridingFetchPredictor *>(&fp)) {
-        out.push_back(&p->quick());
-        out.push_back(&p->slow());
-        return true;
-    }
-    if (auto *p = dynamic_cast<DelayedFetchPredictor *>(&fp)) {
-        out.push_back(&p->inner());
-        return true;
-    }
-    if (auto *p = dynamic_cast<DualPathFetchPredictor *>(&fp)) {
-        out.push_back(&p->slow());
-        return true;
-    }
-    if (auto *p = dynamic_cast<CascadingFetchPredictor *>(&fp)) {
-        out.push_back(&p->quick());
-        out.push_back(&p->slow());
-        return true;
-    }
-    return false;
-}
-
-} // namespace
-
-std::vector<std::type_index>
-ensembleTimingGroupKey(FetchPredictor &member)
-{
-    std::vector<std::type_index> key;
-    // Peel fetch-side fault decorators (study_soft_error's timing
-    // slice): their injection cadence reads only the member's own
-    // update count, so they batch like any other member state.
-    FetchPredictor *fp = &member;
-    while (auto *fi =
-               dynamic_cast<robust::FaultInjectingFetchPredictor *>(
-                   fp)) {
-        key.emplace_back(typeid(*fi));
-        fp = &fi->inner();
-    }
-    std::vector<DirectionPredictor *> inner;
-    if (!innerPredictorsOf(*fp, inner))
-        return {};
-    key.emplace_back(typeid(*fp));
-    for (DirectionPredictor *p : inner) {
-        // Direction-side decorators (protected slow predictors in
-        // the protection-surface timing slice) join the key; the
-        // innermost type must still be dispatcher-known.
-        DirectionPredictor *in = unwrapDirection(p, nullptr, &key);
-        if (!withConcretePredictor(*in, [](auto &) {}))
-            return {};
-        key.emplace_back(typeid(*in));
-    }
-    return key;
-}
-
-bool
-ensembleTimingBatchable(const std::vector<FetchPredictor *> &members)
-{
-    if (members.size() < 2)
-        return false;
-    // Heterogeneous keys are fine — each member owns a private core
-    // and pauses at side-effect-free boundaries — but every member
-    // must be individually batchable (known wrapper chain and inner
-    // types).
-    for (FetchPredictor *fp : members)
-        if (fp == nullptr || ensembleTimingGroupKey(*fp).empty())
-            return false;
-    return true;
-}
-
-EnsembleTimingReplay::EnsembleTimingReplay(std::vector<Member> members)
-    : members_(std::move(members))
-{
-    // One private core per member — OooCore holds the predictor by
-    // reference, so the cores live behind stable heap slots.
-    cores_.reserve(members_.size());
-    for (Member &m : members_)
-        cores_.push_back(
-            std::make_unique<OooCore>(m.cfg, *m.predictor));
-}
-
-EnsembleTimingReplay::EnsembleTimingReplay(
-    std::vector<std::unique_ptr<CoreDriver>> drivers)
-    : drivers_(std::move(drivers))
-{
-}
-
-EnsembleTimingReplay::~EnsembleTimingReplay() = default;
-
-std::vector<SimResult>
-EnsembleTimingReplay::run(const TraceBuffer &trace)
-{
-    // 8K trace ops per block: the slice of the op stream every
-    // member re-decodes stays L2-resident across the whole group,
-    // while each member's table/cache working set is touched once
-    // per block instead of once per cell-sized pass.
-    constexpr std::size_t kOpBlock = 8192;
-    const std::size_t n = trace.size();
-    if (!drivers_.empty()) {
-        // Virtual-capable member loop for caller-supplied cores;
-        // the vtable dispatch is per block, not per op, so it costs
-        // nothing next to the simulation itself.
-        for (auto &d : drivers_)
-            d->begin(trace);
-        for (std::size_t target = kOpBlock;; target += kOpBlock) {
-            const std::size_t t = std::min(target, n);
-            for (auto &d : drivers_)
-                d->advance(trace, t);
-            if (t >= n)
-                break; // final advance drained every member
-        }
-        std::vector<SimResult> results;
-        results.reserve(drivers_.size());
-        for (auto &d : drivers_)
-            results.push_back(d->finish());
-        return results;
-    }
-    // Stock-core fast path: the member loop stays monomorphic over
-    // OooCore (heterogeneity lives behind the FetchPredictor
-    // interface inside each core).
-    for (auto &core : cores_)
-        core->begin(trace);
-    for (std::size_t target = kOpBlock;; target += kOpBlock) {
-        const std::size_t t = std::min(target, n);
-        for (auto &core : cores_)
-            core->advance(trace, t);
-        if (t >= n)
-            break; // final advance drained every member
-    }
-    std::vector<SimResult> results;
-    results.reserve(cores_.size());
-    for (auto &core : cores_)
-        results.push_back(core->finish());
-    return results;
 }
 
 } // namespace bpsim

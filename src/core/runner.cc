@@ -1,5 +1,6 @@
 #include "core/runner.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -8,7 +9,6 @@
 #include "common/stats.hh"
 #include "core/dispatch.hh"
 #include "core/ensemble.hh"
-#include "obs/span_trace.hh"
 #include "parallel/cell_pool.hh"
 #include "trace/shared_trace_pool.hh"
 #include "workloads/registry.hh"
@@ -230,48 +230,6 @@ SuiteTraces::describe(obs::RunReport &report) const
     report.seed = seed_;
 }
 
-std::vector<AccuracyResult>
-suiteAccuracy(const SuiteTraces &suite,
-              const std::function<std::unique_ptr<DirectionPredictor>()>
-                  &make,
-              double *mean_percent, parallel::CellPool *pool)
-{
-    std::vector<AccuracyResult> results(suite.size());
-    std::vector<double> percents(suite.size());
-    forEachCell(
-        pool, suite.size(),
-        [&](std::size_t i) {
-            auto pred = make();
-            results[i] = runAccuracy(*pred, suite.trace(i));
-            percents[i] = results[i].percent();
-        },
-        [](std::size_t) {});
-    if (mean_percent)
-        *mean_percent = arithmeticMean(percents);
-    return results;
-}
-
-std::vector<SimResult>
-suiteTiming(const SuiteTraces &suite, const CoreConfig &cfg,
-            const std::function<std::unique_ptr<FetchPredictor>()>
-                &make,
-            double *harmonic_mean_ipc, parallel::CellPool *pool)
-{
-    std::vector<SimResult> results(suite.size());
-    std::vector<double> ipcs(suite.size());
-    forEachCell(
-        pool, suite.size(),
-        [&](std::size_t i) {
-            auto pred = make();
-            results[i] = runTiming(cfg, *pred, suite.trace(i));
-            ipcs[i] = results[i].ipc();
-        },
-        [](std::size_t) {});
-    if (harmonic_mean_ipc)
-        *harmonic_mean_ipc = harmonicMean(ipcs);
-    return results;
-}
-
 namespace {
 
 /** Publish describeStats() gauges, tagging names with the workload. */
@@ -306,46 +264,6 @@ publishCacheStats(obs::MetricRegistry &reg, const SuiteTraces &suite)
 
 } // namespace
 
-std::vector<AccuracyResult>
-suiteAccuracyReport(const SuiteTraces &suite,
-                    const std::function<
-                        std::unique_ptr<DirectionPredictor>()> &make,
-                    double *mean_percent, obs::RunReport &report,
-                    const std::string &predictor_name,
-                    std::size_t budget_bytes,
-                    obs::MetricRegistry *metrics,
-                    parallel::CellPool *pool)
-{
-    suite.describe(report);
-    if (metrics)
-        publishCacheStats(*metrics, suite);
-    std::vector<AccuracyResult> results(suite.size());
-    std::vector<double> percents(suite.size());
-    // Predictors stay alive past compute so their describeStats()
-    // gauges can be published in workload order at commit time.
-    std::vector<std::unique_ptr<DirectionPredictor>> preds(
-        suite.size());
-    forEachCell(
-        pool, suite.size(),
-        [&](std::size_t i) {
-            preds[i] = make();
-            results[i] = runAccuracy(*preds[i], suite.trace(i));
-            percents[i] = results[i].percent();
-        },
-        [&](std::size_t i) {
-            report.rows.push_back(reportRow(suite.name(i),
-                                            predictor_name,
-                                            budget_bytes, results[i]));
-            if (metrics)
-                publishPredictorStats(*metrics, *preds[i],
-                                      suite.name(i));
-            preds[i].reset();
-        });
-    if (mean_percent)
-        *mean_percent = arithmeticMean(percents);
-    return results;
-}
-
 EnsembleStats
 suiteAccuracyReportEnsemble(const SuiteTraces &suite,
                             std::vector<AccuracyCellConfig> &configs,
@@ -375,10 +293,8 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
     // batch with their bare siblings via per-member hooks — so a
     // group is batched when every member unwraps to one known inner
     // type, width >= 2, and the escape hatch is off. Everything else
-    // runs one (config, workload) cell at a time, exactly like
-    // suiteAccuracyReport.
+    // runs one (config, workload) cell at a time.
     std::vector<std::vector<std::size_t>> groups;
-    std::vector<char> mixedFlags; // aligned with groups
     {
         std::vector<std::unique_ptr<DirectionPredictor>> probes(nc);
         std::vector<DirectionPredictor *> probePtrs(nc);
@@ -394,7 +310,6 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
                 ensembleAccuracyInnerType(*probePtrs[c]);
             if (!enabled || inner == nullptr) {
                 groups.push_back({c});
-                mixedFlags.push_back(0);
                 continue;
             }
             const std::type_index t(*inner);
@@ -411,35 +326,20 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
             for (std::size_t c : g)
                 ptrs.push_back(probePtrs[c]);
             if (g.size() >= 2 && ensembleBatchable(ptrs)) {
-                // Mixed-wrapper when the members' dynamic types
-                // differ (bare next to protected, say).
-                bool mixed = false;
-                for (DirectionPredictor *p : ptrs)
-                    mixed = mixed || typeid(*p) != typeid(*ptrs[0]);
                 groups.push_back(std::move(g));
-                mixedFlags.push_back(mixed ? 1 : 0);
             } else {
-                for (std::size_t c : g) {
+                for (std::size_t c : g)
                     groups.push_back({c});
-                    mixedFlags.push_back(0);
-                }
             }
         }
     }
 
     EnsembleStats stats;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        const auto &g = groups[gi];
+    for (const auto &g : groups) {
         if (g.size() >= 2) {
             ++stats.groups;
             stats.batchedCells += g.size() * nw;
             stats.batchWidth = std::max(stats.batchWidth, g.size());
-            if (mixedFlags[gi]) {
-                ++stats.heteroGroups;
-                stats.heteroCells += g.size() * nw;
-                stats.heteroWidth =
-                    std::max(stats.heteroWidth, g.size());
-            }
         } else {
             stats.serialCells += nw;
         }
@@ -481,9 +381,8 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
         },
         [](std::size_t) {});
 
-    // Emission phase, config-major / workload-minor: byte-identical
-    // report rows and metrics to N sequential suiteAccuracyReport
-    // calls in list order.
+    // Emission phase, config-major / workload-minor: the same rows
+    // and metrics whichever way the cells were grouped.
     for (std::size_t c = 0; c < nc; ++c) {
         std::vector<double> percents(nw);
         for (std::size_t w = 0; w < nw; ++w) {
@@ -513,124 +412,6 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
     return stats;
 }
 
-std::vector<SimResult>
-suiteTimingReport(const SuiteTraces &suite, const CoreConfig &cfg,
-                  const std::function<
-                      std::unique_ptr<FetchPredictor>()> &make,
-                  double *harmonic_mean_ipc, obs::RunReport &report,
-                  const std::string &predictor_name,
-                  const std::string &mode, std::size_t budget_bytes,
-                  obs::MetricRegistry *metrics,
-                  obs::EventTracer *tracer, parallel::CellPool *pool)
-{
-    suite.describe(report);
-    if (metrics)
-        publishCacheStats(*metrics, suite);
-    std::vector<SimResult> results(suite.size());
-    std::vector<double> ipcs(suite.size());
-    std::vector<std::unique_ptr<FetchPredictor>> preds(suite.size());
-    // An event tracer records a single ordered stream; never fan its
-    // runs out across workers.
-    parallel::CellPool *effPool = tracer ? nullptr : pool;
-    forEachCell(
-        effPool, suite.size(),
-        [&](std::size_t i) {
-            preds[i] = make();
-            results[i] =
-                runTiming(cfg, *preds[i], suite.trace(i), tracer);
-            ipcs[i] = results[i].ipc();
-        },
-        [&](std::size_t i) {
-            report.rows.push_back(reportRow(suite.name(i),
-                                            predictor_name, mode,
-                                            budget_bytes, cfg,
-                                            results[i]));
-            if (metrics) {
-                results[i].publishMetrics(*metrics, suite.name(i));
-                publishPredictorStats(*metrics, *preds[i],
-                                      suite.name(i));
-            }
-            preds[i].reset();
-        });
-    if (harmonic_mean_ipc)
-        *harmonic_mean_ipc = harmonicMean(ipcs);
-    return results;
-}
-
-namespace {
-
-/** core.ensemble.timing.* gauges — the one metrics difference the
- *  timing-equivalence contract allows. */
-void
-publishTimingEnsembleGauges(obs::MetricRegistry *metrics,
-                            const EnsembleStats &stats)
-{
-    if (!metrics)
-        return;
-    metrics->gauge("core.ensemble.timing.batched_cells")
-        .set(static_cast<double>(stats.batchedCells));
-    metrics->gauge("core.ensemble.timing.serial_cells")
-        .set(static_cast<double>(stats.serialCells));
-    metrics->gauge("core.ensemble.timing.groups")
-        .set(static_cast<double>(stats.groups));
-    metrics->gauge("core.ensemble.timing.batch_width")
-        .set(static_cast<double>(stats.batchWidth));
-    metrics->gauge("core.ensemble.timing.hetero_groups")
-        .set(static_cast<double>(stats.heteroGroups));
-    metrics->gauge("core.ensemble.timing.hetero_cells")
-        .set(static_cast<double>(stats.heteroCells));
-    metrics->gauge("core.ensemble.timing.hetero_width")
-        .set(static_cast<double>(stats.heteroWidth));
-}
-
-/** Serial sweep of one timing config, honouring the per-workload
- *  factory form that suiteTimingReport's free-function signature
- *  cannot express. Row/metric order matches suiteTimingReport. */
-void
-serialTimingSweepOne(const SuiteTraces &suite, TimingCellConfig &c,
-                     obs::RunReport &report,
-                     obs::MetricRegistry *metrics,
-                     obs::EventTracer *tracer,
-                     parallel::CellPool *pool)
-{
-    if (!c.makeForWorkload) {
-        c.results = suiteTimingReport(suite, c.cfg, c.make,
-                                      &c.harmonicMeanIpc, report,
-                                      c.name, c.mode, c.budgetBytes,
-                                      metrics, tracer, pool);
-        return;
-    }
-    suite.describe(report);
-    if (metrics)
-        publishCacheStats(*metrics, suite);
-    c.results.assign(suite.size(), SimResult{});
-    std::vector<double> ipcs(suite.size());
-    std::vector<std::unique_ptr<FetchPredictor>> preds(suite.size());
-    parallel::CellPool *effPool = tracer ? nullptr : pool;
-    forEachCell(
-        effPool, suite.size(),
-        [&](std::size_t i) {
-            preds[i] = c.makeForWorkload(i);
-            c.results[i] =
-                runTiming(c.cfg, *preds[i], suite.trace(i), tracer);
-            ipcs[i] = c.results[i].ipc();
-        },
-        [&](std::size_t i) {
-            report.rows.push_back(reportRow(suite.name(i), c.name,
-                                            c.mode, c.budgetBytes,
-                                            c.cfg, c.results[i]));
-            if (metrics) {
-                c.results[i].publishMetrics(*metrics, suite.name(i));
-                publishPredictorStats(*metrics, *preds[i],
-                                      suite.name(i));
-            }
-            preds[i].reset();
-        });
-    c.harmonicMeanIpc = harmonicMean(ipcs);
-}
-
-} // namespace
-
 EnsembleStats
 suiteTimingReportEnsemble(const SuiteTraces &suite,
                           std::vector<TimingCellConfig> &configs,
@@ -639,154 +420,52 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
                           obs::EventTracer *tracer,
                           parallel::CellPool *pool)
 {
-    EnsembleStats stats;
-    const std::size_t nc = configs.size();
-    const std::size_t nw = suite.size();
-
-    // An event tracer records a single ordered stream: delegate the
-    // whole sweep, config by config, to the serial path (which also
-    // refuses the pool) — byte-identical by definition.
-    if (tracer) {
-        for (TimingCellConfig &c : configs)
-            serialTimingSweepOne(suite, c, report, metrics, tracer,
-                                 pool);
-        stats.serialCells = nc * nw;
-        publishTimingEnsembleGauges(metrics, stats);
-        return stats;
-    }
-
     suite.describe(report);
     if (metrics)
         publishCacheStats(*metrics, suite);
-
-    // Per-cell predictor factory (per-workload form wins, as on the
-    // accuracy side).
-    const auto makePred = [&configs](std::size_t c, std::size_t w) {
-        return configs[c].makeForWorkload
-                   ? configs[c].makeForWorkload(w)
-                   : configs[c].make();
-    };
-
-    // Probe each config's timing key — wrapper chain plus inner
-    // concrete predictor types — and merge every config with a
-    // non-empty key into ONE group per workload: members own private
-    // cores and pause at side-effect-free boundaries, so
-    // heterogeneous kinds interleave freely and one merged group
-    // means one trace pass instead of one per kind. The group is
-    // heterogeneous when two members' exact keys differ. Protected
-    // fetch predictors and unknown wrappers produce an empty key and
-    // stay serial; so does everything when the escape hatch is on.
-    std::vector<std::vector<std::size_t>> groups;
-    bool merged_hetero = false;
-    {
-        std::vector<std::unique_ptr<FetchPredictor>> probes(nc);
-        std::vector<std::size_t> batchable;
-        std::vector<std::vector<std::type_index>> keys(nc);
-        const bool enabled = ensembleEnabled();
-        for (std::size_t c = 0; c < nc; ++c) {
-            probes[c] = makePred(c, 0);
-            keys[c] = ensembleTimingGroupKey(*probes[c]);
-            if (!enabled || keys[c].empty())
-                groups.push_back({c});
-            else
-                batchable.push_back(c);
-        }
-        if (batchable.size() >= 2) {
-            for (std::size_t c : batchable)
-                merged_hetero =
-                    merged_hetero || keys[c] != keys[batchable[0]];
-            groups.push_back(std::move(batchable));
-        } else {
-            for (std::size_t c : batchable)
-                groups.push_back({c});
-        }
-    }
-
-    for (const auto &g : groups) {
-        if (g.size() >= 2) {
-            ++stats.groups;
-            stats.batchedCells += g.size() * nw;
-            stats.batchWidth = std::max(stats.batchWidth, g.size());
-            if (merged_hetero) {
-                ++stats.heteroGroups;
-                stats.heteroCells += g.size() * nw;
-                stats.heteroWidth =
-                    std::max(stats.heteroWidth, g.size());
-            }
-        } else {
-            stats.serialCells += nw;
-        }
-    }
-
-    // Compute phase: one cell per (group, workload) on the pool.
-    // Predictors are kept until emission publishes describeStats().
-    std::vector<std::vector<std::unique_ptr<FetchPredictor>>> preds(
-        nc);
-    for (auto &row : preds)
-        row.resize(nw);
+    const std::size_t nc = configs.size();
+    const std::size_t nw = suite.size();
     for (TimingCellConfig &c : configs)
         c.results.assign(nw, SimResult{});
-    forEachCell(
-        pool, groups.size() * nw,
-        [&](std::size_t cell) {
-            const std::vector<std::size_t> &g = groups[cell / nw];
-            const std::size_t w = cell % nw;
-            std::vector<FetchPredictor *> members;
-            members.reserve(g.size());
-            for (std::size_t c : g) {
-                preds[c][w] = makePred(c, w);
-                members.push_back(preds[c][w].get());
-            }
-            if (g.size() >= 2 && ensembleTimingBatchable(members)) {
-                // Nested inside the pool's "cell" span so bpstat
-                // timeline can label batched timing cells — the
-                // hetero category marks cross-kind groups.
-                obs::SpanScope span(merged_hetero
-                                        ? "cell.batched.hetero"
-                                        : "cell.batched",
-                                    configs[g[0]].name, "width",
-                                    g.size());
-                std::vector<EnsembleTimingReplay::Member> ms;
-                ms.reserve(g.size());
-                for (std::size_t k = 0; k < g.size(); ++k)
-                    ms.push_back(
-                        {configs[g[k]].cfg, members[k]});
-                EnsembleTimingReplay replay(std::move(ms));
-                const auto results = replay.run(suite.trace(w));
-                for (std::size_t k = 0; k < g.size(); ++k)
-                    configs[g[k]].results[w] = results[k];
-            } else {
-                for (std::size_t k = 0; k < g.size(); ++k)
-                    configs[g[k]].results[w] =
-                        runTiming(configs[g[k]].cfg, *members[k],
-                                  suite.trace(w));
-            }
-        },
-        [](std::size_t) {});
 
-    // Emission phase, config-major / workload-minor: byte-identical
-    // report rows and metrics to N sequential suiteTimingReport
-    // calls in list order.
-    for (std::size_t c = 0; c < nc; ++c) {
-        std::vector<double> ipcs(nw);
-        for (std::size_t w = 0; w < nw; ++w) {
-            ipcs[w] = configs[c].results[w].ipc();
-            report.rows.push_back(reportRow(
-                suite.name(w), configs[c].name, configs[c].mode,
-                configs[c].budgetBytes, configs[c].cfg,
-                configs[c].results[w]));
+    // One cell per (config, workload), indexed config-major so the
+    // pool's in-order commits emit rows config-major, workload-minor.
+    // Each predictor lives from its cell's compute to its commit,
+    // where its describeStats() gauges are published. An event
+    // tracer records a single ordered stream, so it never fans out.
+    std::vector<std::unique_ptr<FetchPredictor>> preds(nc * nw);
+    forEachCell(
+        tracer ? nullptr : pool, nc * nw,
+        [&](std::size_t cell) {
+            TimingCellConfig &c = configs[cell / nw];
+            const std::size_t w = cell % nw;
+            preds[cell] = c.makeForWorkload ? c.makeForWorkload(w)
+                                            : c.make();
+            c.results[w] =
+                runTiming(c.cfg, *preds[cell], suite.trace(w), tracer);
+        },
+        [&](std::size_t cell) {
+            const TimingCellConfig &c = configs[cell / nw];
+            const std::size_t w = cell % nw;
+            report.rows.push_back(reportRow(suite.name(w), c.name,
+                                            c.mode, c.budgetBytes,
+                                            c.cfg, c.results[w]));
             if (metrics) {
-                configs[c].results[w].publishMetrics(*metrics,
-                                                     suite.name(w));
-                publishPredictorStats(*metrics, *preds[c][w],
+                c.results[w].publishMetrics(*metrics, suite.name(w));
+                publishPredictorStats(*metrics, *preds[cell],
                                       suite.name(w));
             }
-            preds[c][w].reset();
-        }
-        configs[c].harmonicMeanIpc = harmonicMean(ipcs);
-    }
+            preds[cell].reset();
+        });
 
-    publishTimingEnsembleGauges(metrics, stats);
+    for (TimingCellConfig &c : configs) {
+        std::vector<double> ipcs(nw);
+        for (std::size_t w = 0; w < nw; ++w)
+            ipcs[w] = c.results[w].ipc();
+        c.harmonicMeanIpc = harmonicMean(ipcs);
+    }
+    EnsembleStats stats;
+    stats.serialCells = nc * nw;
     return stats;
 }
 

@@ -5,10 +5,10 @@
  * orchestration over the twelve SPECint stand-ins with the paper's
  * reductions (arithmetic-mean misprediction, harmonic-mean IPC).
  *
- * Every suite helper optionally takes a parallel::CellPool: when one
- * is passed, the per-workload cells execute concurrently on the
- * pool's workers while rows and metrics are committed in workload
- * order on the calling thread, so a parallel run's RunReport is
+ * Both suite entry points optionally take a parallel::CellPool: when
+ * one is passed, the cells execute concurrently on the pool's
+ * workers while rows and metrics are committed in row order on the
+ * calling thread, so a parallel run's RunReport is
  * byte-identical to the serial one. The predictor factory closure is
  * then invoked concurrently and must be safe to call from multiple
  * threads (the stock makePredictor/makeFetchPredictor factories are).
@@ -183,48 +183,7 @@ class SuiteTraces
 };
 
 /**
- * Convenience: per-workload accuracy for a predictor built fresh per
- * workload by @p make. Returns one entry per suite workload plus
- * fills @p mean_percent with the arithmetic mean (the paper's
- * Figure 1/5/6 reduction).
- */
-std::vector<AccuracyResult>
-suiteAccuracy(const SuiteTraces &suite,
-              const std::function<std::unique_ptr<DirectionPredictor>()>
-                  &make,
-              double *mean_percent = nullptr,
-              parallel::CellPool *pool = nullptr);
-
-/**
- * Per-workload timing runs for a fetch predictor built fresh per
- * workload by @p make. Fills @p harmonic_mean_ipc with the paper's
- * Figure 7/8 reduction.
- */
-std::vector<SimResult>
-suiteTiming(const SuiteTraces &suite, const CoreConfig &cfg,
-            const std::function<std::unique_ptr<FetchPredictor>()>
-                &make,
-            double *harmonic_mean_ipc = nullptr,
-            parallel::CellPool *pool = nullptr);
-
-/**
- * suiteAccuracy plus reporting: appends one row per workload to
- * @p report under @p predictor_name / @p budget_bytes, publishes
- * each predictor instance's describeStats() gauges into @p metrics
- * when non-null, and stamps the suite's trace-cache hit/miss gauges.
- */
-std::vector<AccuracyResult>
-suiteAccuracyReport(const SuiteTraces &suite,
-                    const std::function<
-                        std::unique_ptr<DirectionPredictor>()> &make,
-                    double *mean_percent, obs::RunReport &report,
-                    const std::string &predictor_name,
-                    std::size_t budget_bytes,
-                    obs::MetricRegistry *metrics = nullptr,
-                    parallel::CellPool *pool = nullptr);
-
-/**
- * One cell of a batched accuracy sweep: a predictor configuration
+ * One configuration of an accuracy sweep: a predictor configuration
  * plus its per-workload outputs. The sweep drivers (fig1/fig5/fig6)
  * build one of these per (kind, budget) and hand the whole list to
  * suiteAccuracyReportEnsemble, which groups same-family configs and
@@ -266,7 +225,7 @@ struct AccuracyCellConfig
     std::vector<AccuracyResult> results;
 };
 
-/** How a batched sweep executed (published as core.ensemble.*). */
+/** How a suite sweep executed (published as core.ensemble.*). */
 struct EnsembleStats
 {
     /** (config x workload) cells replayed inside a batched group. */
@@ -277,32 +236,26 @@ struct EnsembleStats
     std::size_t groups = 0;
     /** Widest batched group (member count). */
     std::size_t batchWidth = 0;
-    /** Batched groups whose members mix kinds or wrapper chains
-     *  (timing: distinct ensembleTimingGroupKeys; accuracy: distinct
-     *  dynamic member types around one inner kind). */
-    std::size_t heteroGroups = 0;
-    /** Cells replayed inside heterogeneous groups. */
-    std::size_t heteroCells = 0;
-    /** Widest heterogeneous group (member count). */
-    std::size_t heteroWidth = 0;
 };
 
 /**
- * Run every configuration in @p configs over @p suite, batching
- * same-family groups through the ensemble engine (core/ensemble.hh)
- * so each group streams every trace once instead of once per config.
+ * The accuracy suite entry point: run every configuration in
+ * @p configs over @p suite, append one report row per (config,
+ * workload) — config-major, workload-minor, after all cells compute
+ * — publish each predictor instance's describeStats() gauges and the
+ * trace-cache gauges into @p metrics when non-null, and fill each
+ * config's results/meanPercent. A single configuration is simply a
+ * one-element list.
  *
- * Equivalence contract: the appended report rows, the published
- * metrics (bar the extra core.ensemble.* gauges) and each config's
- * results/meanPercent are byte-identical to calling
- * suiteAccuracyReport once per config in list order — rows are
- * emitted config-major, workload-minor after all cells compute.
- * Groups form per concrete *inner* type (ensembleAccuracyInnerType),
- * so protected / fault-injecting wrapper variants of one kind batch
- * together with their bare siblings. Configurations whose predictors
- * the ensemble probe rejects (unknown user types) and all configs
- * when BPSIM_ENSEMBLE=0 run through the serial path, with identical
- * output.
+ * Same-family configs are batched through the ensemble engine
+ * (core/ensemble.hh) so each group streams every trace once instead
+ * of once per config. Groups form per concrete *inner* type
+ * (ensembleAccuracyInnerType), so protected / fault-injecting
+ * wrapper variants of one kind batch together with their bare
+ * siblings. Configurations whose predictors the ensemble probe
+ * rejects (unknown user types) and all configs when BPSIM_ENSEMBLE=0
+ * run one cell at a time; rows, results and metrics (bar the
+ * core.ensemble.* gauges) are byte-identical either way.
  */
 EnsembleStats suiteAccuracyReportEnsemble(
     const SuiteTraces &suite,
@@ -311,12 +264,11 @@ EnsembleStats suiteAccuracyReportEnsemble(
     parallel::CellPool *pool = nullptr);
 
 /**
- * One cell of a batched timing sweep: a fetch-predictor
+ * One configuration of a timing sweep: a fetch-predictor
  * configuration plus core parameters and per-workload outputs. The
  * timing sweep drivers (fig2/fig7/fig8 and the pipeline/delay
- * ablations) build one per (kind, mode, budget) — in the exact row
- * order their serial loops used — and hand the whole list to
- * suiteTimingReportEnsemble.
+ * ablations) build one per (kind, mode, budget), in report row
+ * order, and hand the whole list to suiteTimingReportEnsemble.
  */
 struct TimingCellConfig
 {
@@ -339,8 +291,7 @@ struct TimingCellConfig
      * Optional per-workload factory, taking the suite workload
      * index; wins over @c make when set. The fault-injection studies
      * use this to give every (config, workload) cell its own seeded
-     * FaultPlan. The built type must not depend on the index — the
-     * grouping probe keys on workload 0's instance.
+     * FaultPlan.
      */
     std::function<std::unique_ptr<FetchPredictor>(std::size_t)>
         makeForWorkload;
@@ -351,7 +302,7 @@ struct TimingCellConfig
     /** Hardware budget for report rows. */
     std::size_t budgetBytes = 0;
     /** Core parameters for this cell (per-cell: the pipeline-depth
-     *  study batches cells whose cores differ). */
+     *  study sweeps cells whose cores differ). */
     CoreConfig cfg;
 
     // Outputs, filled by suiteTimingReportEnsemble:
@@ -362,47 +313,22 @@ struct TimingCellConfig
 };
 
 /**
- * Run every timing configuration in @p configs over @p suite,
- * batching every batchable config (non-empty ensembleTimingGroupKey)
- * into one — possibly heterogeneous — group per workload through
- * EnsembleTimingReplay, so the whole sweep streams every trace once
- * instead of once per config. Groups whose members mix kinds or
- * wrapper chains are counted in core.ensemble.timing.hetero_* and
- * traced under the `cell.batched.hetero` span category.
- *
- * Equivalence contract: the appended report rows, the published
- * metrics (bar the extra core.ensemble.timing.* gauges) and each
- * config's results/harmonicMeanIpc are byte-identical to calling
- * suiteTimingReport once per config in list order. A non-null
- * @p tracer forces the whole sweep down the serial path (the event
- * stream is ordered), as does BPSIM_ENSEMBLE=0; configurations whose
- * predictors the timing probe rejects (unknown user subclasses) and
- * lone configs run serially with identical output.
+ * The timing suite entry point: run every configuration in
+ * @p configs over @p suite, one pool cell per (config, workload),
+ * each a plain runTiming() on a fresh predictor. Appends one report
+ * row per cell — config-major, workload-minor, after all cells
+ * compute — publishes each run's SimResult counters and the fetch
+ * predictor's describeStats() gauges into @p metrics (when non-null)
+ * under `{workload=...}` labels, and fills each config's
+ * results/harmonicMeanIpc. A non-null @p tracer records every run's
+ * events and forces serial execution (the event stream is ordered).
+ * Returns EnsembleStats{serialCells = configs x workloads}.
  */
 EnsembleStats suiteTimingReportEnsemble(
     const SuiteTraces &suite, std::vector<TimingCellConfig> &configs,
     obs::RunReport &report, obs::MetricRegistry *metrics = nullptr,
     obs::EventTracer *tracer = nullptr,
     parallel::CellPool *pool = nullptr);
-
-/**
- * suiteTiming plus reporting: appends one row per workload to
- * @p report, publishes each run's SimResult counters into
- * @p metrics (when non-null) under `{workload=...}` labels, records
- * events into @p tracer (when non-null), and publishes the fetch
- * predictor's describeStats() gauges. A non-null @p tracer forces
- * serial execution — the event stream is ordered.
- */
-std::vector<SimResult>
-suiteTimingReport(const SuiteTraces &suite, const CoreConfig &cfg,
-                  const std::function<
-                      std::unique_ptr<FetchPredictor>()> &make,
-                  double *harmonic_mean_ipc, obs::RunReport &report,
-                  const std::string &predictor_name,
-                  const std::string &mode, std::size_t budget_bytes,
-                  obs::MetricRegistry *metrics = nullptr,
-                  obs::EventTracer *tracer = nullptr,
-                  parallel::CellPool *pool = nullptr);
 
 /**
  * Default trace length for benches; reads BPSIM_OPS_PER_WORKLOAD

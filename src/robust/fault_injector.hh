@@ -184,10 +184,6 @@ class FaultInjectingFetchPredictor : public FetchPredictor
     }
 
     const FaultInjector &injector() const { return injector_; }
-    /** The wrapped fetch predictor, so the timing ensemble's
-     *  grouping probe (core/ensemble.cc) can key on the full wrapper
-     *  chain. */
-    FetchPredictor &inner() { return *inner_; }
 
   private:
     std::unique_ptr<FetchPredictor> inner_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <stdexcept>
+#include <string>
 
 namespace bpsim {
 
@@ -457,26 +459,28 @@ OooCore::skipIdleCycles(const TraceBuffer &trace, Cycle max_cycles)
     return true;
 }
 
-void
-OooCore::begin(const TraceBuffer &trace)
+SimResult
+OooCore::run(const TraceBuffer &trace)
 {
     result_ = SimResult{};
-    // Guard against a livelocked configuration ever looping forever.
-    maxCycles_ = static_cast<Cycle>(trace.size()) * 64 + 100000;
-}
-
-void
-OooCore::advance(const TraceBuffer &trace, std::size_t fetch_target)
-{
-    const bool drain = fetch_target >= trace.size();
-    while ((fetchIndex_ < trace.size() || robCount_ > 0 ||
-            !fetchBuffer_.empty()) &&
-           cycle_ < maxCycles_) {
-        // Pause only at an iteration boundary: the check has no side
-        // effects, so pausing cannot perturb what the stages do.
-        if (!drain && fetchIndex_ >= fetch_target)
-            return;
-        if (cfg_.cycleSkip && skipIdleCycles(trace, maxCycles_))
+    // Livelock guard: 64 cycles per op plus the slowest memory round
+    // trips the config allows per op (a dependent chain of load
+    // misses, or an i-cache miss on every op, is slow but finishes).
+    // Stock predictors' bubbles fit well inside the 64, so reaching
+    // the guard means the run cannot finish.
+    const Cycle perOp = 64 + cfg_.l1dHitCycles + cfg_.l2HitCycles +
+                        cfg_.memoryCycles + cfg_.ifetchMemoryCycles;
+    const Cycle maxCycles =
+        static_cast<Cycle>(trace.size()) * perOp + 100000;
+    while (fetchIndex_ < trace.size() || robCount_ > 0 ||
+           !fetchBuffer_.empty()) {
+        if (cycle_ >= maxCycles)
+            throw std::runtime_error(
+                "OooCore: livelock guard tripped at cycle " +
+                std::to_string(cycle_) + " with " +
+                std::to_string(fetchIndex_) + " / " +
+                std::to_string(trace.size()) + " ops fetched");
+        if (cfg_.cycleSkip && skipIdleCycles(trace, maxCycles))
             continue;
         commitStage(trace);
         completeStage(trace);
@@ -485,25 +489,12 @@ OooCore::advance(const TraceBuffer &trace, std::size_t fetch_target)
         fetchStage(trace);
         ++cycle_;
     }
-}
-
-SimResult
-OooCore::finish()
-{
     result_.cycles = cycle_;
     result_.l1iMissRate = l1i_.missRate();
     result_.l1dMissRate = l1d_.missRate();
     result_.l2MissRate = l2_.missRate();
     result_.btbHitRate = btb_.hitRate();
     return result_;
-}
-
-SimResult
-OooCore::run(const TraceBuffer &trace)
-{
-    begin(trace);
-    advance(trace, trace.size());
-    return finish();
 }
 
 } // namespace bpsim

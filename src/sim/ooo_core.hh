@@ -122,32 +122,13 @@ class OooCore
      */
     OooCore(const CoreConfig &cfg, FetchPredictor &predictor);
 
-    /** Run the whole @p trace to completion and return the stats. */
-    SimResult run(const TraceBuffer &trace);
-
-    // Incremental interface: run() is exactly
-    //   begin(t); advance(t, t.size()); finish();
-    // and the ensemble timing engine (core/ensemble.cc) interleaves
-    // the middle step across members in fetch-index blocks. The
-    // pause point only decides *when* advance() returns, never what
-    // any stage executes, so a blocked member-major replay performs
-    // the same per-member iteration sequence as a serial run —
-    // byte-identical SimResults by construction.
-
-    /** Reset per-run stats and arm the livelock guard for @p trace.
-     *  Must precede the first advance() on a fresh core. */
-    void begin(const TraceBuffer &trace);
-
     /**
-     * Simulate until @p fetch_target trace ops have been fetched
-     * (pausing at the cycle boundary where `fetchIndex_` first
-     * reaches it) or, when @p fetch_target >= trace.size(), until
-     * the pipeline fully drains.
+     * Run the whole @p trace to completion and return the stats.
+     * Throws std::runtime_error when the livelock guard trips (per
+     * op: 64 cycles plus the config's load-miss and i-fetch-miss
+     * latencies; plus 100000): a run never returns a partial result.
      */
-    void advance(const TraceBuffer &trace, std::size_t fetch_target);
-
-    /** Stamp final cycle count and cache/BTB rates; returns stats. */
-    SimResult finish();
+    SimResult run(const TraceBuffer &trace);
 
     /**
      * Attach an event tracer (not owned; may be nullptr to detach).
@@ -252,8 +233,6 @@ class OooCore
      * mispredicted branch is ever in flight.
      */
     std::vector<std::uint64_t> completeHeap_;
-    /** Livelock guard captured by begin() for advance(). */
-    Cycle maxCycles_ = 0;
 
     obs::EventTracer *tracer_ = nullptr;
     SimResult result_;

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "core/factory.hh"
 #include "core/runner.hh"
 
@@ -19,6 +23,30 @@ class IntegrationTest : public ::testing::Test
         static SuiteTraces s(120000, 42);
         return s;
     }
+
+    /** Arithmetic-mean misprediction percent of one config. */
+    static double
+    meanPercent(
+        std::function<std::unique_ptr<DirectionPredictor>()> make)
+    {
+        std::vector<AccuracyCellConfig> cells = {
+            {std::move(make), "probe", 0}};
+        obs::RunReport report;
+        suiteAccuracyReportEnsemble(suite(), cells, report);
+        return cells[0].meanPercent;
+    }
+
+    /** Harmonic-mean IPC of one config on the default core. */
+    static double
+    harmonicMeanIpc(
+        std::function<std::unique_ptr<FetchPredictor>()> make)
+    {
+        std::vector<TimingCellConfig> cells = {
+            {std::move(make), "probe", "probe", 0, CoreConfig{}}};
+        obs::RunReport report;
+        suiteTimingReportEnsemble(suite(), cells, report);
+        return cells[0].harmonicMeanIpc;
+    }
 };
 
 TEST_F(IntegrationTest, AccuracyOrderingMatchesPaper)
@@ -26,10 +54,7 @@ TEST_F(IntegrationTest, AccuracyOrderingMatchesPaper)
     // Perceptron and multi-component are the most accurate;
     // bimodal is the least (Figures 1 and 5).
     auto mean_of = [&](PredictorKind k) {
-        double m = 0;
-        suiteAccuracy(
-            suite(), [&] { return makePredictor(k, 64 * 1024); }, &m);
-        return m;
+        return meanPercent([&] { return makePredictor(k, 64 * 1024); });
     };
     const double bimodal = mean_of(PredictorKind::Bimodal);
     const double gshare = mean_of(PredictorKind::Gshare);
@@ -49,10 +74,8 @@ TEST_F(IntegrationTest, AccuracyOrderingMatchesPaper)
 TEST_F(IntegrationTest, EveryPredictorBeatsStaticBaseline)
 {
     for (auto kind : allKinds()) {
-        double m = 0;
-        suiteAccuracy(
-            suite(), [&] { return makePredictor(kind, 64 * 1024); },
-            &m);
+        const double m = meanPercent(
+            [&] { return makePredictor(kind, 64 * 1024); });
         EXPECT_LT(m, 25.0) << kindName(kind);
         EXPECT_GT(m, 0.5) << kindName(kind)
                           << " (suspiciously perfect)";
@@ -61,24 +84,16 @@ TEST_F(IntegrationTest, EveryPredictorBeatsStaticBaseline)
 
 TEST_F(IntegrationTest, OverridingNeverBeatsIdealOfSamePredictor)
 {
-    CoreConfig cfg;
     for (auto kind :
          {PredictorKind::Perceptron, PredictorKind::MultiComponent}) {
-        double ideal = 0, over = 0;
-        suiteTiming(
-            suite(), cfg,
-            [&] {
-                return makeFetchPredictor(kind, 256 * 1024,
-                                          DelayMode::Ideal);
-            },
-            &ideal);
-        suiteTiming(
-            suite(), cfg,
-            [&] {
-                return makeFetchPredictor(kind, 256 * 1024,
-                                          DelayMode::Overriding);
-            },
-            &over);
+        const double ideal = harmonicMeanIpc([&] {
+            return makeFetchPredictor(kind, 256 * 1024,
+                                      DelayMode::Ideal);
+        });
+        const double over = harmonicMeanIpc([&] {
+            return makeFetchPredictor(kind, 256 * 1024,
+                                      DelayMode::Overriding);
+        });
         EXPECT_LE(over, ideal + 1e-9) << kindName(kind);
         EXPECT_GT(over, 0.0);
     }
@@ -86,22 +101,14 @@ TEST_F(IntegrationTest, OverridingNeverBeatsIdealOfSamePredictor)
 
 TEST_F(IntegrationTest, GshareFastIpcUnaffectedByDelayMode)
 {
-    CoreConfig cfg;
-    double pipelined = 0, ideal = 0;
-    suiteTiming(
-        suite(), cfg,
-        [&] {
-            return makeFetchPredictor(PredictorKind::GshareFast,
-                                      256 * 1024, DelayMode::Pipelined);
-        },
-        &pipelined);
-    suiteTiming(
-        suite(), cfg,
-        [&] {
-            return makeFetchPredictor(PredictorKind::GshareFast,
-                                      256 * 1024, DelayMode::Ideal);
-        },
-        &ideal);
+    const double pipelined = harmonicMeanIpc([&] {
+        return makeFetchPredictor(PredictorKind::GshareFast,
+                                  256 * 1024, DelayMode::Pipelined);
+    });
+    const double ideal = harmonicMeanIpc([&] {
+        return makeFetchPredictor(PredictorKind::GshareFast,
+                                  256 * 1024, DelayMode::Ideal);
+    });
     EXPECT_DOUBLE_EQ(pipelined, ideal)
         << "pipelining hides all delay: identical to a zero-delay "
            "predictor";
@@ -109,23 +116,14 @@ TEST_F(IntegrationTest, GshareFastIpcUnaffectedByDelayMode)
 
 TEST_F(IntegrationTest, StallModeIsWorseThanOverriding)
 {
-    CoreConfig cfg;
-    double stall = 0, over = 0;
-    suiteTiming(
-        suite(), cfg,
-        [&] {
-            return makeFetchPredictor(PredictorKind::Perceptron,
-                                      256 * 1024, DelayMode::Stall);
-        },
-        &stall);
-    suiteTiming(
-        suite(), cfg,
-        [&] {
-            return makeFetchPredictor(PredictorKind::Perceptron,
-                                      256 * 1024,
-                                      DelayMode::Overriding);
-        },
-        &over);
+    const double stall = harmonicMeanIpc([&] {
+        return makeFetchPredictor(PredictorKind::Perceptron,
+                                  256 * 1024, DelayMode::Stall);
+    });
+    const double over = harmonicMeanIpc([&] {
+        return makeFetchPredictor(PredictorKind::Perceptron,
+                                  256 * 1024, DelayMode::Overriding);
+    });
     EXPECT_LT(stall, over)
         << "overriding exists because stalling on every branch is "
            "worse (Section 2.6)";

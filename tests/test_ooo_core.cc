@@ -5,9 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
+#include "pipeline/fetch_predictor.hh"
 #include "predictors/static_pred.hh"
 #include "trace/trace_buffer.hh"
+#include "workloads/registry.hh"
+#include "workloads/workload.hh"
 
 namespace bpsim {
 namespace {
@@ -172,6 +177,9 @@ TEST(OooCore, LoadMissesThrottleIpc)
     }
     const auto r =
         simulate(t, std::make_unique<StaticPredictor>(true));
+    // ~236 cycles per op: slow, but the livelock guard scales with
+    // the miss latencies, so the chase runs to the end.
+    EXPECT_EQ(r.instructions, t.size());
     EXPECT_LT(r.ipc(), 0.05);
     EXPECT_GT(r.l1dMissRate, 0.9);
 }
@@ -206,6 +214,38 @@ TEST(OooCore, ResultRates)
     EXPECT_DOUBLE_EQ(r.mispredictionRate(), 0.25);
     EXPECT_DOUBLE_EQ(r.mispredictionPercent(), 25.0);
     EXPECT_EQ(r.instructions, t.size());
+}
+
+/** A fetch predictor that charges a million-cycle bubble per branch,
+ *  far beyond any stock delay-hiding scheme. */
+struct MillionCycleBubbles final : FetchPredictor
+{
+    std::string name() const override { return "bubbles"; }
+    std::size_t storageBits() const override { return 0; }
+    FetchPrediction predict(Addr) override { return {true, 1000000}; }
+    void update(Addr, bool) override {}
+};
+
+TEST(OooCore, LivelockGuardThrowsInsteadOfTruncating)
+{
+    // 2000 ops of mcf with a million-cycle bubble per branch run far
+    // past the guard: the run must fail loudly, naming how far it
+    // got, rather than return a partial SimResult.
+    const auto w = makeWorkload("181.mcf");
+    const TraceBuffer t = generateTrace(*w, 2000, 42);
+    MillionCycleBubbles fp;
+    OooCore core(CoreConfig{}, fp);
+    try {
+        core.run(t);
+        FAIL() << "expected the livelock guard to throw";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("livelock guard tripped at cycle"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("/ 2000 ops fetched"), std::string::npos)
+            << msg;
+    }
 }
 
 } // namespace

@@ -19,9 +19,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/factory.hh"
 #include "core/runner.hh"
 #include "predictors/static_pred.hh"
 #include "robust/hardened_runner.hh"
+#include "robust/protection.hh"
 
 namespace bpsim {
 namespace {
@@ -178,15 +180,17 @@ TEST(ParallelSuite, TraceGenerationMatchesSerial)
 TEST(ParallelSuite, AccuracyReportByteIdenticalAtAnyJobCount)
 {
     const SuiteTraces suite(10000, 5);
-    const auto make = [] {
-        return makePredictor(PredictorKind::Gshare, 4 * 1024);
+    const auto configs = [] {
+        return std::vector<AccuracyCellConfig>{
+            {[] { return makePredictor(PredictorKind::Gshare, 4 * 1024); },
+             "gshare", 4 * 1024}};
     };
 
     obs::RunReport serial = freshReport();
     obs::MetricRegistry serialMetrics;
-    double serialMean = -1;
-    suiteAccuracyReport(suite, make, &serialMean, serial, "gshare",
-                        4 * 1024, &serialMetrics, nullptr);
+    std::vector<AccuracyCellConfig> serialCells = configs();
+    suiteAccuracyReportEnsemble(suite, serialCells, serial,
+                                &serialMetrics, nullptr);
     const std::string serialBytes = serial.toJson().dump(2);
     const std::string serialMetricBytes =
         serialMetrics.toJson().dump(2);
@@ -196,10 +200,12 @@ TEST(ParallelSuite, AccuracyReportByteIdenticalAtAnyJobCount)
         CellPool pool(jobs);
         obs::RunReport report = freshReport();
         obs::MetricRegistry metrics;
-        double mean = -1;
-        suiteAccuracyReport(suite, make, &mean, report, "gshare",
-                            4 * 1024, &metrics, &pool);
-        EXPECT_DOUBLE_EQ(mean, serialMean) << "jobs " << jobs;
+        std::vector<AccuracyCellConfig> cells = configs();
+        suiteAccuracyReportEnsemble(suite, cells, report, &metrics,
+                                    &pool);
+        EXPECT_DOUBLE_EQ(cells[0].meanPercent,
+                         serialCells[0].meanPercent)
+            << "jobs " << jobs;
         EXPECT_EQ(report.toJson().dump(2), serialBytes)
             << "jobs " << jobs;
         EXPECT_EQ(metrics.toJson().dump(2), serialMetricBytes)
@@ -208,38 +214,80 @@ TEST(ParallelSuite, AccuracyReportByteIdenticalAtAnyJobCount)
     }
 }
 
+/** A mixed timing sweep: two delay wrappers, a non-default core and
+ *  a per-workload protected fetch predictor. */
+std::vector<TimingCellConfig>
+mixedTimingConfigs()
+{
+    CoreConfig cfg;
+    CoreConfig deep;
+    deep.frontEndDepth = 20;
+    std::vector<TimingCellConfig> cells;
+    cells.push_back(
+        {[] {
+             return std::make_unique<SingleCycleFetchPredictor>(
+                 makePredictor(PredictorKind::GshareFast, 16 * 1024));
+         },
+         "gshare.fast", "ideal", 16 * 1024, cfg});
+    cells.push_back({[] {
+                         return makeFetchPredictor(
+                             PredictorKind::Perceptron, 16 * 1024,
+                             DelayMode::Overriding);
+                     },
+                     "perceptron", "overriding@depth20", 16 * 1024,
+                     deep});
+    TimingCellConfig prot;
+    prot.makeForWorkload = [](std::size_t w) {
+        robust::ProtectionConfig pc;
+        pc.policy = robust::ProtectionPolicy::ParityInvalidate;
+        robust::FaultPlan plan;
+        plan.upsetRatePerBit = 1e-3;
+        plan.intervalBranches = 256;
+        plan.seed = 300 + w;
+        return makeProtectedFetchPredictor(PredictorKind::Gshare,
+                                           16 * 1024,
+                                           DelayMode::Overriding, pc,
+                                           plan);
+    };
+    prot.name = "gshare.parity";
+    prot.mode = "overriding";
+    prot.budgetBytes = 16 * 1024;
+    prot.cfg = cfg;
+    cells.push_back(std::move(prot));
+    return cells;
+}
+
 TEST(ParallelSuite, TimingReportByteIdenticalAtAnyJobCount)
 {
     const SuiteTraces suite(6000, 6);
-    CoreConfig cfg;
-    const auto make = [] {
-        return std::make_unique<SingleCycleFetchPredictor>(
-            makePredictor(PredictorKind::GshareFast, 16 * 1024));
-    };
 
     obs::RunReport serial = freshReport();
     obs::MetricRegistry serialMetrics;
-    double serialHm = -1;
-    suiteTimingReport(suite, cfg, make, &serialHm, serial,
-                      "gshare.fast", "ideal", 16 * 1024,
-                      &serialMetrics, nullptr, nullptr);
+    std::vector<TimingCellConfig> serialCells = mixedTimingConfigs();
+    suiteTimingReportEnsemble(suite, serialCells, serial,
+                              &serialMetrics, nullptr, nullptr);
     const std::string serialBytes = serial.toJson().dump(2);
     const std::string serialMetricBytes =
         serialMetrics.toJson().dump(2);
 
-    for (unsigned jobs : {2u, 4u}) {
+    // 36 cells: jobs 32 still leaves some workers a second cell.
+    for (unsigned jobs : {2u, 4u, 32u}) {
         CellPool pool(jobs);
         obs::RunReport report = freshReport();
         obs::MetricRegistry metrics;
-        double hm = -1;
-        suiteTimingReport(suite, cfg, make, &hm, report,
-                          "gshare.fast", "ideal", 16 * 1024, &metrics,
-                          nullptr, &pool);
-        EXPECT_DOUBLE_EQ(hm, serialHm) << "jobs " << jobs;
+        std::vector<TimingCellConfig> cells = mixedTimingConfigs();
+        suiteTimingReportEnsemble(suite, cells, report, &metrics,
+                                  nullptr, &pool);
+        for (std::size_t c = 0; c < cells.size(); ++c)
+            EXPECT_DOUBLE_EQ(cells[c].harmonicMeanIpc,
+                             serialCells[c].harmonicMeanIpc)
+                << "jobs " << jobs << " config " << c;
         EXPECT_EQ(report.toJson().dump(2), serialBytes)
             << "jobs " << jobs;
         EXPECT_EQ(metrics.toJson().dump(2), serialMetricBytes)
             << "jobs " << jobs;
+        EXPECT_EQ(pool.stats().cellsCompleted,
+                  cells.size() * suite.size());
     }
 }
 

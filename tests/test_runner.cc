@@ -5,8 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "common/stats.hh"
+#include "core/factory.hh"
+#include "obs/event_trace.hh"
+#include "parallel/cell_pool.hh"
 #include "predictors/static_pred.hh"
+#include "robust/fault_injector.hh"
+#include "robust/protection.hh"
 #include "workloads/registry.hh"
 
 namespace bpsim {
@@ -50,37 +59,191 @@ TEST(SuiteTraces, BuildsAllTwelveOnce)
 TEST(SuiteAccuracy, MeanIsArithmeticOverWorkloads)
 {
     SuiteTraces suite(15000, 2);
-    double mean = -1;
-    const auto res = suiteAccuracy(
-        suite, [] { return std::make_unique<StaticPredictor>(true); },
-        &mean);
+    std::vector<AccuracyCellConfig> cells = {
+        {[] { return std::make_unique<StaticPredictor>(true); },
+         "static", 0}};
+    obs::RunReport report;
+    suiteAccuracyReportEnsemble(suite, cells, report);
+    const auto &res = cells[0].results;
     ASSERT_EQ(res.size(), 12u);
+    ASSERT_EQ(report.rows.size(), 12u);
     double acc = 0;
     for (const auto &r : res)
         acc += r.percent();
-    EXPECT_NEAR(mean, acc / 12.0, 1e-12);
+    EXPECT_NEAR(cells[0].meanPercent, acc / 12.0, 1e-12);
 }
 
 TEST(SuiteTiming, HarmonicMeanAndPerWorkloadResults)
 {
     SuiteTraces suite(15000, 3);
-    CoreConfig cfg;
-    double hm = -1;
-    const auto res = suiteTiming(
-        suite, cfg,
-        [] {
-            return std::make_unique<SingleCycleFetchPredictor>(
-                std::make_unique<StaticPredictor>(true));
-        },
-        &hm);
+    std::vector<TimingCellConfig> cells = {
+        {[] {
+             return std::make_unique<SingleCycleFetchPredictor>(
+                 std::make_unique<StaticPredictor>(true));
+         },
+         "static", "ideal", 0, CoreConfig{}}};
+    obs::RunReport report;
+    suiteTimingReportEnsemble(suite, cells, report);
+    const auto &res = cells[0].results;
     ASSERT_EQ(res.size(), 12u);
     std::vector<double> ipcs;
     for (const auto &r : res) {
         EXPECT_GT(r.ipc(), 0.0);
         ipcs.push_back(r.ipc());
     }
-    EXPECT_NEAR(hm, harmonicMean(ipcs), 1e-12);
-    EXPECT_LE(hm, arithmeticMean(ipcs));
+    EXPECT_NEAR(cells[0].harmonicMeanIpc, harmonicMean(ipcs), 1e-12);
+    EXPECT_LE(cells[0].harmonicMeanIpc, arithmeticMean(ipcs));
+}
+
+void
+expectSameSimResult(const SimResult &a, const SimResult &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.condBranches, b.condBranches);
+    EXPECT_EQ(a.mispredictions, b.mispredictions);
+    EXPECT_EQ(a.overridingBubbleCycles, b.overridingBubbleCycles);
+    EXPECT_EQ(a.btbMissPenaltyCycles, b.btbMissPenaltyCycles);
+    EXPECT_EQ(a.mispredictWaitCycles, b.mispredictWaitCycles);
+    EXPECT_EQ(a.icacheStallCycles, b.icacheStallCycles);
+    EXPECT_EQ(a.frontEndStallCycles, b.frontEndStallCycles);
+    EXPECT_EQ(a.overrideStallCycles, b.overrideStallCycles);
+    EXPECT_EQ(a.btbStallCycles, b.btbStallCycles);
+    EXPECT_EQ(a.robStallCycles, b.robStallCycles);
+    EXPECT_EQ(a.flushes, b.flushes);
+    EXPECT_EQ(a.squashedUops, b.squashedUops);
+    EXPECT_EQ(a.l1iMissRate, b.l1iMissRate);
+    EXPECT_EQ(a.l1dMissRate, b.l1dMissRate);
+    EXPECT_EQ(a.l2MissRate, b.l2MissRate);
+    EXPECT_EQ(a.btbHitRate, b.btbHitRate);
+}
+
+/** A timing sweep covering every factory form: plain make(), a
+ *  cycle-skip-off core, and per-workload protected and
+ *  fault-injecting fetch predictors. */
+std::vector<TimingCellConfig>
+timingSweepConfigs()
+{
+    CoreConfig cfg;
+    CoreConfig noskip;
+    noskip.cycleSkip = false;
+    std::vector<TimingCellConfig> cells;
+    for (const std::size_t budget : {16u * 1024, 64u * 1024})
+        cells.push_back({[budget] {
+                             return makeFetchPredictor(
+                                 PredictorKind::Perceptron, budget,
+                                 DelayMode::Overriding);
+                         },
+                         "perceptron", "overriding", budget, cfg});
+    cells.push_back({[] {
+                         return makeFetchPredictor(
+                             PredictorKind::GshareFast, 16 * 1024,
+                             DelayMode::Ideal);
+                     },
+                     "gshare.fast", "ideal(noskip)", 16 * 1024,
+                     noskip});
+    TimingCellConfig prot;
+    prot.makeForWorkload = [](std::size_t w) {
+        robust::ProtectionConfig pc;
+        pc.policy = robust::ProtectionPolicy::SecdedCorrect;
+        robust::FaultPlan plan;
+        plan.upsetRatePerBit = 1e-3;
+        plan.intervalBranches = 256;
+        plan.seed = 7 + w;
+        return makeProtectedFetchPredictor(PredictorKind::Gshare,
+                                           16 * 1024,
+                                           DelayMode::Overriding, pc,
+                                           plan);
+    };
+    prot.name = "gshare.secded";
+    prot.mode = "overriding";
+    prot.budgetBytes = 16 * 1024;
+    prot.cfg = cfg;
+    cells.push_back(std::move(prot));
+    TimingCellConfig fault;
+    fault.makeForWorkload = [](std::size_t w) {
+        robust::FaultPlan plan;
+        plan.upsetRatePerBit = 1e-3;
+        plan.intervalBranches = 256;
+        plan.seed = 11 + w;
+        return std::unique_ptr<FetchPredictor>(
+            std::make_unique<robust::FaultInjectingFetchPredictor>(
+                makeFetchPredictor(PredictorKind::GshareFast,
+                                   16 * 1024, DelayMode::Pipelined),
+                plan));
+    };
+    fault.name = "gshare.fast.fault";
+    fault.mode = "pipelined";
+    fault.budgetBytes = 16 * 1024;
+    fault.cfg = cfg;
+    cells.push_back(std::move(fault));
+    return cells;
+}
+
+TEST(SuiteTiming, EveryCellEqualsItsOwnRunTiming)
+{
+    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
+    std::vector<TimingCellConfig> cells = timingSweepConfigs();
+    obs::RunReport report;
+    const EnsembleStats stats =
+        suiteTimingReportEnsemble(suite, cells, report);
+    EXPECT_EQ(stats.serialCells, cells.size() * suite.size());
+    EXPECT_EQ(stats.batchedCells, 0u);
+    EXPECT_EQ(stats.groups, 0u);
+
+    // Rows are config-major, workload-minor, and every cell is one
+    // runTiming() on a fresh predictor — makeForWorkload winning
+    // over make, with the workload's index.
+    const std::vector<TimingCellConfig> ref = timingSweepConfigs();
+    ASSERT_EQ(report.rows.size(), cells.size() * suite.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        std::vector<double> ipcs;
+        for (std::size_t w = 0; w < suite.size(); ++w) {
+            SCOPED_TRACE(cells[c].name + "/" + suite.name(w));
+            auto pred = ref[c].makeForWorkload
+                            ? ref[c].makeForWorkload(w)
+                            : ref[c].make();
+            const SimResult want =
+                runTiming(ref[c].cfg, *pred, suite.trace(w));
+            expectSameSimResult(cells[c].results[w], want);
+            ipcs.push_back(want.ipc());
+            const auto &row = report.rows[c * suite.size() + w];
+            EXPECT_EQ(row.workload, suite.name(w));
+            EXPECT_EQ(row.predictor, cells[c].name);
+            EXPECT_EQ(row.mode, cells[c].mode);
+            EXPECT_EQ(row.cycles, want.cycles);
+        }
+        EXPECT_EQ(cells[c].harmonicMeanIpc, harmonicMean(ipcs));
+    }
+}
+
+TEST(SuiteTiming, TracerPathMatchesUntracedPath)
+{
+    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
+
+    std::vector<TimingCellConfig> plain = timingSweepConfigs();
+    obs::RunReport plainReport;
+    obs::MetricRegistry plainMetrics;
+    parallel::CellPool pool(4);
+    suiteTimingReportEnsemble(suite, plain, plainReport,
+                              &plainMetrics, nullptr, &pool);
+
+    // A tracer forces serial execution even with a pool passed; the
+    // rows and metrics must not notice.
+    std::vector<TimingCellConfig> traced = timingSweepConfigs();
+    obs::RunReport tracedReport;
+    obs::MetricRegistry tracedMetrics;
+    obs::EventTracer tracer(1 << 12);
+    parallel::CellPool tracedPool(4);
+    suiteTimingReportEnsemble(suite, traced, tracedReport,
+                              &tracedMetrics, &tracer, &tracedPool);
+
+    EXPECT_GT(tracer.recorded(), 0u);
+    EXPECT_EQ(tracedPool.stats().cellsCompleted, 0u);
+    EXPECT_EQ(tracedReport.toJson().dump(2),
+              plainReport.toJson().dump(2));
+    EXPECT_EQ(tracedMetrics.toJson().dump(2),
+              plainMetrics.toJson().dump(2));
 }
 
 TEST(BenchOps, EnvironmentOverride)

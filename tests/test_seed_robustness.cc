@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/factory.hh"
 #include "core/runner.hh"
 
@@ -15,10 +17,12 @@ constexpr std::uint64_t seeds[] = {7, 1234, 987654321};
 double
 meanAt(const SuiteTraces &suite, PredictorKind kind, std::size_t budget)
 {
-    double m = 0;
-    suiteAccuracy(
-        suite, [&] { return makePredictor(kind, budget); }, &m);
-    return m;
+    std::vector<AccuracyCellConfig> cells = {
+        {[&] { return makePredictor(kind, budget); }, kindName(kind),
+         budget}};
+    obs::RunReport report;
+    suiteAccuracyReportEnsemble(suite, cells, report);
+    return cells[0].meanPercent;
 }
 
 TEST(SeedRobustness, PredictorOrderingHoldsAcrossSeeds)
@@ -56,25 +60,21 @@ TEST(SeedRobustness, GshareFastTracksGshareAcrossSeeds)
 
 TEST(SeedRobustness, OverridingBubblesCostIpcAcrossSeeds)
 {
-    CoreConfig cfg;
     for (const auto seed : seeds) {
         SuiteTraces suite(100000, seed);
-        double ideal = 0, over = 0;
-        suiteTiming(
-            suite, cfg,
-            [] {
-                return makeFetchPredictor(PredictorKind::Perceptron,
-                                          512 * 1024, DelayMode::Ideal);
-            },
-            &ideal);
-        suiteTiming(
-            suite, cfg,
-            [] {
-                return makeFetchPredictor(PredictorKind::Perceptron,
-                                          512 * 1024,
-                                          DelayMode::Overriding);
-            },
-            &over);
+        std::vector<TimingCellConfig> cells;
+        for (DelayMode mode : {DelayMode::Ideal, DelayMode::Overriding})
+            cells.push_back({[mode] {
+                                 return makeFetchPredictor(
+                                     PredictorKind::Perceptron,
+                                     512 * 1024, mode);
+                             },
+                             "perceptron", delayModeName(mode),
+                             512 * 1024, CoreConfig{}});
+        obs::RunReport report;
+        suiteTimingReportEnsemble(suite, cells, report);
+        const double ideal = cells[0].harmonicMeanIpc;
+        const double over = cells[1].harmonicMeanIpc;
         EXPECT_LT(over, ideal) << "seed " << seed;
         // At the 512KB/11-cycle point the loss is substantial on
         // every seed (the paper's headline effect).

@@ -1,0 +1,254 @@
+/**
+ * @file
+ * Offline golden gate for the timing sweeps: every report row of the
+ * eight artifacts that run timing cells, recomputed through the
+ * artifact registry and compared against tests/golden/timing_rows.tsv.
+ *
+ * Each TSV line is `<section>\t<key>\t<fnv1a-64 hex>`:
+ *  - `<artifact>\t<row key>` digests the row's full JSON (accuracy
+ *    and timing rows alike, in report order);
+ *  - `<artifact>\t#table` digests the printed table (harmonic means);
+ *  - `<artifact>\t#sim.core` digests the `sim.core.*` metrics, whose
+ *    per-workload sums carry the counters rows do not
+ *    (overriding-bubble cycles);
+ *  - `runner\t<cell>` digests every SimResult field, miss rates
+ *    included, of a fixed timing config list run directly through
+ *    suiteTimingReportEnsemble (rows expose only part of a
+ *    SimResult).
+ *
+ * The test writes what it computed to timing_rows.actual.tsv in its
+ * working directory. Refresh the golden only from a tree whose
+ * numbers are known good, by copying that file over it.
+ */
+
+#include "artifact_registry.hh"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/factory.hh"
+#include "core/runner.hh"
+#include "parallel/cell_pool.hh"
+#include "robust/fault_injector.hh"
+#include "robust/protection.hh"
+#include "trace/shared_trace_pool.hh"
+
+namespace bpsim {
+namespace {
+
+constexpr Counter kOps = 20000;
+
+/** The artifacts whose bodies call suiteTimingReportEnsemble. */
+const char *const kTimingArtifacts[] = {
+    "fig2_ideal_vs_overriding", "fig7_ipc_budget",
+    "fig8_per_benchmark_ipc",   "ablation_delay_hiding",
+    "ablation_update_delay",    "study_pipeline_depth",
+    "study_protection_surface", "study_soft_error",
+};
+
+std::string
+digest(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+std::string
+line(const std::string &section, const std::string &key,
+     const std::string &payload)
+{
+    return section + "\t" + key + "\t" + digest(payload);
+}
+
+std::string
+simCoreMetrics(const obs::MetricRegistry &reg)
+{
+    std::ostringstream os;
+    os.precision(17);
+    for (const std::string &name : reg.names()) {
+        if (name.rfind("sim.core.", 0) != 0)
+            continue;
+        os << name << '=';
+        if (const auto *c = reg.findCounter(name))
+            os << c->value();
+        else if (const auto *g = reg.findGauge(name))
+            os << g->value();
+        os << '\n';
+    }
+    return os.str();
+}
+
+std::string
+simResultFields(const SimResult &r)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << r.cycles << ',' << r.instructions << ',' << r.condBranches
+       << ',' << r.mispredictions << ',' << r.overridingBubbleCycles
+       << ',' << r.btbMissPenaltyCycles << ','
+       << r.mispredictWaitCycles << ',' << r.icacheStallCycles << ','
+       << r.frontEndStallCycles << ',' << r.overrideStallCycles << ','
+       << r.btbStallCycles << ',' << r.robStallCycles << ','
+       << r.flushes << ',' << r.squashedUops << ',' << r.l1iMissRate
+       << ',' << r.l1dMissRate << ',' << r.l2MissRate << ','
+       << r.btbHitRate;
+    return os.str();
+}
+
+void
+artifactLines(std::vector<std::string> &out)
+{
+    for (const char *name : kTimingArtifacts) {
+        const ArtifactDef *def = findArtifact(name);
+        ASSERT_NE(def, nullptr) << name;
+        parallel::CellPool pool(4);
+        BufferedSweepContext ctx(def->spec, &pool,
+                                 /*want_report=*/true);
+        ASSERT_EQ(def->fn(def->spec, ctx), 0) << name;
+        ASSERT_FALSE(ctx.report().rows.empty()) << name;
+        for (const auto &row : ctx.report().rows)
+            out.push_back(line(name, row.key(), row.toJson().dump()));
+        out.push_back(line(name, "#table", ctx.output()));
+        out.push_back(
+            line(name, "#sim.core", simCoreMetrics(ctx.metrics())));
+    }
+}
+
+/** Every delay wrapper plus the per-workload protected and
+ *  fault-injecting forms the studies use. */
+std::vector<TimingCellConfig>
+runnerConfigs()
+{
+    const CoreConfig cfg;
+    const std::size_t budget = 64 * 1024;
+    std::vector<TimingCellConfig> cells;
+    for (DelayMode mode :
+         {DelayMode::Ideal, DelayMode::Overriding, DelayMode::Stall,
+          DelayMode::DualPath, DelayMode::Cascading})
+        for (PredictorKind k : largePredictorKinds())
+            cells.push_back(
+                {[k, budget, mode] {
+                     return makeFetchPredictor(k, budget, mode);
+                 },
+                 kindName(k), delayModeName(mode), budget, cfg});
+    TimingCellConfig prot;
+    prot.makeForWorkload = [budget](std::size_t wi) {
+        robust::FaultPlan plan;
+        plan.upsetRatePerBit = 1e-3;
+        plan.intervalBranches = 256;
+        plan.seed = 1000 + wi;
+        robust::ProtectionConfig pc;
+        pc.policy = robust::ProtectionPolicy::SecdedCorrect;
+        return std::unique_ptr<FetchPredictor>(
+            makeProtectedFetchPredictor(PredictorKind::Gshare, budget,
+                                        DelayMode::Overriding, pc,
+                                        plan));
+    };
+    prot.name = "gshare+secded";
+    prot.mode = delayModeName(DelayMode::Overriding);
+    prot.budgetBytes = budget;
+    prot.cfg = cfg;
+    cells.push_back(std::move(prot));
+    TimingCellConfig faulty;
+    faulty.makeForWorkload = [budget](std::size_t wi) {
+        robust::FaultPlan plan;
+        plan.upsetRatePerBit = 1e-3;
+        plan.intervalBranches = 256;
+        plan.seed = 2000 + wi;
+        return std::unique_ptr<FetchPredictor>(
+            std::make_unique<robust::FaultInjectingFetchPredictor>(
+                makeFetchPredictor(PredictorKind::GshareFast, budget,
+                                   DelayMode::Pipelined),
+                plan));
+    };
+    faulty.name = "gshare.fast+upsets";
+    faulty.mode = delayModeName(DelayMode::Pipelined);
+    faulty.budgetBytes = budget;
+    faulty.cfg = cfg;
+    cells.push_back(std::move(faulty));
+    return cells;
+}
+
+void
+runnerLines(std::vector<std::string> &out)
+{
+    const SuiteTraces suite(kOps, 42);
+    std::vector<TimingCellConfig> cells = runnerConfigs();
+    parallel::CellPool pool(4);
+    obs::RunReport report;
+    suiteTimingReportEnsemble(suite, cells, report, nullptr, nullptr,
+                              &pool);
+    for (const TimingCellConfig &c : cells) {
+        ASSERT_EQ(c.results.size(), suite.size()) << c.name;
+        for (std::size_t w = 0; w < suite.size(); ++w)
+            out.push_back(line("runner",
+                               suite.name(w) + "/" + c.name + "/" +
+                                   c.mode,
+                               simResultFields(c.results[w])));
+    }
+}
+
+std::vector<std::string>
+readLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    for (std::string l; std::getline(in, l);)
+        lines.push_back(l);
+    return lines;
+}
+
+TEST(TimingGolden, RowsMatchFrozenDigests)
+{
+    ASSERT_EQ(0, setenv("BPSIM_OPS_PER_WORKLOAD",
+                        std::to_string(kOps).c_str(), 1));
+    ASSERT_EQ(0, unsetenv("BPSIM_TRACE_CACHE"));
+    ASSERT_EQ(0, unsetenv("BPSIM_JOBS"));
+    ASSERT_EQ(0, unsetenv("BPSIM_ENSEMBLE"));
+    SharedTracePool::global().clear();
+
+    std::vector<std::string> actual;
+    artifactLines(actual);
+    runnerLines(actual);
+    {
+        std::ofstream out("timing_rows.actual.tsv");
+        for (const std::string &l : actual)
+            out << l << '\n';
+    }
+
+    const std::vector<std::string> golden =
+        readLines(BPSIM_GOLDEN_TIMING_ROWS);
+    ASSERT_FALSE(golden.empty())
+        << "missing golden file " << BPSIM_GOLDEN_TIMING_ROWS;
+    EXPECT_EQ(actual.size(), golden.size());
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < std::min(actual.size(), golden.size());
+         ++i) {
+        if (actual[i] == golden[i])
+            continue;
+        if (++mismatches <= 10)
+            ADD_FAILURE() << "line " << i + 1 << ": expected '"
+                          << golden[i] << "', got '" << actual[i]
+                          << "'";
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+} // namespace
+} // namespace bpsim

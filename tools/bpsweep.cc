@@ -70,7 +70,9 @@ usage(const char *argv0)
                  "       %s (--all | NAME...) [--jobs N] "
                  "[--report-dir DIR]\n"
                  "           [--timeline FILE] [--progress] "
-                 "[--ensemble 0|1]\n",
+                 "[--ensemble 0|1]\n"
+                 "  --ensemble 0|1: batched accuracy replay off/on "
+                 "(accuracy sweeps only)\n",
                  argv0, argv0);
     return 2;
 }
@@ -191,7 +193,8 @@ main(int argc, char **argv)
     const unsigned jobs = bpsim::takeJobsFlag(argc, argv);
     // Sets BPSIM_ENSEMBLE for every artifact body in this process:
     // --ensemble 0 is the sweep-wide escape hatch for A/B-ing the
-    // batched replay engines against the serial path.
+    // batched accuracy replay against the serial path (timing sweeps
+    // have no batched path).
     bpsim::takeEnsembleFlag(argc, argv);
     const std::string reportDir =
         bpsim::obs::takeFlag(argc, argv, "--report-dir");
