@@ -74,14 +74,6 @@ struct CoreConfig
     std::size_t robEntries = 128;
     /** Fetch-to-dispatch buffer capacity. */
     std::size_t fetchBufferEntries = 64;
-
-    // --- Simulator mechanics (no microarchitectural effect) ------
-    /** Jump over cycles in which no pipeline stage can act (fetch
-     *  stalled/blocked, back end waiting on a fixed completion time)
-     *  instead of stepping them one by one. Pure simulator speedup:
-     *  cycle counts, stall attribution and traced event streams are
-     *  identical either way (test_cycle_skip.cc proves it). */
-    bool cycleSkip = true;
 };
 
 } // namespace bpsim

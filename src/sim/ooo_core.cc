@@ -58,9 +58,11 @@ OooCore::OooCore(const CoreConfig &cfg, FetchPredictor &predictor)
       rob_(cfg.robEntries),
       regProducer_(64)
 {
-    // Completion-heap keys reserve 16 bits for the ROB slot.
+    // Completion-heap keys and the unissued list reserve 16 bits for
+    // the ROB slot.
     assert(rob_.size() <= (std::size_t{1} << 16));
     completeHeap_.reserve(rob_.size());
+    unissued_.reserve(rob_.size());
 }
 
 OooCore::Producer
@@ -248,7 +250,6 @@ OooCore::dispatchStage(const TraceBuffer &trace)
         e.seq = nextSeq_++;
         e.traceIndex = fi.traceIndex;
         e.completeCycle = 0;
-        e.issued = false;
         e.done = false;
         e.mispredictedBranch = fi.mispredictedBranch;
         e.valid = true;
@@ -263,9 +264,9 @@ OooCore::dispatchStage(const TraceBuffer &trace)
             regProducer_[op.dst] = {static_cast<std::int32_t>(robTail_),
                                     e.seq};
 
+        unissued_.push_back(static_cast<std::uint16_t>(robTail_));
         robTail_ = (robTail_ + 1) % rob_.size();
         ++robCount_;
-        ++unissuedCount_;
         fetchBuffer_.pop_front();
     }
 }
@@ -275,23 +276,20 @@ OooCore::issueStage(const TraceBuffer &trace)
 {
     // Oldest-first issue of ready instructions, bounded by issue
     // width. Scanning the whole ROB every cycle would be slow and
-    // unrealistic; a bounded window over unissued entries
+    // unrealistic; a bounded window over the oldest unissued entries
     // approximates a real issue queue.
-    if (unissuedCount_ == 0)
-        return;
     unsigned issued = 0;
-    unsigned scanned = 0;
-    const unsigned scan_limit = cfg_.issueWidth * 8;
-    std::size_t slot = robHead_;
-    for (std::size_t k = 0; k < robCount_ && issued < cfg_.issueWidth &&
-                            scanned < scan_limit;
-         ++k, slot = (slot + 1) % rob_.size()) {
+    const std::size_t scan_limit = std::min<std::size_t>(
+        unissued_.size(), std::size_t{cfg_.issueWidth} * 8);
+    std::size_t kept = 0;
+    std::size_t k = 0;
+    for (; k < scan_limit && issued < cfg_.issueWidth; ++k) {
+        const std::uint16_t slot = unissued_[k];
         RobEntry &e = rob_[slot];
-        if (e.issued)
+        if (!producerDone(e.prodA) || !producerDone(e.prodB)) {
+            unissued_[kept++] = slot;
             continue;
-        ++scanned;
-        if (!producerDone(e.prodA) || !producerDone(e.prodB))
-            continue;
+        }
         const MicroOp &op = trace[e.traceIndex];
 
         unsigned latency = 1;
@@ -309,11 +307,9 @@ OooCore::issueStage(const TraceBuffer &trace)
             latency = 1;
             break;
         }
-        e.issued = true;
         e.completeCycle = cycle_ + latency;
         ++issued;
         ++issuedNotDone_;
-        --unissuedCount_;
         completeHeap_.push_back(
             (static_cast<std::uint64_t>(e.completeCycle) << 16) |
             static_cast<std::uint64_t>(slot));
@@ -321,6 +317,10 @@ OooCore::issueStage(const TraceBuffer &trace)
                        std::greater<>{});
         nextCompleteCycle_ = completeHeap_.front() >> 16;
     }
+    // Compact in place: the not-ready entries already sit at
+    // [0, kept); slide the unvisited tail down behind them.
+    unissued_.erase(unissued_.begin() + static_cast<std::ptrdiff_t>(kept),
+                    unissued_.begin() + static_cast<std::ptrdiff_t>(k));
 }
 
 void
@@ -384,81 +384,6 @@ OooCore::commitStage(const TraceBuffer &trace)
     }
 }
 
-bool
-OooCore::skipIdleCycles(const TraceBuffer &trace, Cycle max_cycles)
-{
-    // The skip is sound only when every stage is provably a no-op
-    // until a computable wake event. Back end first: with no
-    // unissued entries and every ROB entry in flight, commit (head
-    // not done), complete (before nextCompleteCycle_) and issue
-    // (nothing to pick) all do nothing.
-    if (unissuedCount_ != 0 || robCount_ != issuedNotDone_)
-        return false;
-
-    constexpr Cycle kNever = ~Cycle{0};
-    const bool stalled = cycle_ < fetchStallUntil_;
-    Cycle wake;
-    if (fetchBlocked_) {
-        // Only branch resolution (a completion) restarts fetch.
-        wake = kNever;
-    } else if (stalled) {
-        wake = fetchStallUntil_;
-    } else if (fetchIndex_ >= trace.size() ||
-               fetchBuffer_.size() >= cfg_.fetchBufferEntries) {
-        // Fetch has nothing to fetch / nowhere to put it; only a
-        // dispatch drain (bounded below by dispatchReady) changes
-        // that.
-        wake = kNever;
-    } else {
-        return false; // fetch does real work this cycle
-    }
-
-    Cycle target = wake;
-    if (issuedNotDone_ > 0 && nextCompleteCycle_ < target)
-        target = nextCompleteCycle_;
-    // Dispatch acts (or counts a ROB stall) once the head of the
-    // fetch buffer matures; never skip past that point.
-    if (!fetchBuffer_.empty() &&
-        fetchBuffer_.front().dispatchReady < target)
-        target = fetchBuffer_.front().dispatchReady;
-    if (max_cycles < target)
-        target = max_cycles;
-    if (target == kNever || target <= cycle_ + 1)
-        return false; // nothing to gain (or no bounded wake event)
-
-    // Bulk-apply exactly the per-cycle accounting fetchStage would
-    // have performed in each skipped cycle. No tracer events are
-    // emitted in these cycles, so the event stream is unchanged.
-    const Cycle n = target - cycle_;
-    if (fetchBlocked_) {
-        result_.mispredictWaitCycles += n;
-        result_.squashedUops += n * cfg_.issueWidth;
-    } else if (stalled) {
-        switch (stallReason_) {
-          case StallReason::Icache:
-            result_.icacheStallCycles += n;
-            break;
-          case StallReason::Override:
-            result_.frontEndStallCycles += n;
-            result_.overrideStallCycles += n;
-            result_.squashedUops += n * cfg_.issueWidth;
-            break;
-          case StallReason::BtbMiss:
-            result_.frontEndStallCycles += n;
-            result_.btbStallCycles += n;
-            break;
-          case StallReason::Redirect:
-            result_.mispredictWaitCycles += n;
-            result_.squashedUops += n * cfg_.issueWidth;
-            break;
-          case StallReason::None:
-            break;
-        }
-    }
-    cycle_ = target;
-    return true;
-}
-
 SimResult
 OooCore::run(const TraceBuffer &trace)
 {
@@ -480,8 +405,6 @@ OooCore::run(const TraceBuffer &trace)
                 std::to_string(cycle_) + " with " +
                 std::to_string(fetchIndex_) + " / " +
                 std::to_string(trace.size()) + " ops fetched");
-        if (cfg_.cycleSkip && skipIdleCycles(trace, maxCycles))
-            continue;
         commitStage(trace);
         completeStage(trace);
         issueStage(trace);

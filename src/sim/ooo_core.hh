@@ -157,7 +157,6 @@ class OooCore
          *  for the operand's producer. */
         Producer prodA;
         Producer prodB;
-        bool issued = false;
         bool done = false;
         bool mispredictedBranch = false;
         bool valid = false;
@@ -170,7 +169,6 @@ class OooCore
         bool mispredictedBranch;
     };
 
-    bool skipIdleCycles(const TraceBuffer &trace, Cycle max_cycles);
     void fetchStage(const TraceBuffer &trace);
     void dispatchStage(const TraceBuffer &trace);
     void issueStage(const TraceBuffer &trace);
@@ -217,7 +215,15 @@ class OooCore
      *  the earliest cycle one of them can complete. */
     std::size_t issuedNotDone_ = 0;
     Cycle nextCompleteCycle_ = 0;
-    std::size_t unissuedCount_ = 0;
+
+    /**
+     * ROB slots not yet issued, oldest first. Dispatch appends and
+     * issueStage scans and compacts it, so a cycle's issue cost
+     * follows the issue window, not ROB occupancy: on 181.mcf a walk
+     * over the ROB cost 3x more per instruction at ROB 512 than at
+     * ROB 32 (BM_OooCoreRobScaling).
+     */
+    std::vector<std::uint16_t> unissued_;
 
     /**
      * Min-heap of in-flight completions, keyed

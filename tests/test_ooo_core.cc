@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/event_trace.hh"
 #include "pipeline/fetch_predictor.hh"
 #include "predictors/static_pred.hh"
 #include "trace/trace_buffer.hh"
@@ -214,6 +215,73 @@ TEST(OooCore, ResultRates)
     EXPECT_DOUBLE_EQ(r.mispredictionRate(), 0.25);
     EXPECT_DOUBLE_EQ(r.mispredictionPercent(), 25.0);
     EXPECT_EQ(r.instructions, t.size());
+}
+
+/**
+ * A cold load miss, @p dependents ops that read its result, then one
+ * independent conditional branch that a taken-predictor mispredicts.
+ * Returns the cycle the branch resolves, i.e. when it completed.
+ */
+Cycle
+branchResolveCycle(std::size_t dependents, unsigned issue_width)
+{
+    TraceBuffer t;
+    MicroOp load;
+    load.cls = InstClass::Load;
+    load.pc = 0x1000;
+    load.extra = 0x4000000; // cold: misses L1 and L2
+    load.dst = 1;
+    t.push(load);
+    for (std::size_t i = 0; i < dependents; ++i) {
+        MicroOp op;
+        op.cls = InstClass::IntAlu;
+        op.pc = 0x1000;
+        op.srcA = 1;
+        op.dst = static_cast<std::uint8_t>(2 + i % 50);
+        t.push(op);
+    }
+    MicroOp br;
+    br.cls = InstClass::CondBranch;
+    br.pc = 0x1000;
+    br.taken = false;
+    br.extra = 0x3000;
+    t.push(br);
+
+    CoreConfig cfg;
+    cfg.issueWidth = issue_width;
+    SingleCycleFetchPredictor fp(std::make_unique<StaticPredictor>(true));
+    obs::EventTracer tracer;
+    OooCore core(cfg, fp);
+    core.attachTracer(&tracer);
+    const SimResult r = core.run(t);
+    EXPECT_EQ(r.instructions, t.size());
+    EXPECT_EQ(r.mispredictions, 1u);
+    for (std::size_t i = 0; i < tracer.size(); ++i)
+        if (tracer.at(i).type == obs::SimEvent::MispredictResolve)
+            return tracer.at(i).cycle;
+    ADD_FAILURE() << "the branch never resolved";
+    return 0;
+}
+
+TEST(OooCore, IssueScansOnlyTheOldestUnissuedWindow)
+{
+    // Issue looks at no more than issueWidth * 8 unissued entries per
+    // cycle. With that many ops stuck behind a load miss, a ready op
+    // one place further back must wait for the miss; one place
+    // earlier it is inside the window and issues at once.
+    const CoreConfig table1;
+    const Cycle miss = table1.l1dHitCycles + table1.l2HitCycles +
+                       table1.memoryCycles;
+    for (unsigned width : {4u, 8u}) {
+        SCOPED_TRACE("issue width " + std::to_string(width));
+        const std::size_t window = std::size_t{width} * 8;
+        const Cycle inside = branchResolveCycle(window - 1, width);
+        const Cycle outside = branchResolveCycle(window, width);
+        // The inside branch issues within window / width + 2 cycles of
+        // the load; the outside one only after the load's data
+        // returns, a full miss later.
+        EXPECT_GE(outside, inside + miss - 2 * window / width);
+    }
 }
 
 /** A fetch predictor that charges a million-cycle bubble per branch,

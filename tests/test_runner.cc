@@ -119,14 +119,15 @@ expectSameSimResult(const SimResult &a, const SimResult &b)
 }
 
 /** A timing sweep covering every factory form: plain make(), a
- *  cycle-skip-off core, and per-workload protected and
- *  fault-injecting fetch predictors. */
+ *  non-default core (ROB 32, issue width 4), and per-workload
+ *  protected and fault-injecting fetch predictors. */
 std::vector<TimingCellConfig>
 timingSweepConfigs()
 {
     CoreConfig cfg;
-    CoreConfig noskip;
-    noskip.cycleSkip = false;
+    CoreConfig narrow;
+    narrow.robEntries = 32;
+    narrow.issueWidth = 4;
     std::vector<TimingCellConfig> cells;
     for (const std::size_t budget : {16u * 1024, 64u * 1024})
         cells.push_back({[budget] {
@@ -140,8 +141,8 @@ timingSweepConfigs()
                              PredictorKind::GshareFast, 16 * 1024,
                              DelayMode::Ideal);
                      },
-                     "gshare.fast", "ideal(noskip)", 16 * 1024,
-                     noskip});
+                     "gshare.fast", "ideal(rob32,w4)", 16 * 1024,
+                     narrow});
     TimingCellConfig prot;
     prot.makeForWorkload = [](std::size_t w) {
         robust::ProtectionConfig pc;

@@ -16,8 +16,15 @@
  *    suiteTimingReportEnsemble (rows expose only part of a
  *    SimResult).
  *
- * The test writes what it computed to timing_rows.actual.tsv in its
- * working directory. Refresh the golden only from a tree whose
+ * A second gate, tests/golden/core_shapes.tsv, digests every
+ * SimResult field of a core-shape grid: ROB {16, 32, 512, 1024} x
+ * issue width {4, 8}, gshare overriding and perceptron ideal at
+ * 64 KB, on every stand-in. The artifacts above only ever run the
+ * Table 1 core (ROB 128, width 8), so ROB wrap-around and a short
+ * issue window are checked here.
+ *
+ * Each test writes what it computed to `<golden name>.actual.tsv` in
+ * its working directory. Refresh a golden only from a tree whose
  * numbers are known good, by copying that file over it.
  */
 
@@ -33,6 +40,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/factory.hh"
@@ -185,11 +193,14 @@ runnerConfigs()
     return cells;
 }
 
+/** Run @p cells over the suite and digest every SimResult field, one
+ *  `<section>\t<workload>/<name>/<mode>` line per cell. */
 void
-runnerLines(std::vector<std::string> &out)
+suiteLines(const std::string &section,
+           std::vector<TimingCellConfig> cells,
+           std::vector<std::string> &out)
 {
     const SuiteTraces suite(kOps, 42);
-    std::vector<TimingCellConfig> cells = runnerConfigs();
     parallel::CellPool pool(4);
     obs::RunReport report;
     suiteTimingReportEnsemble(suite, cells, report, nullptr, nullptr,
@@ -197,11 +208,40 @@ runnerLines(std::vector<std::string> &out)
     for (const TimingCellConfig &c : cells) {
         ASSERT_EQ(c.results.size(), suite.size()) << c.name;
         for (std::size_t w = 0; w < suite.size(); ++w)
-            out.push_back(line("runner",
+            out.push_back(line(section,
                                suite.name(w) + "/" + c.name + "/" +
                                    c.mode,
                                simResultFields(c.results[w])));
     }
+}
+
+/** The core-shape grid: each (ROB, issue width) core under gshare
+ *  overriding and perceptron ideal at 64 KB. */
+std::vector<TimingCellConfig>
+coreShapeConfigs()
+{
+    const std::size_t budget = 64 * 1024;
+    std::vector<TimingCellConfig> cells;
+    for (std::size_t rob : {16u, 32u, 512u, 1024u})
+        for (unsigned width : {4u, 8u}) {
+            CoreConfig cfg;
+            cfg.robEntries = rob;
+            cfg.issueWidth = width;
+            const std::string shape = "rob" + std::to_string(rob) +
+                                      "/w" + std::to_string(width);
+            for (const auto &[k, mode] :
+                 {std::pair{PredictorKind::Gshare,
+                            DelayMode::Overriding},
+                  std::pair{PredictorKind::Perceptron,
+                            DelayMode::Ideal}})
+                cells.push_back(
+                    {[k, mode, budget] {
+                         return makeFetchPredictor(k, budget, mode);
+                     },
+                     kindName(k), delayModeName(mode) + "/" + shape,
+                     budget, cfg});
+        }
+    return cells;
 }
 
 std::vector<std::string>
@@ -214,7 +254,8 @@ readLines(const std::string &path)
     return lines;
 }
 
-TEST(TimingGolden, RowsMatchFrozenDigests)
+void
+pinEnvironment()
 {
     ASSERT_EQ(0, setenv("BPSIM_OPS_PER_WORKLOAD",
                         std::to_string(kOps).c_str(), 1));
@@ -222,20 +263,24 @@ TEST(TimingGolden, RowsMatchFrozenDigests)
     ASSERT_EQ(0, unsetenv("BPSIM_JOBS"));
     ASSERT_EQ(0, unsetenv("BPSIM_ENSEMBLE"));
     SharedTracePool::global().clear();
+}
 
-    std::vector<std::string> actual;
-    artifactLines(actual);
-    runnerLines(actual);
+/** Write @p actual to `<stem>.actual.tsv` and compare it line by line
+ *  with the golden file at @p golden_path. */
+void
+expectMatchesGolden(const std::vector<std::string> &actual,
+                    const std::string &stem,
+                    const std::string &golden_path)
+{
     {
-        std::ofstream out("timing_rows.actual.tsv");
+        std::ofstream out(stem + ".actual.tsv");
         for (const std::string &l : actual)
             out << l << '\n';
     }
 
-    const std::vector<std::string> golden =
-        readLines(BPSIM_GOLDEN_TIMING_ROWS);
+    const std::vector<std::string> golden = readLines(golden_path);
     ASSERT_FALSE(golden.empty())
-        << "missing golden file " << BPSIM_GOLDEN_TIMING_ROWS;
+        << "missing golden file " << golden_path;
     EXPECT_EQ(actual.size(), golden.size());
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < std::min(actual.size(), golden.size());
@@ -248,6 +293,23 @@ TEST(TimingGolden, RowsMatchFrozenDigests)
                           << "'";
     }
     EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(TimingGolden, RowsMatchFrozenDigests)
+{
+    ASSERT_NO_FATAL_FAILURE(pinEnvironment());
+    std::vector<std::string> actual;
+    artifactLines(actual);
+    suiteLines("runner", runnerConfigs(), actual);
+    expectMatchesGolden(actual, "timing_rows", BPSIM_GOLDEN_TIMING_ROWS);
+}
+
+TEST(TimingGolden, CoreShapesMatchFrozenDigests)
+{
+    ASSERT_NO_FATAL_FAILURE(pinEnvironment());
+    std::vector<std::string> actual;
+    suiteLines("core_shapes", coreShapeConfigs(), actual);
+    expectMatchesGolden(actual, "core_shapes", BPSIM_GOLDEN_CORE_SHAPES);
 }
 
 } // namespace
