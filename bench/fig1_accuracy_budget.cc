@@ -39,9 +39,8 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     ctx.printf("\n");
 
     // Budget-major, kind-minor — the row order of the serial sweep.
-    // The ensemble engine groups the cells by kind across budgets
-    // and replays each group in one pass per trace; rows and means
-    // come out byte-identical to running each cell on its own.
+    // The perceptron budgets replay as one group per trace; rows and
+    // means come out byte-identical to running each cell on its own.
     std::vector<AccuracyCellConfig> cells;
     for (std::size_t budget : figure1BudgetsBytes())
         for (auto k : kinds) {

@@ -33,7 +33,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     ctx.printf("\n");
 
     // Same structure as Figure 1: list the cells in the serial row
-    // order, let the ensemble engine batch each kind across budgets.
+    // order; the perceptron budgets replay as one group per trace.
     std::vector<AccuracyCellConfig> cells;
     for (std::size_t budget : largeBudgetsBytes())
         for (auto k : largePredictorKinds()) {

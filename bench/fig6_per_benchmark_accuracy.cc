@@ -36,10 +36,9 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
         ctx.printf("%16s", kindName(k).c_str());
     ctx.printf("\n");
 
-    // Every kind appears once here, so the ensemble engine forms no
-    // batched groups — but routing through it keeps the reporting
-    // path uniform with Figures 1 and 5 (and would batch any future
-    // same-kind configs automatically).
+    // Every kind appears once here, so no cells batch; routing
+    // through the suite entry point keeps the reporting path uniform
+    // with Figures 1 and 5.
     std::vector<AccuracyCellConfig> cells;
     for (const auto &[k, b] : configs) {
         AccuracyCellConfig c;

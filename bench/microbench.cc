@@ -179,30 +179,35 @@ BM_SpanOverhead(benchmark::State &state, SpanMode mode)
 }
 
 /**
- * Batched ensemble replay: one pass over the shared trace stepping
- * one member per standard budget (the widest group a figure sweep
+ * The perceptron group kernel: one pass over the shared trace
+ * stepping one member per standard budget (the group a figure sweep
  * forms). Items processed counts member-branches, so items/s divides
- * directly against BM_PredictUpdate's serial per-cell rate — the
- * ratio is the per-member saving from amortizing the trace stream
- * (and, for the perceptron, the shared input vector).
+ * directly against BM_PredictUpdate/perceptron's serial per-cell
+ * rate — the ratio is the per-member saving from sharing the input
+ * vector.
  */
 void
-BM_EnsembleReplay(benchmark::State &state, PredictorKind kind)
+BM_EnsembleReplay(benchmark::State &state)
 {
     const auto &trace = sharedTrace();
     Counter memberBranches = 0;
     for (auto _ : state) {
         state.PauseTiming();
         std::vector<std::unique_ptr<DirectionPredictor>> owned;
-        std::vector<DirectionPredictor *> members;
+        std::vector<PerceptronPredictor *> members;
         for (const std::size_t budget : standardBudgets()) {
-            owned.push_back(makePredictor(kind, budget));
-            members.push_back(owned.back().get());
+            owned.push_back(
+                makePredictor(PredictorKind::Perceptron, budget));
+            members.push_back(
+                static_cast<PerceptronPredictor *>(owned.back().get()));
         }
         state.ResumeTiming();
-        const auto results = runAccuracyEnsemble(members, trace);
-        benchmark::DoNotOptimize(results.data());
-        for (const auto &r : results)
+        const auto results = runPerceptronEnsemble(members, trace);
+        if (!results) {
+            state.SkipWithError("perceptron kernel refused the group");
+            return;
+        }
+        for (const auto &r : *results)
             memberBranches += r.branches;
     }
     state.SetItemsProcessed(
@@ -240,9 +245,9 @@ BM_OooCoreRobScaling(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(insts));
 }
 
-/** Register the per-kind replay-kernel, span and ROB-scaling
- *  benchmarks. Called from main (name/closure registration needs
- *  runtime values). */
+/** Register the per-kind replay-kernel, perceptron group-kernel,
+ *  span and ROB-scaling benchmarks. Called from main (name/closure
+ *  registration needs runtime values). */
 void
 registerKernelBenchmarks()
 {
@@ -257,11 +262,10 @@ registerKernelBenchmarks()
                 BM_PredictUpdateVirtual(s, kind);
             })
             ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark(
-            ("BM_EnsembleReplay/" + kindName(kind)).c_str(),
-            [kind](benchmark::State &s) { BM_EnsembleReplay(s, kind); })
-            ->Unit(benchmark::kMillisecond);
     }
+    benchmark::RegisterBenchmark("BM_EnsembleReplay/perceptron",
+                                 BM_EnsembleReplay)
+        ->Unit(benchmark::kMillisecond);
     const std::pair<const char *, SpanMode> spanModes[] = {
         {"BM_SpanOverhead/none", SpanMode::None},
         {"BM_SpanOverhead/disabled", SpanMode::Disabled},

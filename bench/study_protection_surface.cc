@@ -104,13 +104,8 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     robust::HardenedRunSummary summary;
     if (ctx.manifestPath().empty()) {
         // No manifest, no resume granularity to honour: run the
-        // whole surface through the suite entry points. Every
-        // (budget, rate, policy) accuracy cell is a protected gshare
-        // variant of the same inner kind, so the accuracy engine
-        // forms one mixed-wrapper group per budget and streams each
-        // workload's branch columns once per group instead of once
-        // per cell (rows stay byte-identical — BPSIM_ENSEMBLE=0
-        // A/B-tested).
+        // whole surface through the suite entry points, one cell per
+        // (config, workload).
         // The injector fires every 256 updates; scrubbing sweeps
         // every 2048, so eight injection events ride inside one
         // scrub window.

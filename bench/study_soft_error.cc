@@ -79,11 +79,8 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     robust::HardenedRunSummary summary;
     if (ctx.manifestPath().empty()) {
         // No manifest, no resume granularity to honour: run the
-        // sweep through the suite entry points. All five rates of
-        // one kind are fault-injected wrappers of the same inner
-        // type, so each kind's accuracy rates replay as one
-        // mixed-wrapper group per workload. Rows stay byte-identical
-        // (BPSIM_ENSEMBLE=0 A/B-tested).
+        // sweep through the suite entry points, one cell per
+        // (config, workload).
         std::vector<AccuracyCellConfig> acc;
         for (std::size_t ki = 0; ki < kinds.size(); ++ki) {
             for (std::size_t ri = 0; ri < rates.size(); ++ri) {

@@ -19,7 +19,7 @@
  * perceptron calls once per branch (inlining into its predict/update
  * lets the compiler blend the loop with fillInputs), and the *Wide
  * versions in vec_kernels.cc under target_clones("avx2", "default")
- * for the ensemble batch kernel, which issues one call per member
+ * for the perceptron group kernel, which issues one call per member
  * per branch over shared inputs — there the ifunc dispatch picks the
  * 256-bit clone at load time (the baseline x86-64 build only
  * vectorizes at SSE2 width) and the call overhead is amortized

@@ -1,192 +1,15 @@
 #include "core/ensemble.hh"
 
-#include <cstdlib>
+#include <algorithm>
 #include <cstring>
-#include <optional>
-#include <typeinfo>
 
 #include "common/bitutil.hh"
 #include "common/vec_kernels.hh"
-#include "core/dispatch.hh"
-#include "predictors/multicomponent.hh"
-#include "predictors/perceptron.hh"
-#include "robust/fault_injector.hh"
-#include "robust/protection.hh"
 
 namespace bpsim {
 
-namespace {
-
 /**
- * One wrapper's post-update tail, to be re-fired per member inside
- * the batched loop. Kept std::function-free: a two-way kind switch
- * over the stock robustness decorators, both resolved to direct
- * (inlineable) calls on the concrete wrapper type.
- */
-struct ReplayHook
-{
-    enum class Kind : std::uint8_t { Fault, Protect };
-
-    Kind kind;
-    void *wrapper;
-
-    void
-    fire() const
-    {
-        if (kind == Kind::Fault)
-            static_cast<robust::FaultInjectingPredictor *>(wrapper)
-                ->afterInnerUpdate();
-        else
-            static_cast<robust::ProtectedPredictor *>(wrapper)
-                ->afterInnerUpdate();
-    }
-};
-
-/**
- * Peel the stock robustness decorators off @p p and return the
- * innermost predictor. Each peeled wrapper appends its post-update
- * hook to @p hooks (outermost first — callers fire them in reverse,
- * matching the nested update() call order: innermost tail first)
- * when @p hooks is non-null.
- */
-DirectionPredictor *
-unwrapDirection(DirectionPredictor *p, std::vector<ReplayHook> *hooks)
-{
-    for (;;) {
-        if (auto *f =
-                dynamic_cast<robust::FaultInjectingPredictor *>(p)) {
-            if (hooks)
-                hooks->push_back({ReplayHook::Kind::Fault, f});
-            p = &f->inner();
-            continue;
-        }
-        if (auto *pr = dynamic_cast<robust::ProtectedPredictor *>(p)) {
-            if (hooks)
-                hooks->push_back({ReplayHook::Kind::Protect, pr});
-            p = &pr->inner();
-            continue;
-        }
-        return p;
-    }
-}
-
-/**
- * The generic batched loop, blocked member-major: each member
- * replays a block of branches before the next member starts on it.
- * Members are fully independent (each step reads and writes only
- * that member's state plus the read-only trace), so any interleaving
- * produces bit-identical counters and final state; this one is
- * chosen for cache behaviour. Branch-major order cycles the
- * *combined* table working set of the whole group through the cache
- * on every branch — for a nine-budget family that sum exceeds L2
- * and every PHT probe pays an LLC round trip. Member-major over a
- * block keeps one member's tables resident while the block's slice
- * of the trace columns stays hot in L1. Instantiated per concrete
- * (final) predictor type so the member step inlines.
- */
-template <typename Pred>
-std::vector<AccuracyResult>
-genericEnsembleLoop(const std::vector<Pred *> &members,
-                    const BranchSpan &view)
-{
-    // 16K branches: the trace slice is 16K * 9 bytes, well inside
-    // L1+L2, and long enough that switching members' table sets is
-    // amortized over the block.
-    constexpr std::size_t kBlock = 16384;
-    const std::size_t width = members.size();
-    const std::size_t n = view.size();
-    const Addr *pcs = view.pcData();
-    const std::uint8_t *takens = view.takenData();
-    std::vector<Counter> misp(width, 0);
-    for (std::size_t base = 0; base < n; base += kBlock) {
-        const std::size_t end = std::min(n, base + kBlock);
-        for (std::size_t j = 0; j < width; ++j) {
-            Pred *const p = members[j];
-            Counter m = 0;
-            for (std::size_t i = base; i < end; ++i) {
-                const bool taken = takens[i] != 0;
-                const bool predicted = p->predict(pcs[i]);
-                p->update(pcs[i], taken);
-                m += predicted != taken ? 1 : 0;
-            }
-            misp[j] += m;
-        }
-    }
-    std::vector<AccuracyResult> results(width);
-    for (std::size_t j = 0; j < width; ++j) {
-        results[j].branches = static_cast<Counter>(n);
-        results[j].mispredictions = misp[j];
-    }
-    return results;
-}
-
-/**
- * The mixed-wrapper variant of the generic loop: members share one
- * inner concrete type (predict/update inline as usual) but may carry
- * per-member wrapper hooks, fired after every update exactly where
- * the serial wrapper.update() would have fired them. A member's
- * hooks read and mutate only that member's own wrapper state
- * (injector RNG, update counters, protection ledger) and the
- * member's own inner predictor, so the member-major block order
- * produces the identical flip/repair stream per member as a serial
- * run. Members without hooks (bare cells sharing a group with
- * protected siblings) take the plain tight loop per block.
- */
-template <typename Pred>
-std::vector<AccuracyResult>
-hookedEnsembleLoop(const std::vector<Pred *> &inners,
-                   const std::vector<std::vector<ReplayHook>> &hooks,
-                   const BranchSpan &view)
-{
-    constexpr std::size_t kBlock = 16384;
-    const std::size_t width = inners.size();
-    const std::size_t n = view.size();
-    const Addr *pcs = view.pcData();
-    const std::uint8_t *takens = view.takenData();
-    std::vector<Counter> misp(width, 0);
-    for (std::size_t base = 0; base < n; base += kBlock) {
-        const std::size_t end = std::min(n, base + kBlock);
-        for (std::size_t j = 0; j < width; ++j) {
-            Pred *const p = inners[j];
-            const ReplayHook *hb = hooks[j].data();
-            const std::size_t nh = hooks[j].size();
-            Counter m = 0;
-            if (nh == 0) {
-                for (std::size_t i = base; i < end; ++i) {
-                    const bool taken = takens[i] != 0;
-                    const bool predicted = p->predict(pcs[i]);
-                    p->update(pcs[i], taken);
-                    m += predicted != taken ? 1 : 0;
-                }
-            } else {
-                for (std::size_t i = base; i < end; ++i) {
-                    const bool taken = takens[i] != 0;
-                    const bool predicted = p->predict(pcs[i]);
-                    p->update(pcs[i], taken);
-                    // Innermost wrapper's tail first (hooks are
-                    // collected outermost-first), matching the
-                    // nested update() unwind order.
-                    for (std::size_t k = nh; k-- > 0;)
-                        hb[k].fire();
-                    m += predicted != taken ? 1 : 0;
-                }
-            }
-            misp[j] += m;
-        }
-    }
-    std::vector<AccuracyResult> results(width);
-    for (std::size_t j = 0; j < width; ++j) {
-        results[j].branches = static_cast<Counter>(n);
-        results[j].mispredictions = misp[j];
-    }
-    return results;
-}
-
-} // namespace
-
-/**
- * Specialized perceptron group kernel (friend of
- * PerceptronPredictor).
+ * The perceptron group kernel (friend of PerceptronPredictor).
  *
  * Same-family perceptron members see the identical update stream, so
  * their global history registers and local history tables evolve
@@ -203,11 +26,12 @@ hookedEnsembleLoop(const std::vector<Pred *> &inners,
  * is never read before being overwritten and is not exposed by
  * visitState/describeStats.)
  *
- * Preconditions, checked by tryRun (falls back to the generic loop
- * when violated): every member fresh (all-zero histories, so the
- * shared state can start from zero), and every member that has a
- * local component sharing the same local geometry (members without
- * one — the small budgets — just skip the local term).
+ * Preconditions, checked by tryRun (the caller falls back to
+ * runAccuracy() per member when violated): every member fresh
+ * (all-zero histories, so the shared state can start from zero),
+ * and every member that has a local component sharing the same
+ * local geometry (members without one — the small budgets — just
+ * skip the local term).
  */
 struct PerceptronBatch
 {
@@ -418,171 +242,11 @@ struct PerceptronBatch
     }
 };
 
-/**
- * Specialized multi-component group kernel (friend of
- * MultiComponentPredictor and its typed components).
- *
- * MC's per-branch cost is dominated by scattered table probes — the
- * selector row plus one PHT row per component, five-plus dependent
- * cache accesses whose addresses the hardware prefetcher cannot
- * guess. Unlike the perceptron there is no shared input vector to
- * amortize, but the *next* branch's indices are fully computable the
- * moment this branch's updates land (updates use the actual trace
- * outcome, so every component's history after branch i is exactly
- * its state when branch i+1 is predicted). The kernel exploits that:
- * the member-major block loop calls the same inline predict/update
- * pair the generic loop would, then issues one software prefetch per
- * table for branch i+1 — selector row, bimodal row, local history
- * word, every global component's PHT row — overlapping the miss
- * latency with the current branch's selection scan. Prefetches are
- * side-effect-free, so counters and final state stay bit-identical
- * to the serial run (golden-tested in tests/test_ensemble.cc).
- */
-struct MulticomponentBatch
+std::optional<std::vector<AccuracyResult>>
+runPerceptronEnsemble(const std::vector<PerceptronPredictor *> &members,
+                      const TraceBuffer &trace)
 {
-    static std::vector<AccuracyResult>
-    run(const std::vector<MultiComponentPredictor *> &members,
-        const BranchSpan &view)
-    {
-        constexpr std::size_t kBlock = 16384;
-        const std::size_t width = members.size();
-        const std::size_t n = view.size();
-        const Addr *pcs = view.pcData();
-        const std::uint8_t *takens = view.takenData();
-        std::vector<Counter> misp(width, 0);
-        for (std::size_t base = 0; base < n; base += kBlock) {
-            const std::size_t end = std::min(n, base + kBlock);
-            for (std::size_t j = 0; j < width; ++j) {
-                MultiComponentPredictor *const p = members[j];
-                Counter m = 0;
-                for (std::size_t i = base; i < end; ++i) {
-                    const bool taken = takens[i] != 0;
-                    const bool predicted = p->predict(pcs[i]);
-                    p->update(pcs[i], taken);
-                    m += predicted != taken ? 1 : 0;
-                    if (i + 1 < end)
-                        prefetchNext(*p, pcs[i + 1]);
-                }
-                misp[j] += m;
-            }
-        }
-        std::vector<AccuracyResult> results(width);
-        for (std::size_t j = 0; j < width; ++j) {
-            results[j].branches = static_cast<Counter>(n);
-            results[j].mispredictions = misp[j];
-        }
-        return results;
-    }
-
-  private:
-    static void
-    prefetchNext(MultiComponentPredictor &p, Addr pc)
-    {
-        // Valid post-update: every component's index function reads
-        // state already advanced past the current branch.
-        __builtin_prefetch(&p.selector_[p.selectorIndex(pc)]);
-        p.bimodal_.pht_.prefetch(p.bimodal_.index(pc));
-        if (p.local_) {
-            LocalPredictor &l = *p.local_;
-            __builtin_prefetch(&l.histories_[l.historyIndex(pc)]);
-        }
-        for (GsharePredictor &g : p.globals_)
-            g.pht_.prefetch(g.index(pc));
-    }
-};
-
-const std::type_info *
-ensembleAccuracyInnerType(DirectionPredictor &member)
-{
-    DirectionPredictor *inner =
-        unwrapDirection(&member, nullptr);
-    if (!withConcretePredictor(*inner, [](auto &) {}))
-        return nullptr;
-    return &typeid(*inner);
-}
-
-bool
-ensembleBatchable(const std::vector<DirectionPredictor *> &members)
-{
-    if (members.size() < 2 || members[0] == nullptr)
-        return false;
-    // Members may differ in wrapper chains but must share one known
-    // concrete inner type; unknown user predictors fail here and
-    // stay on the serial path.
-    const std::type_info *t = ensembleAccuracyInnerType(*members[0]);
-    if (t == nullptr)
-        return false;
-    for (DirectionPredictor *p : members)
-        if (p == nullptr || ensembleAccuracyInnerType(*p) != t)
-            return false;
-    return true;
-}
-
-std::vector<AccuracyResult>
-runAccuracyEnsemble(const std::vector<DirectionPredictor *> &members,
-                    const TraceBuffer &trace)
-{
-    if (members.empty())
-        return {};
-    const BranchSpan view = trace.branchView();
-    // The monomorphizing cast below requires a uniform known inner
-    // type; re-verify instead of trusting the caller (a mixed group
-    // would be undefined behaviour, not just slow). Anything the
-    // probe refuses falls back to the virtual loop on the original
-    // wrapped members, which is always correct.
-    const std::size_t width = members.size();
-    std::vector<DirectionPredictor *> inners(width);
-    std::vector<std::vector<ReplayHook>> hooks(width);
-    bool anyHooks = false;
-    for (std::size_t j = 0; j < width; ++j) {
-        if (members[j] == nullptr)
-            return genericEnsembleLoop(members, view);
-        inners[j] = unwrapDirection(members[j], &hooks[j]);
-        anyHooks = anyHooks || !hooks[j].empty();
-    }
-    const std::type_info &t0 = typeid(*inners[0]);
-    for (DirectionPredictor *p : inners)
-        if (typeid(*p) != t0)
-            return genericEnsembleLoop(members, view);
-    std::vector<AccuracyResult> results;
-    const bool matched =
-        withConcretePredictor(*inners[0], [&](auto &firstInner) {
-            using P = std::decay_t<decltype(firstInner)>;
-            std::vector<P *> typed;
-            typed.reserve(width);
-            for (DirectionPredictor *p : inners)
-                typed.push_back(static_cast<P *>(p));
-            if (anyHooks) {
-                // Wrapped members get the hooked loop: the
-                // specialized kernels below share history state
-                // across members, which an injected flip would
-                // desynchronize, so they serve all-bare groups only.
-                results = hookedEnsembleLoop(typed, hooks, view);
-                return;
-            }
-            if constexpr (std::is_same_v<P, PerceptronPredictor>) {
-                if (auto r = PerceptronBatch::tryRun(typed, view)) {
-                    results = std::move(*r);
-                    return;
-                }
-            }
-            if constexpr (std::is_same_v<P,
-                                         MultiComponentPredictor>) {
-                results = MulticomponentBatch::run(typed, view);
-                return;
-            }
-            results = genericEnsembleLoop(typed, view);
-        });
-    if (!matched)
-        results = genericEnsembleLoop(members, view);
-    return results;
-}
-
-bool
-ensembleEnabled()
-{
-    const char *env = std::getenv("BPSIM_ENSEMBLE");
-    return !(env && env[0] == '0' && env[1] == '\0');
+    return PerceptronBatch::tryRun(members, trace.branchView());
 }
 
 } // namespace bpsim

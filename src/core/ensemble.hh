@@ -1,97 +1,54 @@
 /**
  * @file
- * Batched accuracy replay: N same-family predictor configurations in
- * one pass over a trace.
+ * Batched perceptron replay: every perceptron configuration of a
+ * sweep in one pass over a trace.
  *
- * A figure sweep replays the same branch stream through many
- * configurations of one predictor kind (every gshare budget of
- * Figure 1, say). Run serially, each configuration re-streams the
- * trace — the pc/taken columns are read from memory once per cell.
- * The ensemble engine instead walks the trace's dense branch columns
- * (BranchSpan, structure-of-arrays) once, stepping every member
- * predictor per branch: the stream is read once per *group*, the
- * per-branch (pc, taken) pair stays in registers across members, and
- * the inner step is monomorphized per concrete predictor type via
- * withConcretePredictor (core/dispatch.hh) so predict/update inline
- * exactly as they do in the serial fast path.
+ * A figure sweep replays the same branch stream through every
+ * perceptron budget. Run serially, each configuration recomputes the
+ * per-branch ±1 input vector — the dominant per-branch cost. Same-
+ * family members see the identical update stream, so their global
+ * and local histories evolve identically; the group kernel keeps one
+ * shared copy of that history state, builds the input vector once
+ * per branch, and each member pays only its own dot product and
+ * (conditional) training sweep.
  *
- * Determinism contract: members are independent — no state is shared
- * between them, and each member sees the identical predict(pc) /
- * update(pc, taken) call sequence the serial loop would issue. Every
- * member therefore finishes in a state bit-identical to a serial
- * run, and the per-member AccuracyResults are byte-identical to
- * runAccuracy()'s (golden-tested across all kinds and budgets in
- * tests/test_ensemble.cc). The perceptron family additionally gets a
- * specialized kernel that shares the per-branch ±1 input vector
- * across members (the dominant per-branch cost); it asserts its
- * preconditions (fresh members, matching local geometry) and falls
- * back to the generic loop otherwise, preserving the same contract.
+ * Determinism contract: member weight tables stay independent, each
+ * member sees the predict(pc) / update(pc, taken) sequence a serial
+ * run would, and the shared history state is written back to every
+ * member at the end. Per-member AccuracyResults, describeStats() and
+ * visitState() images are therefore identical to runAccuracy()'s
+ * (tests/test_ensemble.cc).
  *
- * Grouping rules (the capability probe): a member list is batchable
- * when it has at least two members and every member resolves — after
- * unwrapping the stock robustness decorators (FaultInjectingPredictor
- * and ProtectedPredictor, in any nesting) — to the *same* concrete
- * inner type, one the monomorphic dispatcher knows. Wrapped members
- * replay through the inner fast path plus a per-member hook chain
- * that re-fires each wrapper's post-update tail (injection cadence,
- * parity/SEC-DED check, scrub) at exactly the per-member update
- * counts the serial path would have used; since each wrapper's
- * cadence reads only its own member's counters and state, the
- * member-major interleaving is invisible to it and results stay
- * bit-identical. Unknown user subclasses still fail the probe and
- * run serially.
+ * Every other predictor kind replays one (config, workload) cell at
+ * a time through runAccuracy(): a batched loop for those kinds bought
+ * at most 1.3x over the serial loop, not worth a second replay path
+ * (docs/PERFORMANCE.md).
  */
 
 #ifndef BPSIM_CORE_ENSEMBLE_HH
 #define BPSIM_CORE_ENSEMBLE_HH
 
-#include <typeinfo>
+#include <optional>
 #include <vector>
 
 #include "core/runner.hh"
-#include "predictors/predictor.hh"
+#include "predictors/perceptron.hh"
 #include "trace/trace_buffer.hh"
 
 namespace bpsim {
 
 /**
- * True when @p members can be replayed as one batched group: at
- * least two, and every member — bare, or wrapped in any nesting of
- * the stock FaultInjecting/Protected decorators — unwrapping to the
- * same concrete inner type known to the monomorphic dispatcher.
- * Null entries, mixed inner families or unknown user subclasses
- * return false — the caller must run those serially.
- */
-bool ensembleBatchable(
-    const std::vector<DirectionPredictor *> &members);
-
-/**
- * Accuracy grouping key: the concrete inner predictor type @p member
- * resolves to after unwrapping the stock robustness decorators, or
- * nullptr when the member is not batchable (unknown wrapper or inner
- * type). Two members with the same key may share a batched group
- * even when their wrapper chains differ — the mixed-wrapper case the
- * protection-surface studies sweep.
- */
-const std::type_info *
-ensembleAccuracyInnerType(DirectionPredictor &member);
-
-/**
  * Replay every conditional branch of @p trace through all
- * @p members in one pass. Precondition: ensembleBatchable(members)
- * (unknown types still produce correct results through the virtual
- * interface, but then the pass only saves the trace re-streaming).
- * Returns one AccuracyResult per member, in member order, each
- * identical to what runAccuracy(member, trace) would have produced.
+ * @p members in one pass, returning one AccuracyResult per member in
+ * member order, each identical to runAccuracy(member, trace).
+ * Returns std::nullopt, leaving every member untouched, when the
+ * kernel's preconditions fail: a member that has already seen
+ * branches, or members whose local-history geometries differ. The
+ * caller then runs each member through runAccuracy().
  */
-std::vector<AccuracyResult>
-runAccuracyEnsemble(const std::vector<DirectionPredictor *> &members,
-                    const TraceBuffer &trace);
-
-/** False when BPSIM_ENSEMBLE=0 — the escape hatch that forces every
- *  accuracy suite sweep down the serial path (A/B identity testing).
- *  Timing sweeps always run one cell per (config, workload). */
-bool ensembleEnabled();
+std::optional<std::vector<AccuracyResult>>
+runPerceptronEnsemble(const std::vector<PerceptronPredictor *> &members,
+                      const TraceBuffer &trace);
 
 } // namespace bpsim
 

@@ -1,11 +1,10 @@
 #include "core/runner.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
-#include <map>
-#include <typeindex>
+#include <optional>
 
+#include "common/env.hh"
 #include "common/stats.hh"
 #include "core/dispatch.hh"
 #include "core/ensemble.hh"
@@ -19,8 +18,10 @@ namespace {
 
 /**
  * The one accuracy replay loop, shared by the poll and non-poll
- * entry points so they cannot diverge. Iterates the trace's dense
- * conditional-branch view instead of skipping non-branch micro-ops.
+ * entry points so they cannot diverge. Walks the trace's dense
+ * conditional-branch columns in blocks of @p poll_interval branches
+ * and calls @p poll after each full block (never when the interval
+ * is 0).
  *
  * Templated over the predictor's *static* type: instantiated once
  * per concrete (final) predictor class via withConcretePredictor so
@@ -32,18 +33,27 @@ AccuracyResult
 runAccuracyLoop(Pred &pred, const TraceBuffer &trace, Poll &&poll,
                 Counter poll_interval)
 {
+    const BranchSpan view = trace.branchView();
+    const std::size_t n = view.size();
+    const Addr *pcs = view.pcData();
+    const std::uint8_t *takens = view.takenData();
+    const Counter block =
+        poll_interval ? poll_interval : std::numeric_limits<Counter>::max();
     AccuracyResult r;
-    Counter untilPoll = poll_interval;
-    for (const BranchRecord &b : trace.branchView()) {
-        const bool predicted = pred.predict(b.pc);
-        pred.update(b.pc, b.taken);
-        ++r.branches;
-        if (predicted != b.taken)
-            ++r.mispredictions;
-        if (--untilPoll == 0) {
-            poll();
-            untilPoll = poll_interval;
+    r.branches = n;
+    for (std::size_t base = 0; base < n;) {
+        const std::size_t end = n - base > block ? base + block : n;
+        Counter misp = 0;
+        for (std::size_t i = base; i < end; ++i) {
+            const bool taken = takens[i] != 0;
+            const bool predicted = pred.predict(pcs[i]);
+            pred.update(pcs[i], taken);
+            misp += predicted != taken ? 1 : 0;
         }
+        r.mispredictions += misp;
+        if (end - base == block)
+            poll();
+        base = end;
     }
     return r;
 }
@@ -286,53 +296,20 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
                    : configs[c].make();
     };
 
-    // Group configs by concrete *inner* predictor type using one
-    // probe instance per config (construction is cheap next to
-    // replay; the probes never see a branch). Wrapper chains may
-    // differ inside a group — protected / fault-injecting variants
-    // batch with their bare siblings via per-member hooks — so a
-    // group is batched when every member unwraps to one known inner
-    // type, width >= 2, and the escape hatch is off. Everything else
-    // runs one (config, workload) cell at a time.
+    // Every config whose workload-0 probe is a bare perceptron joins
+    // one group, replayed by the perceptron group kernel and listed
+    // first (it is the longest cell); every other config is its own
+    // cell. The probes never see a branch.
     std::vector<std::vector<std::size_t>> groups;
-    {
-        std::vector<std::unique_ptr<DirectionPredictor>> probes(nc);
-        std::vector<DirectionPredictor *> probePtrs(nc);
-        for (std::size_t c = 0; c < nc; ++c) {
-            probes[c] = makePred(c, 0);
-            probePtrs[c] = probes[c].get();
-        }
-        std::map<std::type_index, std::size_t> byType;
-        std::vector<std::vector<std::size_t>> candidates;
-        const bool enabled = ensembleEnabled();
-        for (std::size_t c = 0; c < nc; ++c) {
-            const std::type_info *inner =
-                ensembleAccuracyInnerType(*probePtrs[c]);
-            if (!enabled || inner == nullptr) {
-                groups.push_back({c});
-                continue;
-            }
-            const std::type_index t(*inner);
-            const auto it = byType.find(t);
-            if (it == byType.end()) {
-                byType.emplace(t, candidates.size());
-                candidates.push_back({c});
-            } else {
-                candidates[it->second].push_back(c);
-            }
-        }
-        for (auto &g : candidates) {
-            std::vector<DirectionPredictor *> ptrs;
-            for (std::size_t c : g)
-                ptrs.push_back(probePtrs[c]);
-            if (g.size() >= 2 && ensembleBatchable(ptrs)) {
-                groups.push_back(std::move(g));
-            } else {
-                for (std::size_t c : g)
-                    groups.push_back({c});
-            }
-        }
+    std::vector<std::size_t> perceptrons;
+    for (std::size_t c = 0; c < nc; ++c) {
+        if (dynamic_cast<PerceptronPredictor *>(makePred(c, 0).get()))
+            perceptrons.push_back(c);
+        else
+            groups.push_back({c});
     }
+    if (!perceptrons.empty())
+        groups.insert(groups.begin(), std::move(perceptrons));
 
     EnsembleStats stats;
     for (const auto &g : groups) {
@@ -346,38 +323,41 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
     }
 
     // Compute phase: one cell per (group, workload), fanned out on
-    // the pool when one is passed. Each cell builds its own member
-    // predictors, so cells stay independent; predictors are kept
-    // until the emission phase publishes their describeStats().
+    // the pool when one is passed. Cells are indexed workload-major,
+    // so one trace's columns stay hot across the groups that replay
+    // it. Each cell builds its own member predictors, so cells stay
+    // independent; predictors are kept until the emission phase
+    // publishes their describeStats().
     std::vector<std::vector<std::unique_ptr<DirectionPredictor>>>
         preds(nc);
     for (auto &row : preds)
         row.resize(nw);
     for (auto &cfg : configs)
         cfg.results.assign(nw, AccuracyResult{});
-    const std::size_t cellCount = groups.size() * nw;
+    const std::size_t ng = groups.size();
     forEachCell(
-        pool, cellCount,
+        pool, ng * nw,
         [&](std::size_t cell) {
-            const std::vector<std::size_t> &g =
-                groups[cell / nw];
-            const std::size_t w = cell % nw;
-            std::vector<DirectionPredictor *> members;
-            members.reserve(g.size());
+            const std::vector<std::size_t> &g = groups[cell % ng];
+            const std::size_t w = cell / ng;
+            const TraceBuffer &trace = suite.trace(w);
+            std::vector<PerceptronPredictor *> batch;
             for (std::size_t c : g) {
                 preds[c][w] = makePred(c, w);
-                members.push_back(preds[c][w].get());
+                if (auto *p = dynamic_cast<PerceptronPredictor *>(
+                        preds[c][w].get()))
+                    batch.push_back(p);
             }
-            if (g.size() >= 2 && ensembleBatchable(members)) {
-                const auto results =
-                    runAccuracyEnsemble(members, suite.trace(w));
-                for (std::size_t k = 0; k < g.size(); ++k)
-                    configs[g[k]].results[w] = results[k];
-            } else {
-                for (std::size_t k = 0; k < g.size(); ++k)
-                    configs[g[k]].results[w] = runAccuracy(
-                        *members[k], suite.trace(w));
-            }
+            // A per-workload factory may build a different type than
+            // its probe, and the kernel refuses members it cannot
+            // share history across: both fall back to runAccuracy.
+            std::optional<std::vector<AccuracyResult>> batched;
+            if (g.size() >= 2 && batch.size() == g.size())
+                batched = runPerceptronEnsemble(batch, trace);
+            for (std::size_t k = 0; k < g.size(); ++k)
+                configs[g[k]].results[w] =
+                    batched ? (*batched)[k]
+                            : runAccuracy(*preds[g[k]][w], trace);
         },
         [](std::size_t) {});
 
@@ -472,12 +452,8 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
 Counter
 benchOpsPerWorkload(Counter fallback)
 {
-    if (const char *env = std::getenv("BPSIM_OPS_PER_WORKLOAD")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<Counter>(v);
-    }
-    return fallback;
+    const long long v = positiveEnv("BPSIM_OPS_PER_WORKLOAD");
+    return v > 0 ? static_cast<Counter>(v) : fallback;
 }
 
 } // namespace bpsim

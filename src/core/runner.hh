@@ -230,7 +230,7 @@ struct EnsembleStats
 {
     /** (config x workload) cells replayed inside a batched group. */
     std::size_t batchedCells = 0;
-    /** Cells replayed one-at-a-time (unbatchable or lone configs). */
+    /** Cells replayed one at a time through runAccuracy(). */
     std::size_t serialCells = 0;
     /** Batched groups formed. */
     std::size_t groups = 0;
@@ -247,15 +247,11 @@ struct EnsembleStats
  * config's results/meanPercent. A single configuration is simply a
  * one-element list.
  *
- * Same-family configs are batched through the ensemble engine
- * (core/ensemble.hh) so each group streams every trace once instead
- * of once per config. Groups form per concrete *inner* type
- * (ensembleAccuracyInnerType), so protected / fault-injecting
- * wrapper variants of one kind batch together with their bare
- * siblings. Configurations whose predictors the ensemble probe
- * rejects (unknown user types) and all configs when BPSIM_ENSEMBLE=0
- * run one cell at a time; rows, results and metrics (bar the
- * core.ensemble.* gauges) are byte-identical either way.
+ * Bare perceptron configs are batched through the perceptron group
+ * kernel (core/ensemble.hh), one cell per workload; every other
+ * config replays one (config, workload) cell at a time through
+ * runAccuracy(). Rows, results and metrics (bar the core.ensemble.*
+ * gauges) are byte-identical to one single-config sweep per config.
  */
 EnsembleStats suiteAccuracyReportEnsemble(
     const SuiteTraces &suite,

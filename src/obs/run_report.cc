@@ -207,6 +207,11 @@ RunReport::validate() const
                 ")");
         if (r.instructions > 0 && r.cycles == 0)
             problems.push_back(where + "instructions without cycles");
+        if (opsPerWorkload > 0 && r.instructions != opsPerWorkload)
+            problems.push_back(
+                where + "instructions != ops_per_workload (" +
+                std::to_string(r.instructions) + " vs " +
+                std::to_string(opsPerWorkload) + ")");
     }
     return problems;
 }

@@ -19,6 +19,8 @@
  * Invariants a valid timing row satisfies (bpstat --check):
  *   flushCyclesTotal == override + mispredict causes
  *   squashedUops     == issueWidth * flushCyclesTotal
+ *   instructions     == opsPerWorkload (when the report sets it: a
+ *                       timing run never silently stops short)
  */
 
 #ifndef BPSIM_OBS_RUN_REPORT_HH

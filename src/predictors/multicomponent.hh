@@ -200,11 +200,6 @@ class MultiComponentPredictor final : public DirectionPredictor
     // per-component selection accounting (describeStats)
     std::vector<Counter> chosenCounts_;
     Counter predicts_ = 0;
-
-    /** Batched MC replay prefetches next-branch selector/component
-     *  rows (core/ensemble.cc); needs selectorIndex() and the typed
-     *  component members. */
-    friend struct MulticomponentBatch;
 };
 
 } // namespace bpsim

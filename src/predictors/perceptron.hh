@@ -54,7 +54,7 @@ class PerceptronPredictor final : public DirectionPredictor
     int threshold() const { return threshold_; }
 
   private:
-    /** The batched ensemble kernel (core/ensemble.cc) reads the
+    /** The perceptron group kernel (core/ensemble.cc) reads the
      *  geometry and weight rows directly and writes the final
      *  history state back, so same-family members can share one
      *  input-vector computation per branch. */

@@ -137,17 +137,6 @@ class FaultInjectingPredictor : public DirectionPredictor
         inner_->visitState(v);
     }
 
-    /**
-     * The injection tail of update(), after the inner predictor has
-     * trained: counts the update and bombards the inner state every
-     * plan.intervalBranches. Public so the batched accuracy ensemble
-     * (core/ensemble.cc) can train the inner predictor through the
-     * monomorphic fast path and replay this hook per member — the
-     * cadence depends only on this member's own update count, so
-     * hooked replay is bit-identical to calling update().
-     */
-    void afterInnerUpdate();
-
     const FaultInjector &injector() const { return injector_; }
     DirectionPredictor &inner() { return *inner_; }
 

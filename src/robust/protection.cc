@@ -257,12 +257,6 @@ void
 ProtectedPredictor::update(Addr pc, bool taken)
 {
     inner_->update(pc, taken);
-    afterInnerUpdate();
-}
-
-void
-ProtectedPredictor::afterInnerUpdate()
-{
     ++updates_;
 
     const Counter interval = injector_.plan().intervalBranches;

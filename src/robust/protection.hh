@@ -195,17 +195,6 @@ class ProtectedPredictor : public DirectionPredictor
         inner_->visitState(v);
     }
 
-    /**
-     * The injection/check/scrub tail of update(), after the inner
-     * predictor has trained: counts the update and fires the fault /
-     * repair cadence. Public so the batched accuracy ensemble
-     * (core/ensemble.cc) can train the inner predictor through the
-     * monomorphic fast path and then replay this wrapper's per-branch
-     * hook — the cadence depends only on this member's own update
-     * count, so hooked replay is bit-identical to calling update().
-     */
-    void afterInnerUpdate();
-
     const FaultInjector &injector() const { return injector_; }
     const ProtectionStats &protectionStats() const
     {

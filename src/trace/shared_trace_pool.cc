@@ -1,8 +1,8 @@
 #include "trace/shared_trace_pool.hh"
 
-#include <cstdlib>
 #include <utility>
 
+#include "common/env.hh"
 #include "obs/span_trace.hh"
 
 namespace bpsim {
@@ -19,12 +19,9 @@ SharedTracePool::Stats::publish(obs::MetricRegistry &reg,
 
 SharedTracePool::SharedTracePool()
 {
-    if (const char *env = std::getenv("BPSIM_TRACE_POOL_MB")) {
-        const long long mb = std::atoll(env);
-        if (mb > 0)
-            budgetBytes_ =
-                static_cast<std::size_t>(mb) * 1024 * 1024;
-    }
+    budgetBytes_ = static_cast<std::size_t>(
+                       positiveEnv("BPSIM_TRACE_POOL_MB")) *
+                   1024 * 1024;
 }
 
 SharedTracePool &

@@ -10,9 +10,9 @@
  * Storage is columnar where it matters: the dense conditional-branch
  * index every accuracy run replays is kept as two parallel columns
  * (pc, taken) rather than an array of structs, so the replay loop
- * streams 9 bytes per branch instead of 16 and the batched ensemble
- * engine (src/core/ensemble) can hand the raw columns to its
- * structure-of-arrays kernels. A buffer can also be *backed*: a
+ * streams 9 bytes per branch instead of 16 and the perceptron group
+ * kernel (src/core/ensemble) reads the raw columns directly. A
+ * buffer can also be *backed*: a
  * trace loaded from a v3 columnar file (trace_io) keeps the branch
  * columns pointing straight into the mapped file — zero copy, zero
  * decode — and materializes the full micro-op stream lazily, only

@@ -1,20 +1,19 @@
 /**
  * @file
- * Golden equivalence of the batched ensemble replay engine against
- * the serial path: for every factory predictor kind, a group of one
- * member per standard budget replayed in one pass must produce
- * byte-identical counts, describeStats() gauges and visitState()
- * dumps to running each member alone. Also pins the grouping rules
- * (stock-wrapped members batch with bare siblings of the same inner
- * kind; unknown user subclasses refuse), the BPSIM_ENSEMBLE=0 escape
- * hatch, and suiteAccuracyReportEnsemble's contract that its
- * RunReport is byte-identical to one single-config sweep per config.
+ * Golden equivalence of the perceptron group kernel against the
+ * serial path: a group of one perceptron per standard budget
+ * replayed in one pass must produce identical counts,
+ * describeStats() gauges and visitState() images to running each
+ * member alone, and a group the kernel refuses must come back
+ * untouched. At suite level, suiteAccuracyReportEnsemble's RunReport
+ * and metrics must equal one single-config sweep per config for
+ * mixed-wrapper and per-workload-factory config lists, with or
+ * without a pool, and when the kernel refuses a group.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -94,219 +93,158 @@ expectSameState(DirectionPredictor &a, DirectionPredictor &b)
     }
 }
 
-TEST(EnsembleReplay, BatchedMatchesSerialEverywhere)
+std::unique_ptr<PerceptronPredictor>
+makePerceptron(std::size_t budget)
 {
-    const TraceBuffer trace = suiteTrace();
-    for (const PredictorKind kind : allKinds()) {
-        SCOPED_TRACE(kindName(kind));
-
-        // One member per standard budget: the widest same-family
-        // group a figure sweep would ever form.
-        std::vector<std::unique_ptr<DirectionPredictor>> batched;
-        std::vector<std::unique_ptr<DirectionPredictor>> serial;
-        std::vector<DirectionPredictor *> members;
-        for (const std::size_t budget : standardBudgets()) {
-            batched.push_back(makePredictor(kind, budget));
-            serial.push_back(makePredictor(kind, budget));
-            members.push_back(batched.back().get());
-        }
-        ASSERT_TRUE(ensembleBatchable(members));
-
-        const std::vector<AccuracyResult> rb =
-            runAccuracyEnsemble(members, trace);
-        ASSERT_EQ(rb.size(), members.size());
-        for (std::size_t j = 0; j < members.size(); ++j) {
-            SCOPED_TRACE("budget " +
-                         std::to_string(standardBudgets()[j]));
-            const AccuracyResult rs =
-                runAccuracy(*serial[j], trace);
-            ASSERT_EQ(rb[j].branches, rs.branches);
-            ASSERT_EQ(rb[j].mispredictions, rs.mispredictions);
-            expectSameState(*batched[j], *serial[j]);
-        }
-    }
+    return std::unique_ptr<PerceptronPredictor>(
+        static_cast<PerceptronPredictor *>(
+            makePredictor(PredictorKind::Perceptron, budget).release()));
 }
 
-/** A predictor the monomorphic dispatcher has never heard of. */
-struct UnknownDirectionPredictor final : DirectionPredictor
+TEST(PerceptronBatch, MatchesSerialAtEveryBudget)
 {
-    std::string name() const override { return "unknown"; }
-    std::size_t storageBits() const override { return 8; }
-    bool predict(Addr) override { return false; }
-    void update(Addr, bool) override {}
-};
-
-TEST(EnsembleReplay, ProbeAcceptsWrappersRejectsMixedAndLoneGroups)
-{
-    auto g0 = makePredictor(PredictorKind::Gshare, 4 * 1024);
-    auto g1 = makePredictor(PredictorKind::Gshare, 16 * 1024);
-    auto b0 = makePredictor(PredictorKind::Bimodal, 4 * 1024);
-
-    // A genuine same-family pair batches...
-    EXPECT_TRUE(ensembleBatchable({g0.get(), g1.get()}));
-    // ...but a lone config, mixed kinds, or a null member do not.
-    EXPECT_FALSE(ensembleBatchable({g0.get()}));
-    EXPECT_FALSE(ensembleBatchable({}));
-    EXPECT_FALSE(ensembleBatchable({g0.get(), b0.get()}));
-    EXPECT_FALSE(ensembleBatchable({g0.get(), nullptr}));
-
-    // The stock fault-injection wrapper batches: its injection
-    // cadence reads only its own member's update count, so the
-    // hooked replay re-fires it at exactly the serial points.
-    robust::FaultPlan plan;
-    plan.upsetRatePerBit = 1e-4;
-    auto f0 = std::make_unique<robust::FaultInjectingPredictor>(
-        makePredictor(PredictorKind::Gshare, 4 * 1024), plan);
-    auto f1 = std::make_unique<robust::FaultInjectingPredictor>(
-        makePredictor(PredictorKind::Gshare, 16 * 1024), plan);
-    EXPECT_TRUE(ensembleBatchable({f0.get(), f1.get()}));
-
-    // Protected wrappers likewise, including mixed with bare
-    // siblings of the same inner kind...
-    robust::ProtectionConfig prot;
-    prot.policy = robust::ProtectionPolicy::ParityInvalidate;
-    auto p0 = makeProtectedPredictor(PredictorKind::Gshare, 4 * 1024,
-                                     prot, robust::FaultPlan{});
-    auto p1 = makeProtectedPredictor(PredictorKind::Gshare, 16 * 1024,
-                                     prot, robust::FaultPlan{});
-    EXPECT_TRUE(ensembleBatchable({p0.get(), p1.get()}));
-    EXPECT_TRUE(ensembleBatchable({g0.get(), f0.get(), p0.get()}));
-    EXPECT_EQ(ensembleAccuracyInnerType(*g0),
-              ensembleAccuracyInnerType(*p0));
-
-    // ...but a wrapper over a different inner kind still splits the
-    // group, and an unknown user subclass refuses outright.
-    auto pb = makeProtectedPredictor(PredictorKind::Bimodal, 4 * 1024,
-                                     prot, robust::FaultPlan{});
-    EXPECT_FALSE(ensembleBatchable({g0.get(), pb.get()}));
-    UnknownDirectionPredictor u0;
-    UnknownDirectionPredictor u1;
-    EXPECT_EQ(ensembleAccuracyInnerType(u0), nullptr);
-    EXPECT_FALSE(ensembleBatchable({&u0, &u1}));
-    auto fu = std::make_unique<robust::FaultInjectingPredictor>(
-        std::make_unique<UnknownDirectionPredictor>(), plan);
-    EXPECT_FALSE(ensembleBatchable({fu.get(), g0.get()}));
-}
-
-TEST(EnsembleReplay, WrappedGroupReplaysViaHooksBitIdentical)
-{
-    // A fault-injected pair batches through the hooked monomorphic
-    // loop — results must match serial runs exactly (same plan +
-    // seed => identical flip sequence per member; expectSameState
-    // compares injector flip/event counters via describeStats()).
     const TraceBuffer trace = suiteTrace();
-    robust::FaultPlan plan;
-    plan.upsetRatePerBit = 1e-4;
-    plan.intervalBranches = 1024;
-
-    std::vector<std::unique_ptr<DirectionPredictor>> batched;
-    std::vector<std::unique_ptr<DirectionPredictor>> serial;
-    std::vector<DirectionPredictor *> members;
-    for (const std::size_t budget : {4096u, 16384u}) {
-        batched.push_back(
-            std::make_unique<robust::FaultInjectingPredictor>(
-                makePredictor(PredictorKind::Gshare, budget), plan));
-        serial.push_back(
-            std::make_unique<robust::FaultInjectingPredictor>(
-                makePredictor(PredictorKind::Gshare, budget), plan));
+    // One member per standard budget: the group a figure sweep forms,
+    // with and without a local component.
+    std::vector<std::unique_ptr<PerceptronPredictor>> batched;
+    std::vector<std::unique_ptr<PerceptronPredictor>> serial;
+    std::vector<PerceptronPredictor *> members;
+    for (const std::size_t budget : standardBudgets()) {
+        batched.push_back(makePerceptron(budget));
+        serial.push_back(makePerceptron(budget));
         members.push_back(batched.back().get());
     }
-    EXPECT_TRUE(ensembleBatchable(members));
 
-    const std::vector<AccuracyResult> rb =
-        runAccuracyEnsemble(members, trace);
-    ASSERT_EQ(rb.size(), members.size());
+    const auto rb = runPerceptronEnsemble(members, trace);
+    ASSERT_TRUE(rb.has_value());
+    ASSERT_EQ(rb->size(), members.size());
     for (std::size_t j = 0; j < members.size(); ++j) {
+        SCOPED_TRACE("budget " + std::to_string(standardBudgets()[j]));
         const AccuracyResult rs = runAccuracy(*serial[j], trace);
-        EXPECT_EQ(rb[j].branches, rs.branches);
-        EXPECT_EQ(rb[j].mispredictions, rs.mispredictions);
+        ASSERT_EQ((*rb)[j].branches, rs.branches);
+        ASSERT_EQ((*rb)[j].mispredictions, rs.mispredictions);
         expectSameState(*batched[j], *serial[j]);
     }
 }
 
-TEST(EnsembleReplay, MixedWrapperGroupMatchesSerial)
+TEST(PerceptronBatch, RefusesGroupsItCannotShareHistoryAcross)
 {
-    // One group mixing a bare gshare, a fault-injected one and a
-    // protected one: each member replays through the same inner fast
-    // path with its own hook chain, so every wrapper's cadence fires
-    // at the exact serial update counts.
     const TraceBuffer trace = suiteTrace();
-    robust::FaultPlan plan;
-    plan.upsetRatePerBit = 1e-4;
-    plan.intervalBranches = 512;
+    const TraceBuffer warmup = generateTrace(
+        *makeWorkload(specint2000Names().back()), 2000, 3);
+
+    // A member that has already seen branches.
+    auto fresh = makePerceptron(16 * 1024);
+    auto warm = makePerceptron(16 * 1024);
+    runAccuracy(*warm, warmup);
+    auto warmRef = makePerceptron(16 * 1024);
+    runAccuracy(*warmRef, warmup);
+    EXPECT_FALSE(
+        runPerceptronEnsemble({fresh.get(), warm.get()}, trace));
+    expectSameState(*warm, *warmRef);
+    expectSameState(*fresh, *makePerceptron(16 * 1024));
+
+    // Members whose local-history tables differ in size.
+    PerceptronPredictor a(64, 24, 10, 2048);
+    PerceptronPredictor b(64, 24, 10, 1024);
+    EXPECT_FALSE(runPerceptronEnsemble({&a, &b}, trace));
+}
+
+/** A config list mixing every grouping case: a perceptron group of
+ *  two, bare / protected / fault-injected gshare siblings, a wrapped
+ *  perceptron (not bare, so its own cell) and a lone bimodal. */
+std::vector<AccuracyCellConfig>
+mixedConfigs()
+{
     robust::ProtectionConfig prot;
     prot.policy = robust::ProtectionPolicy::SecdedCorrect;
-    robust::FaultPlan protPlan;
-    protPlan.upsetRatePerBit = 1e-4;
-    protPlan.intervalBranches = 512;
+    robust::FaultPlan plan;
+    plan.upsetRatePerBit = 1e-4;
+    plan.intervalBranches = 256;
 
-    const auto build = [&] {
-        std::vector<std::unique_ptr<DirectionPredictor>> v;
-        v.push_back(makePredictor(PredictorKind::Gshare, 16 * 1024));
-        v.push_back(
-            std::make_unique<robust::FaultInjectingPredictor>(
-                makePredictor(PredictorKind::Gshare, 16 * 1024),
-                plan));
-        v.push_back(makeProtectedPredictor(
-            PredictorKind::Gshare, 16 * 1024, prot, protPlan));
-        return v;
-    };
-    auto batched = build();
-    auto serial = build();
-    std::vector<DirectionPredictor *> members;
-    for (const auto &m : batched)
-        members.push_back(m.get());
-    ASSERT_TRUE(ensembleBatchable(members));
-
-    const std::vector<AccuracyResult> rb =
-        runAccuracyEnsemble(members, trace);
-    ASSERT_EQ(rb.size(), members.size());
-    for (std::size_t j = 0; j < members.size(); ++j) {
-        SCOPED_TRACE("member " + std::to_string(j));
-        const AccuracyResult rs = runAccuracy(*serial[j], trace);
-        EXPECT_EQ(rb[j].branches, rs.branches);
-        EXPECT_EQ(rb[j].mispredictions, rs.mispredictions);
-        expectSameState(*batched[j], *serial[j]);
-    }
-}
-
-/** The fig-sweep config list used by the suite-level tests: two
- *  batchable families plus one lone config on the serial path. */
-std::vector<AccuracyCellConfig>
-sweepConfigs()
-{
     std::vector<AccuracyCellConfig> configs;
-    for (const std::size_t budget :
-         {1024u, 4096u, 16384u}) {
+    const auto add = [&configs](std::string name, std::size_t budget,
+                                auto make) {
         AccuracyCellConfig c;
-        c.make = [budget] {
-            return makePredictor(PredictorKind::Gshare, budget);
-        };
-        c.name = kindName(PredictorKind::Gshare);
+        c.make = std::move(make);
+        c.name = std::move(name);
         c.budgetBytes = budget;
         configs.push_back(std::move(c));
-    }
-    for (const std::size_t budget : {2048u, 8192u}) {
-        AccuracyCellConfig c;
-        c.make = [budget] {
-            return makePredictor(PredictorKind::Perceptron, budget);
-        };
-        c.name = kindName(PredictorKind::Perceptron);
-        c.budgetBytes = budget;
-        configs.push_back(std::move(c));
-    }
-    AccuracyCellConfig lone;
-    lone.make = [] {
-        return makePredictor(PredictorKind::Bimodal, 4096);
     };
-    lone.name = kindName(PredictorKind::Bimodal);
-    lone.budgetBytes = 4096;
-    configs.push_back(std::move(lone));
+    add("gshare", 16 * 1024,
+        [] { return makePredictor(PredictorKind::Gshare, 16 * 1024); });
+    for (const std::size_t budget : {2048u, 16384u})
+        add("perceptron", budget, [budget] {
+            return makePredictor(PredictorKind::Perceptron, budget);
+        });
+    add("gshare.secded", 16 * 1024, [prot, plan] {
+        return makeProtectedPredictor(PredictorKind::Gshare, 16 * 1024,
+                                      prot, plan);
+    });
+    add("gshare.fault", 16 * 1024, [plan] {
+        return std::make_unique<robust::FaultInjectingPredictor>(
+            makePredictor(PredictorKind::Gshare, 16 * 1024), plan);
+    });
+    add("perceptron.fault", 8 * 1024, [plan] {
+        return std::make_unique<robust::FaultInjectingPredictor>(
+            makePredictor(PredictorKind::Perceptron, 8 * 1024), plan);
+    });
+    add("bimodal", 4096,
+        [] { return makePredictor(PredictorKind::Bimodal, 4096); });
     return configs;
 }
 
-/** Metrics dump with the ensemble engine's own gauges removed — the
- *  one allowed difference from the serial path. */
+/** Per-workload factories, as the soft-error studies use them: each
+ *  cell's fault plan is seeded by its workload index, and the
+ *  perceptrons are bare, so they still group — bar one that is bare
+ *  only at workload 0, so it groups by its probe and then replays
+ *  alone everywhere else. */
+std::vector<AccuracyCellConfig>
+perWorkloadConfigs()
+{
+    std::vector<AccuracyCellConfig> configs;
+    for (const std::size_t budget : {4096u, 16384u}) {
+        AccuracyCellConfig c;
+        c.makeForWorkload = [budget](std::size_t w) {
+            robust::FaultPlan plan;
+            plan.upsetRatePerBit = 1e-4;
+            plan.intervalBranches = 512;
+            plan.seed = 1000 + 17 * w;
+            return std::unique_ptr<DirectionPredictor>(
+                std::make_unique<robust::FaultInjectingPredictor>(
+                    makePredictor(PredictorKind::Gshare, budget),
+                    plan));
+        };
+        c.name = "gshare.fault";
+        c.budgetBytes = budget;
+        configs.push_back(std::move(c));
+    }
+    for (const std::size_t budget : {4096u, 32768u}) {
+        AccuracyCellConfig c;
+        c.makeForWorkload = [budget](std::size_t) {
+            return makePredictor(PredictorKind::Perceptron, budget);
+        };
+        c.name = "perceptron";
+        c.budgetBytes = budget;
+        configs.push_back(std::move(c));
+    }
+    AccuracyCellConfig odd;
+    odd.makeForWorkload = [](std::size_t w) {
+        auto p = makePredictor(PredictorKind::Perceptron, 8192);
+        if (w == 0)
+            return p;
+        return std::unique_ptr<DirectionPredictor>(
+            std::make_unique<robust::FaultInjectingPredictor>(
+                std::move(p), robust::FaultPlan{}));
+    };
+    odd.name = "perceptron.odd";
+    odd.budgetBytes = 8192;
+    configs.push_back(std::move(odd));
+    return configs;
+}
+
+/** Metrics dump with the grouping gauges removed — the one allowed
+ *  difference from the per-config reference. */
 std::string
 metricsSansEnsemble(const obs::MetricRegistry &metrics)
 {
@@ -319,205 +257,129 @@ metricsSansEnsemble(const obs::MetricRegistry &metrics)
     return out;
 }
 
-/** Serial reference: one single-config suite sweep per config, in
- *  list order (a lone config never batches). */
-void
-runAccuracySerialReference(const SuiteTraces &suite,
-                           std::vector<AccuracyCellConfig> &configs,
-                           obs::RunReport &report,
-                           obs::MetricRegistry *metrics)
+struct SweepOutput
 {
-    for (AccuracyCellConfig &c : configs) {
+    explicit SweepOutput(std::vector<AccuracyCellConfig> c)
+        : configs(std::move(c))
+    {}
+
+    std::vector<AccuracyCellConfig> configs;
+    obs::RunReport report;
+    obs::MetricRegistry metrics;
+    EnsembleStats stats;
+};
+
+void
+sweep(const SuiteTraces &suite, SweepOutput &out,
+      parallel::CellPool *pool = nullptr)
+{
+    out.stats = suiteAccuracyReportEnsemble(
+        suite, out.configs, out.report, &out.metrics, pool);
+}
+
+/** Reference: one single-config suite sweep per config, in list
+ *  order (a lone config never batches). */
+void
+sweepOneByOne(const SuiteTraces &suite, SweepOutput &out)
+{
+    for (AccuracyCellConfig &c : out.configs) {
         std::vector<AccuracyCellConfig> one = {c};
-        const EnsembleStats stats =
-            suiteAccuracyReportEnsemble(suite, one, report, metrics);
+        const EnsembleStats stats = suiteAccuracyReportEnsemble(
+            suite, one, out.report, &out.metrics);
         EXPECT_EQ(stats.batchedCells, 0u);
         c = std::move(one[0]);
     }
 }
 
-TEST(EnsembleReplay, SuiteReportMatchesSerialByteForByte)
+void
+expectSameOutput(const SweepOutput &a, const SweepOutput &b)
 {
-    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
-
-    // Batched sweep.
-    std::vector<AccuracyCellConfig> configs = sweepConfigs();
-    obs::RunReport batchedReport;
-    obs::MetricRegistry batchedMetrics;
-    const EnsembleStats stats = suiteAccuracyReportEnsemble(
-        suite, configs, batchedReport, &batchedMetrics);
-
-    // gshare group of 3 and perceptron group of 2 batch; the lone
-    // bimodal runs serially.
-    EXPECT_EQ(stats.groups, 2u);
-    EXPECT_EQ(stats.batchWidth, 3u);
-    EXPECT_EQ(stats.batchedCells, 5u * suite.size());
-    EXPECT_EQ(stats.serialCells, 1u * suite.size());
-
-    std::vector<AccuracyCellConfig> ref = sweepConfigs();
-    obs::RunReport serialReport;
-    obs::MetricRegistry serialMetrics;
-    runAccuracySerialReference(suite, ref, serialReport,
-                               &serialMetrics);
-
-    EXPECT_EQ(batchedReport.toJson().dump(2),
-              serialReport.toJson().dump(2));
-    EXPECT_EQ(metricsSansEnsemble(batchedMetrics),
-              metricsSansEnsemble(serialMetrics));
-    ASSERT_EQ(configs.size(), ref.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(configs[i].meanPercent, ref[i].meanPercent);
-        ASSERT_EQ(configs[i].results.size(), ref[i].results.size());
-        for (std::size_t w = 0; w < ref[i].results.size(); ++w) {
-            EXPECT_EQ(configs[i].results[w].branches,
-                      ref[i].results[w].branches);
-            EXPECT_EQ(configs[i].results[w].mispredictions,
-                      ref[i].results[w].mispredictions);
-        }
+    EXPECT_EQ(a.report.toJson().dump(2), b.report.toJson().dump(2));
+    EXPECT_EQ(metricsSansEnsemble(a.metrics),
+              metricsSansEnsemble(b.metrics));
+    ASSERT_EQ(a.configs.size(), b.configs.size());
+    for (std::size_t i = 0; i < a.configs.size(); ++i) {
+        EXPECT_EQ(a.configs[i].meanPercent, b.configs[i].meanPercent);
+        ASSERT_EQ(a.configs[i].results.size(),
+                  b.configs[i].results.size());
+        for (std::size_t w = 0; w < a.configs[i].results.size(); ++w)
+            EXPECT_EQ(a.configs[i].results[w].mispredictions,
+                      b.configs[i].results[w].mispredictions);
     }
+}
 
-    // The engine reports how it executed.
-    EXPECT_EQ(batchedMetrics.gauge("core.ensemble.batched_cells")
+TEST(EnsembleSuite, MixedWrapperReportMatchesPerConfigSweeps)
+{
+    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
+    SweepOutput grouped(mixedConfigs());
+    sweep(suite, grouped);
+    SweepOutput ref(mixedConfigs());
+    sweepOneByOne(suite, ref);
+    expectSameOutput(grouped, ref);
+
+    // The two bare perceptrons batch; the other five run serially.
+    EXPECT_EQ(grouped.stats.groups, 1u);
+    EXPECT_EQ(grouped.stats.batchWidth, 2u);
+    EXPECT_EQ(grouped.stats.batchedCells, 2u * suite.size());
+    EXPECT_EQ(grouped.stats.serialCells, 5u * suite.size());
+    EXPECT_EQ(grouped.metrics.gauge("core.ensemble.batched_cells")
                   .value(),
-              static_cast<double>(stats.batchedCells));
-    EXPECT_EQ(batchedMetrics.gauge("core.ensemble.batch_width")
-                  .value(),
-              static_cast<double>(stats.batchWidth));
+              static_cast<double>(grouped.stats.batchedCells));
 }
 
-TEST(EnsembleReplay, EnvEscapeForcesSerialIdenticalOutput)
+TEST(EnsembleSuite, PerWorkloadFactoryMatchesPerConfigSweeps)
 {
     const SuiteTraces suite(4000, 13, nullptr, TraceCache());
-
-    std::vector<AccuracyCellConfig> batched = sweepConfigs();
-    obs::RunReport batchedReport;
-    suiteAccuracyReportEnsemble(suite, batched, batchedReport);
-
-    ASSERT_EQ(::setenv("BPSIM_ENSEMBLE", "0", 1), 0);
-    EXPECT_FALSE(ensembleEnabled());
-    std::vector<AccuracyCellConfig> forced = sweepConfigs();
-    obs::RunReport forcedReport;
-    const EnsembleStats stats =
-        suiteAccuracyReportEnsemble(suite, forced, forcedReport);
-    ::unsetenv("BPSIM_ENSEMBLE");
-    EXPECT_TRUE(ensembleEnabled());
-
-    EXPECT_EQ(stats.batchedCells, 0u);
-    EXPECT_EQ(stats.groups, 0u);
-    EXPECT_EQ(stats.serialCells, 6u * suite.size());
-    EXPECT_EQ(forcedReport.toJson().dump(2),
-              batchedReport.toJson().dump(2));
+    SweepOutput grouped(perWorkloadConfigs());
+    sweep(suite, grouped);
+    SweepOutput ref(perWorkloadConfigs());
+    sweepOneByOne(suite, ref);
+    expectSameOutput(grouped, ref);
+    EXPECT_EQ(grouped.stats.batchedCells, 3u * suite.size());
 }
 
-TEST(EnsembleReplay, MixedWrapperSuiteReportMatchesSerial)
+TEST(EnsembleSuite, RefusedGroupFallsBackToSerialReplay)
 {
-    // Protected and fault-injected gshare variants next to a bare
-    // one: all three share the gshare inner type, so the suite
-    // engine forms one mixed-wrapper group — the protection-surface
-    // sweep shape.
+    // Perceptrons that have already trained are bare, so they group,
+    // but the kernel refuses them and each member replays alone.
     const SuiteTraces suite(4000, 13, nullptr, TraceCache());
-    robust::ProtectionConfig prot;
-    prot.policy = robust::ProtectionPolicy::SecdedCorrect;
-    robust::FaultPlan plan;
-    plan.upsetRatePerBit = 1e-4;
-    plan.intervalBranches = 256;
-
-    const auto build = [&] {
-        std::vector<AccuracyCellConfig> configs;
-        AccuracyCellConfig bare;
-        bare.make = [] {
-            return makePredictor(PredictorKind::Gshare, 16 * 1024);
-        };
-        bare.name = "gshare";
-        bare.budgetBytes = 16 * 1024;
-        configs.push_back(std::move(bare));
-        AccuracyCellConfig prot_c;
-        prot_c.make = [prot, plan] {
-            return makeProtectedPredictor(PredictorKind::Gshare,
-                                          16 * 1024, prot, plan);
-        };
-        prot_c.name = "gshare.secded";
-        prot_c.budgetBytes = 16 * 1024;
-        configs.push_back(std::move(prot_c));
-        AccuracyCellConfig fault;
-        fault.make = [plan] {
-            return std::make_unique<
-                robust::FaultInjectingPredictor>(
-                makePredictor(PredictorKind::Gshare, 16 * 1024),
-                plan);
-        };
-        fault.name = "gshare.fault";
-        fault.budgetBytes = 16 * 1024;
-        configs.push_back(std::move(fault));
-        return configs;
-    };
-
-    std::vector<AccuracyCellConfig> configs = build();
-    obs::RunReport batchedReport;
-    obs::MetricRegistry batchedMetrics;
-    const EnsembleStats stats = suiteAccuracyReportEnsemble(
-        suite, configs, batchedReport, &batchedMetrics);
-    EXPECT_EQ(stats.groups, 1u);
-    EXPECT_EQ(stats.batchWidth, 3u);
-    EXPECT_EQ(stats.serialCells, 0u);
-
-    std::vector<AccuracyCellConfig> ref = build();
-    obs::RunReport serialReport;
-    obs::MetricRegistry serialMetrics;
-    runAccuracySerialReference(suite, ref, serialReport,
-                               &serialMetrics);
-
-    EXPECT_EQ(batchedReport.toJson().dump(2),
-              serialReport.toJson().dump(2));
-    EXPECT_EQ(metricsSansEnsemble(batchedMetrics),
-              metricsSansEnsemble(serialMetrics));
-}
-
-TEST(EnsembleReplay, PerWorkloadFactoryMatchesEscapeHatch)
-{
-    // makeForWorkload lets the soft-error studies seed each cell's
-    // fault plan by workload index; the ensemble path must produce
-    // the same rows as the escape-hatch serial path with identical
-    // per-cell seeds.
-    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
-    const auto build = [] {
-        std::vector<AccuracyCellConfig> configs;
-        for (const std::size_t budget : {4096u, 16384u}) {
+    const auto configs = [] {
+        std::vector<AccuracyCellConfig> v;
+        for (const std::size_t budget : {2048u, 16384u}) {
             AccuracyCellConfig c;
-            c.makeForWorkload = [budget](std::size_t w) {
-                robust::FaultPlan plan;
-                plan.upsetRatePerBit = 1e-4;
-                plan.intervalBranches = 512;
-                plan.seed = 1000 + 17 * w;
-                return std::unique_ptr<DirectionPredictor>(
-                    std::make_unique<
-                        robust::FaultInjectingPredictor>(
-                        makePredictor(PredictorKind::Gshare,
-                                      budget),
-                        plan));
+            c.make = [budget] {
+                auto p =
+                    makePredictor(PredictorKind::Perceptron, budget);
+                p->update(0x400100, true);
+                return p;
             };
-            c.name = "gshare.fault";
+            c.name = "perceptron.warm";
             c.budgetBytes = budget;
-            configs.push_back(std::move(c));
+            v.push_back(std::move(c));
         }
-        return configs;
+        return v;
     };
+    SweepOutput grouped(configs());
+    sweep(suite, grouped);
+    SweepOutput ref(configs());
+    sweepOneByOne(suite, ref);
+    expectSameOutput(grouped, ref);
+}
 
-    std::vector<AccuracyCellConfig> batched = build();
-    obs::RunReport batchedReport;
-    const EnsembleStats stats =
-        suiteAccuracyReportEnsemble(suite, batched, batchedReport);
-    EXPECT_EQ(stats.groups, 1u);
-    EXPECT_EQ(stats.batchedCells, 2u * suite.size());
-
-    ASSERT_EQ(::setenv("BPSIM_ENSEMBLE", "0", 1), 0);
-    std::vector<AccuracyCellConfig> forced = build();
-    obs::RunReport forcedReport;
-    suiteAccuracyReportEnsemble(suite, forced, forcedReport);
-    ::unsetenv("BPSIM_ENSEMBLE");
-
-    EXPECT_EQ(batchedReport.toJson().dump(2),
-              forcedReport.toJson().dump(2));
+TEST(EnsembleSuite, PooledMatchesSerial)
+{
+    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
+    SweepOutput serial(mixedConfigs());
+    sweep(suite, serial);
+    parallel::CellPool pool(3);
+    SweepOutput pooled(mixedConfigs());
+    sweep(suite, pooled, &pool);
+    expectSameOutput(pooled, serial);
+    EXPECT_EQ(pooled.metrics.toJson().dump(2),
+              serial.metrics.toJson().dump(2));
+    // One cell per (group, workload): the perceptron group plus five
+    // lone configs.
+    EXPECT_EQ(pool.stats().cellsCompleted, 6u * suite.size());
 }
 
 } // namespace

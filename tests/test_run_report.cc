@@ -46,7 +46,7 @@ sampleReport()
 {
     RunReport rep;
     rep.experiment = "unit-test";
-    rep.opsPerWorkload = 12345;
+    rep.opsPerWorkload = 9000;
     rep.seed = 42;
     rep.rows.push_back(timingRow("176.gcc"));
 
@@ -74,7 +74,7 @@ TEST(RunReport, JsonRoundTripPreservesEverything)
 
     EXPECT_EQ(back.schemaVersion, RunReport::kSchemaVersion);
     EXPECT_EQ(back.experiment, "unit-test");
-    EXPECT_EQ(back.opsPerWorkload, 12345u);
+    EXPECT_EQ(back.opsPerWorkload, 9000u);
     EXPECT_EQ(back.seed, 42u);
     ASSERT_EQ(back.rows.size(), 2u);
 
@@ -139,6 +139,19 @@ TEST(RunReport, ValidateFlagsBrokenInvariants)
     impossible.rows[1].mispredictions =
         impossible.rows[1].branches + 1;
     EXPECT_FALSE(impossible.validate().empty());
+}
+
+TEST(RunReport, ValidateFlagsTruncatedTimingRow)
+{
+    RunReport truncated = sampleReport();
+    truncated.rows[0].instructions = truncated.opsPerWorkload - 1;
+    const auto problems = truncated.validate();
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_NE(problems[0].find("ops_per_workload"), std::string::npos);
+
+    // Reports that do not record their trace length skip the check.
+    truncated.opsPerWorkload = 0;
+    EXPECT_TRUE(truncated.validate().empty());
 }
 
 TEST(RunReport, FileRoundTrip)

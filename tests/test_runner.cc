@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -43,6 +44,18 @@ TEST(AccuracyRunner, CountsOnlyConditionalBranches)
     EXPECT_EQ(r.branches, 10u);
     EXPECT_EQ(r.mispredictions, 10u);
     EXPECT_DOUBLE_EQ(r.percent(), 100.0);
+
+    // The poll overload polls after every full block of
+    // poll_interval branches, and only then.
+    const std::pair<Counter, int> cadences[] = {
+        {1, 10}, {3, 3}, {5, 2}, {10, 1}, {11, 0}};
+    for (const auto &[interval, polls] : cadences) {
+        int calls = 0;
+        const auto rp =
+            runAccuracy(never, t, [&calls] { ++calls; }, interval);
+        EXPECT_EQ(calls, polls) << "interval " << interval;
+        EXPECT_EQ(rp.mispredictions, 10u);
+    }
 }
 
 TEST(SuiteTraces, BuildsAllTwelveOnce)
@@ -255,6 +268,11 @@ TEST(BenchOps, EnvironmentOverride)
     EXPECT_EQ(benchOpsPerWorkload(1234), 777u);
     setenv("BPSIM_OPS_PER_WORKLOAD", "not-a-number", 1);
     EXPECT_EQ(benchOpsPerWorkload(1234), 1234u);
+    // A partial number is rejected whole, not read as its prefix.
+    for (const char *bad : {"20k", "1e6", "", "0", "-5"}) {
+        setenv("BPSIM_OPS_PER_WORKLOAD", bad, 1);
+        EXPECT_EQ(benchOpsPerWorkload(1234), 1234u) << "'" << bad << "'";
+    }
     unsetenv("BPSIM_OPS_PER_WORKLOAD");
 }
 

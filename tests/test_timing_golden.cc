@@ -23,6 +23,11 @@
  * Table 1 core (ROB 128, width 8), so ROB wrap-around and a short
  * issue window are checked here.
  *
+ * A third gate, tests/golden/accuracy_rows.tsv, covers every other
+ * registry artifact (the accuracy-only sweeps) the same way: each
+ * row's JSON, the `#table`, and an `#metrics` line digesting every
+ * metric but the core.ensemble.* grouping gauges.
+ *
  * Each test writes what it computed to `<golden name>.actual.tsv` in
  * its working directory. Refresh a golden only from a tree whose
  * numbers are known good, by copying that file over it.
@@ -56,12 +61,24 @@ namespace {
 constexpr Counter kOps = 20000;
 
 /** The artifacts whose bodies call suiteTimingReportEnsemble. */
-const char *const kTimingArtifacts[] = {
+const std::vector<std::string> kTimingArtifacts = {
     "fig2_ideal_vs_overriding", "fig7_ipc_budget",
     "fig8_per_benchmark_ipc",   "ablation_delay_hiding",
     "ablation_update_delay",    "study_pipeline_depth",
     "study_protection_surface", "study_soft_error",
 };
+
+/** Every other registry artifact: accuracy sweeps only. */
+std::vector<std::string>
+accuracyArtifacts()
+{
+    std::vector<std::string> names;
+    for (const ArtifactDef &def : artifactRegistry())
+        if (std::find(kTimingArtifacts.begin(), kTimingArtifacts.end(),
+                      def.spec.name) == kTimingArtifacts.end())
+            names.push_back(def.spec.name);
+    return names;
+}
 
 std::string
 digest(const std::string &s)
@@ -102,6 +119,30 @@ simCoreMetrics(const obs::MetricRegistry &reg)
     return os.str();
 }
 
+/** Every metric except the core.ensemble.* gauges, which describe
+ *  how cells were grouped rather than what they computed (a
+ *  BufferedSweepContext publishes no host times). The predictors'
+ *  describeStats() gauges catch final-state drift. */
+std::string
+accuracyMetrics(const obs::MetricRegistry &reg)
+{
+    std::ostringstream os;
+    os.precision(17);
+    for (const std::string &name : reg.names()) {
+        if (name.rfind("core.ensemble.", 0) == 0)
+            continue;
+        os << name << '=';
+        if (const auto *c = reg.findCounter(name))
+            os << c->value();
+        else if (const auto *g = reg.findGauge(name))
+            os << g->value();
+        else if (const auto *h = reg.findHistogram(name))
+            os << h->total() << '/' << h->sum();
+        os << '\n';
+    }
+    return os.str();
+}
+
 std::string
 simResultFields(const SimResult &r)
 {
@@ -119,22 +160,30 @@ simResultFields(const SimResult &r)
     return os.str();
 }
 
+/** Digest every row and the table of each artifact in @p names, plus
+ *  the metrics @p metricsOf selects, as `<artifact>\t#<metric_key>`. */
 void
-artifactLines(std::vector<std::string> &out)
+artifactLines(const std::vector<std::string> &names,
+              const std::string &metric_key,
+              std::string (*metricsOf)(const obs::MetricRegistry &),
+              std::vector<std::string> &out)
 {
-    for (const char *name : kTimingArtifacts) {
+    for (const std::string &name : names) {
         const ArtifactDef *def = findArtifact(name);
         ASSERT_NE(def, nullptr) << name;
         parallel::CellPool pool(4);
         BufferedSweepContext ctx(def->spec, &pool,
                                  /*want_report=*/true);
         ASSERT_EQ(def->fn(def->spec, ctx), 0) << name;
-        ASSERT_FALSE(ctx.report().rows.empty()) << name;
+        // table2 replays no suite traces: a table and metrics only.
+        if (def->spec.defaultOps > 0) {
+            ASSERT_FALSE(ctx.report().rows.empty()) << name;
+        }
         for (const auto &row : ctx.report().rows)
             out.push_back(line(name, row.key(), row.toJson().dump()));
         out.push_back(line(name, "#table", ctx.output()));
         out.push_back(
-            line(name, "#sim.core", simCoreMetrics(ctx.metrics())));
+            line(name, "#" + metric_key, metricsOf(ctx.metrics())));
     }
 }
 
@@ -261,7 +310,6 @@ pinEnvironment()
                         std::to_string(kOps).c_str(), 1));
     ASSERT_EQ(0, unsetenv("BPSIM_TRACE_CACHE"));
     ASSERT_EQ(0, unsetenv("BPSIM_JOBS"));
-    ASSERT_EQ(0, unsetenv("BPSIM_ENSEMBLE"));
     SharedTracePool::global().clear();
 }
 
@@ -299,7 +347,7 @@ TEST(TimingGolden, RowsMatchFrozenDigests)
 {
     ASSERT_NO_FATAL_FAILURE(pinEnvironment());
     std::vector<std::string> actual;
-    artifactLines(actual);
+    artifactLines(kTimingArtifacts, "sim.core", simCoreMetrics, actual);
     suiteLines("runner", runnerConfigs(), actual);
     expectMatchesGolden(actual, "timing_rows", BPSIM_GOLDEN_TIMING_ROWS);
 }
@@ -310,6 +358,16 @@ TEST(TimingGolden, CoreShapesMatchFrozenDigests)
     std::vector<std::string> actual;
     suiteLines("core_shapes", coreShapeConfigs(), actual);
     expectMatchesGolden(actual, "core_shapes", BPSIM_GOLDEN_CORE_SHAPES);
+}
+
+TEST(TimingGolden, AccuracyRowsMatchFrozenDigests)
+{
+    ASSERT_NO_FATAL_FAILURE(pinEnvironment());
+    std::vector<std::string> actual;
+    artifactLines(accuracyArtifacts(), "metrics", accuracyMetrics,
+                  actual);
+    expectMatchesGolden(actual, "accuracy_rows",
+                        BPSIM_GOLDEN_ACCURACY_ROWS);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -506,6 +507,25 @@ TEST(SharedTracePool, BudgetedLruPinsAndEvicts)
     pool.setBudgetBytes(1);
     EXPECT_EQ(pool.pinnedBytes(), 0u);
     EXPECT_EQ(pool.stats().evictions, 3u);
+}
+
+TEST(SharedTracePool, BudgetFromEnvironmentMustBeWholeNumber)
+{
+    TraceCache cache;
+    const auto pinsAfterOneFetch = [&cache](const char *mb) {
+        setenv("BPSIM_TRACE_POOL_MB", mb, 1);
+        SharedTracePool pool;
+        unsetenv("BPSIM_TRACE_POOL_MB");
+        pool.fetch("wl-a", 3000, 7, cache,
+                   [] { return syntheticTrace(3000, 7); });
+        return pool.pinnedBytes() > 0;
+    };
+    // A 1 MB budget pins the small trace...
+    EXPECT_TRUE(pinsAfterOneFetch("1"));
+    // ...but a partial number is rejected whole (unlimited budget,
+    // nothing pinned), not read as its 1 MB prefix.
+    for (const char *bad : {"1k", "1e6", "", "0"})
+        EXPECT_FALSE(pinsAfterOneFetch(bad)) << "'" << bad << "'";
 }
 
 } // namespace
