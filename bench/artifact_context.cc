@@ -68,11 +68,13 @@ StandaloneSweepContext::write(const char *data, std::size_t n)
 BufferedSweepContext::BufferedSweepContext(const ArtifactSpec &spec,
                                            parallel::CellPool *pool,
                                            bool want_report,
-                                           std::string manifest)
+                                           std::string manifest,
+                                           TimingMemo *memo)
     : metrics_(/*enabled=*/true),
       pool_(pool),
       wantReport_(want_report),
-      manifest_(std::move(manifest))
+      manifest_(std::move(manifest)),
+      memo_(memo ? memo : &ownMemo_)
 {
     report_.experiment = spec.name;
 }

@@ -76,6 +76,9 @@ class SweepContext
     virtual parallel::CellPool *pool() = 0;
     /** --manifest path; "" when absent or not accepted. */
     virtual const std::string &manifestPath() const = 0;
+    /** The memo timing sweeps share (core/runner.hh): one per
+     *  standalone artifact, one per bpsweep invocation. */
+    virtual TimingMemo &timingMemo() = 0;
 
     /** Registry pointer only when a report will be written — so
      *  plain stdout runs skip the metric bookkeeping entirely. */
@@ -154,6 +157,7 @@ class StandaloneSweepContext final : public SweepContext
     {
         return manifest_;
     }
+    TimingMemo &timingMemo() override { return memo_; }
 
   protected:
     void write(const char *data, std::size_t n) override;
@@ -162,22 +166,27 @@ class StandaloneSweepContext final : public SweepContext
     obs::ReportSession session_;
     parallel::CellPool pool_;
     std::string manifest_;
+    TimingMemo memo_;
 };
 
 /**
  * The in-process host bpsweep (and the registry test) uses: output
  * accumulates in a string, report/metrics live here, and cells run
- * on a caller-supplied pool. finalize() attaches the metric
- * snapshot to the report the way ReportSession::finish() would.
+ * on a caller-supplied pool and share a caller-supplied timing memo
+ * (or a private one). finalize() attaches the metric snapshot to the
+ * report the way ReportSession::finish() would.
  */
 class BufferedSweepContext final : public SweepContext
 {
   public:
     /** @param pool Cell executor; must outlive the context.
-     *  @param want_report Enables metrics and report assembly. */
+     *  @param want_report Enables metrics and report assembly.
+     *  @param memo Timing memo shared with other artifacts (must
+     *  outlive the context); nullptr gives the context its own. */
     BufferedSweepContext(const ArtifactSpec &spec,
                          parallel::CellPool *pool, bool want_report,
-                         std::string manifest = "");
+                         std::string manifest = "",
+                         TimingMemo *memo = nullptr);
 
     obs::RunReport &report() override { return report_; }
     obs::MetricRegistry &metrics() override { return metrics_; }
@@ -188,6 +197,7 @@ class BufferedSweepContext final : public SweepContext
     {
         return manifest_;
     }
+    TimingMemo &timingMemo() override { return *memo_; }
 
     const std::string &output() const { return out_; }
 
@@ -205,6 +215,8 @@ class BufferedSweepContext final : public SweepContext
     bool wantReport_;
     std::string manifest_;
     std::string out_;
+    TimingMemo ownMemo_;
+    TimingMemo *memo_;
 };
 
 /**

@@ -51,8 +51,11 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
             preds[i] = makeFetchPredictor(kind, 64 * 1024,
                                           DelayMode::Overriding);
             results[i] =
-                runTiming(cfg, *preds[i], suite.trace(i),
-                          ctx.tracer());
+                ctx.tracer()
+                    ? runTiming(cfg, *preds[i], suite.trace(i),
+                                ctx.tracer())
+                    : runTiming(cfg, *preds[i], suite, i,
+                                ctx.timingMemo());
         };
         const auto commit = [&](std::size_t i) {
             const auto &r = results[i];

@@ -126,9 +126,70 @@ SimResult
 runTiming(const CoreConfig &cfg, FetchPredictor &pred,
           const TraceBuffer &trace, obs::EventTracer *tracer)
 {
-    OooCore core(cfg, pred);
+    const PredictionColumn column = predictColumn(pred, trace);
+    OooCore core(cfg);
     core.attachTracer(tracer);
-    return core.run(trace);
+    return core.run(trace, column);
+}
+
+SimResult
+runTiming(const CoreConfig &cfg, FetchPredictor &pred,
+          const SuiteTraces &suite, std::size_t w, TimingMemo &memo)
+{
+    const TraceBuffer &trace = suite.trace(w);
+    const PredictionColumn column = predictColumn(pred, trace);
+    return memo.time(
+        {suite.name(w), suite.opsPerWorkload(), suite.seed(), cfg,
+         column.digest()},
+        [&] { return OooCore(cfg).run(trace, column); });
+}
+
+SimResult
+TimingMemo::time(const Key &key,
+                 const std::function<SimResult()> &compute)
+{
+    std::shared_future<SimResult> existing;
+    std::promise<SimResult> promise;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.requests;
+        std::vector<Entry> &bucket = entries_[key.column];
+        const auto it =
+            std::find_if(bucket.begin(), bucket.end(),
+                         [&](const Entry &e) { return e.key == key; });
+        if (it != bucket.end()) {
+            existing = it->result;
+            const bool finished =
+                existing.wait_for(std::chrono::seconds(0)) ==
+                std::future_status::ready;
+            ++(finished ? stats_.hits : stats_.joins);
+        } else {
+            bucket.push_back({key, promise.get_future().share()});
+        }
+    }
+    if (existing.valid())
+        return existing.get();
+    try {
+        const SimResult r = compute();
+        promise.set_value(r);
+        return r;
+    } catch (...) {
+        promise.set_exception(std::current_exception());
+        // Not kept: a later request computes afresh.
+        std::lock_guard<std::mutex> lock(mu_);
+        std::vector<Entry> &bucket = entries_[key.column];
+        bucket.erase(std::find_if(
+            bucket.begin(), bucket.end(),
+            [&](const Entry &e) { return e.key == key; }));
+        throw;
+    }
+}
+
+TimingMemo::Stats
+TimingMemo::stats() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_;
 }
 
 obs::RunReport::Row
@@ -398,7 +459,7 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
                           obs::RunReport &report,
                           obs::MetricRegistry *metrics,
                           obs::EventTracer *tracer,
-                          parallel::CellPool *pool)
+                          parallel::CellPool *pool, TimingMemo &memo)
 {
     suite.describe(report);
     if (metrics)
@@ -412,7 +473,8 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
     // pool's in-order commits emit rows config-major, workload-minor.
     // Each predictor lives from its cell's compute to its commit,
     // where its describeStats() gauges are published. An event
-    // tracer records a single ordered stream, so it never fans out.
+    // tracer records a single ordered stream, so it never fans out,
+    // and it must see every run's events, so it bypasses the memo.
     std::vector<std::unique_ptr<FetchPredictor>> preds(nc * nw);
     forEachCell(
         tracer ? nullptr : pool, nc * nw,
@@ -422,7 +484,9 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
             preds[cell] = c.makeForWorkload ? c.makeForWorkload(w)
                                             : c.make();
             c.results[w] =
-                runTiming(c.cfg, *preds[cell], suite.trace(w), tracer);
+                tracer ? runTiming(c.cfg, *preds[cell], suite.trace(w),
+                                   tracer)
+                       : runTiming(c.cfg, *preds[cell], suite, w, memo);
         },
         [&](std::size_t cell) {
             const TimingCellConfig &c = configs[cell / nw];
@@ -447,6 +511,19 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
     EnsembleStats stats;
     stats.serialCells = nc * nw;
     return stats;
+}
+
+EnsembleStats
+suiteTimingReportEnsemble(const SuiteTraces &suite,
+                          std::vector<TimingCellConfig> &configs,
+                          obs::RunReport &report,
+                          obs::MetricRegistry *metrics,
+                          obs::EventTracer *tracer,
+                          parallel::CellPool *pool)
+{
+    TimingMemo memo;
+    return suiteTimingReportEnsemble(suite, configs, report, metrics,
+                                     tracer, pool, memo);
 }
 
 Counter

@@ -3,7 +3,8 @@
  * Fetch-side predictor wrappers: how a direction predictor's access
  * delay presents itself to the fetch engine.
  *
- * The timing simulator consumes this interface. Every wrapper
+ * The timing simulator consumes this interface through a
+ * PredictionColumn (predictColumn() below). Every wrapper
  * returns a final direction plus the number of fetch-bubble cycles
  * the prediction costs *even when it is correct*:
  *
@@ -30,7 +31,9 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "pipeline/prediction_column.hh"
 #include "predictors/predictor.hh"
+#include "trace/trace_buffer.hh"
 
 namespace bpsim {
 
@@ -244,6 +247,16 @@ class DelayedFetchPredictor : public FetchPredictor
     std::unique_ptr<DirectionPredictor> pred_;
     unsigned latency_;
 };
+
+/**
+ * The column pass of a timing cell: replay every conditional branch
+ * of @p trace through @p pred, in trace order, with the same
+ * predict-then-update pair the fetch engine makes, and record each
+ * answer. The predictor's describeStats() afterwards is what a timing
+ * run's would be.
+ */
+PredictionColumn predictColumn(FetchPredictor &pred,
+                               const TraceBuffer &trace);
 
 } // namespace bpsim
 

@@ -74,6 +74,10 @@ struct CoreConfig
     std::size_t robEntries = 128;
     /** Fetch-to-dispatch buffer capacity. */
     std::size_t fetchBufferEntries = 64;
+
+    /** Field-by-field equality (the timing memo's key compares
+     *  whole configurations, so a new field joins it by itself). */
+    bool operator==(const CoreConfig &) const = default;
 };
 
 } // namespace bpsim

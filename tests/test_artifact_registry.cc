@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -77,6 +78,7 @@ struct Capture
     int exitCode = 0;
     std::string output;
     std::string rowsJson; ///< report minus the metrics snapshot
+    std::string metrics;  ///< every metric but the pool's wall clock
 };
 
 std::string
@@ -85,6 +87,28 @@ rowsOnlyJson(const obs::RunReport &report)
     obs::RunReport stripped = report;
     stripped.metrics = obs::Json();
     return stripped.toJson().dump(2);
+}
+
+/** Every counter and gauge but `parallel.*` (wall clock and
+ *  scheduling) and `trace.*` (which artifact generated a shared
+ *  trace first), which differ from run to run. */
+std::string
+deterministicMetrics(const obs::MetricRegistry &reg)
+{
+    std::ostringstream os;
+    os.precision(17);
+    for (const std::string &name : reg.names()) {
+        if (name.rfind("parallel.", 0) == 0 ||
+            name.rfind("trace.", 0) == 0)
+            continue;
+        os << name << '=';
+        if (const auto *c = reg.findCounter(name))
+            os << c->value();
+        else if (const auto *g = reg.findGauge(name))
+            os << g->value();
+        os << '\n';
+    }
+    return os.str();
 }
 
 TEST(ArtifactRegistry, SweepRunsAreByteIdenticalToStandaloneRuns)
@@ -110,13 +134,15 @@ TEST(ArtifactRegistry, SweepRunsAreByteIdenticalToStandaloneRuns)
         ctx.finalize();
         solo[i].output = ctx.output();
         solo[i].rowsJson = rowsOnlyJson(ctx.report());
+        solo[i].metrics = deterministicMetrics(ctx.metrics());
         EXPECT_EQ(solo[i].exitCode, 0) << defs[i].spec.name;
     }
 
     // Sweep shape: all registered artifact bodies concurrently, each on a
-    // SweepPool view of one shared 4-worker scheduler (what bpsweep
-    // --all --jobs 4 does, minus the CLI).
+    // SweepPool view of one shared 4-worker scheduler and sharing one
+    // timing memo (what bpsweep --all --jobs 4 does, minus the CLI).
     std::vector<Capture> swept(defs.size());
+    TimingMemo sweepMemo;
     {
         parallel::SweepScheduler scheduler(4);
         std::vector<std::unique_ptr<parallel::SweepPool>> pools;
@@ -127,7 +153,7 @@ TEST(ArtifactRegistry, SweepRunsAreByteIdenticalToStandaloneRuns)
             contexts.push_back(
                 std::make_unique<BufferedSweepContext>(
                     def.spec, pools.back().get(),
-                    /*want_report=*/true));
+                    /*want_report=*/true, "", &sweepMemo));
         }
         std::vector<std::thread> drivers;
         for (std::size_t i = 0; i < defs.size(); ++i)
@@ -141,6 +167,8 @@ TEST(ArtifactRegistry, SweepRunsAreByteIdenticalToStandaloneRuns)
         for (std::size_t i = 0; i < defs.size(); ++i) {
             swept[i].output = contexts[i]->output();
             swept[i].rowsJson = rowsOnlyJson(contexts[i]->report());
+            swept[i].metrics =
+                deterministicMetrics(contexts[i]->metrics());
         }
         contexts.clear();
         pools.clear(); // all SweepPools die before the scheduler
@@ -153,7 +181,33 @@ TEST(ArtifactRegistry, SweepRunsAreByteIdenticalToStandaloneRuns)
             << defs[i].spec.name;
         EXPECT_EQ(swept[i].rowsJson, solo[i].rowsJson)
             << defs[i].spec.name;
+        EXPECT_EQ(swept[i].metrics, solo[i].metrics)
+            << defs[i].spec.name;
     }
+    EXPECT_GT(sweepMemo.stats().hits + sweepMemo.stats().joins, 0u);
+
+    // One sweep running fig7 and then fig2: fig7 has already timed
+    // every one of fig2's 288 cells (24 configs x 12 stand-ins), so
+    // fig2 is all memo hits, and still reports exactly what it
+    // reports standalone.
+    const auto index = [&](const std::string &name) {
+        return static_cast<std::size_t>(findArtifact(name) - &defs[0]);
+    };
+    const std::size_t fig2 = index("fig2_ideal_vs_overriding");
+    const std::size_t fig7 = index("fig7_ipc_budget");
+    TimingMemo memo;
+    parallel::CellPool pool(4);
+    BufferedSweepContext first(defs[fig7].spec, &pool, true, "", &memo);
+    ASSERT_EQ(defs[fig7].fn(defs[fig7].spec, first), 0);
+    const TimingMemo::Stats afterFig7 = memo.stats();
+    BufferedSweepContext second(defs[fig2].spec, &pool, true, "", &memo);
+    ASSERT_EQ(defs[fig2].fn(defs[fig2].spec, second), 0);
+    second.finalize();
+    EXPECT_EQ(memo.stats().requests - afterFig7.requests, 288u);
+    EXPECT_EQ(memo.stats().hits - afterFig7.hits, 288u);
+    EXPECT_EQ(second.output(), solo[fig2].output);
+    EXPECT_EQ(rowsOnlyJson(second.report()), solo[fig2].rowsJson);
+    EXPECT_EQ(deterministicMetrics(second.metrics()), solo[fig2].metrics);
 }
 
 TEST(ArtifactRegistry,

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "core/factory.hh"
 #include "predictors/gshare.hh"
 #include "predictors/static_pred.hh"
+#include "workloads/registry.hh"
+#include "workloads/workload.hh"
 
 namespace bpsim {
 namespace {
@@ -95,6 +100,86 @@ TEST(Delayed, SingleCycleLatencyMeansNoBubble)
 {
     DelayedFetchPredictor p(std::make_unique<StaticPredictor>(true), 1);
     EXPECT_EQ(p.predict(0x40).bubbleCycles, 0u);
+}
+
+TEST(ColumnPass, RecordsEachPredictionBeforeItsUpdate)
+{
+    // One entry per conditional branch, in trace order: what the
+    // predictor answered before being trained on that branch.
+    const auto w = makeWorkload("300.twolf");
+    const TraceBuffer t = generateTrace(*w, 20000, 42);
+    auto pred = makeFetchPredictor(PredictorKind::Perceptron, 64 * 1024,
+                                   DelayMode::Overriding);
+    auto ref = makeFetchPredictor(PredictorKind::Perceptron, 64 * 1024,
+                                  DelayMode::Overriding);
+    const PredictionColumn column = predictColumn(*pred, t);
+    const BranchSpan view = t.branchView();
+    ASSERT_EQ(column.size(), t.condBranches());
+    Counter bubbled = 0;
+    for (std::size_t i = 0; i < view.size(); ++i) {
+        const FetchPrediction fp = ref->predict(view.pc(i));
+        ref->update(view.pc(i), view.taken(i));
+        ASSERT_EQ(column.taken(i), fp.taken) << i;
+        ASSERT_EQ(column.bubbleCycles(i), fp.bubbleCycles) << i;
+        bubbled += fp.bubbleCycles > 0;
+    }
+    EXPECT_GT(bubbled, 0u);
+    // The replayed predictor reports what the reference does.
+    const auto got = pred->describeStats();
+    const auto want = ref->describeStats();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].name, want[i].name);
+        EXPECT_EQ(got[i].value, want[i].value) << got[i].name;
+    }
+}
+
+TEST(ColumnPass, DigestSeesEveryEntryAndTheLength)
+{
+    PredictionColumn a, b;
+    for (unsigned i = 0; i < 37; ++i) {
+        a.push(i % 3 == 0, i % 5);
+        b.push(i % 3 == 0, i % 5);
+    }
+    EXPECT_EQ(a.digest(), b.digest());
+    PredictionColumn taken = a, notTaken = a, bubbled = a;
+    taken.push(true, 0);
+    notTaken.push(false, 0);
+    bubbled.push(true, 1);
+    EXPECT_NE(taken.digest(), a.digest());
+    EXPECT_NE(taken.digest(), notTaken.digest());
+    EXPECT_NE(taken.digest(), bubbled.digest());
+    EXPECT_NE(PredictionColumn{}.digest(), a.digest());
+    EXPECT_THROW(a.push(true, PredictionColumn::kMaxBubbleCycles + 1u),
+                 std::out_of_range);
+}
+
+TEST(ColumnPass, GshareFastIdealAndOverridingColumnsAreIdentical)
+{
+    // E7: gshare.fast's pipelining delivers every prediction in one
+    // cycle, so its "overriding" configuration is its ideal one and
+    // Figure 7's two graphs share its column by construction. Checked
+    // on the column pass itself, for every stand-in at every Figure 7
+    // budget.
+    for (const std::string &name : specint2000Names()) {
+        const TraceBuffer t =
+            generateTrace(*makeWorkload(name), 20000, 42);
+        for (std::size_t budget : largeBudgetsBytes()) {
+            SCOPED_TRACE(name + " @" + std::to_string(budget));
+            auto ideal = makeFetchPredictor(PredictorKind::GshareFast,
+                                            budget, DelayMode::Ideal);
+            auto over = makeFetchPredictor(PredictorKind::GshareFast,
+                                           budget,
+                                           DelayMode::Overriding);
+            const PredictionColumn a = predictColumn(*ideal, t);
+            const PredictionColumn b = predictColumn(*over, t);
+            ASSERT_EQ(a.size(), t.condBranches());
+            ASSERT_EQ(a.size(), b.size());
+            EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                                  a.size() * sizeof(*a.data())),
+                      0);
+        }
+    }
 }
 
 } // namespace

@@ -4,13 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
 #include "obs/event_trace.hh"
-#include "pipeline/fetch_predictor.hh"
-#include "predictors/static_pred.hh"
+#include "pipeline/prediction_column.hh"
 #include "trace/trace_buffer.hh"
 #include "workloads/registry.hh"
 #include "workloads/workload.hh"
@@ -74,20 +73,45 @@ branchy(std::size_t branches, unsigned gap,
     return t;
 }
 
+/** A column answering @p fn(ordinal, actual outcome) for each
+ *  conditional branch of @p t, in trace order. */
+PredictionColumn
+columnFor(const TraceBuffer &t,
+          const std::function<std::pair<bool, unsigned>(std::size_t,
+                                                        bool)> &fn)
+{
+    PredictionColumn column;
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < t.size(); ++i)
+        if (t[i].cls == InstClass::CondBranch) {
+            const auto [taken, bubbles] = fn(k++, t[i].taken);
+            column.push(taken, bubbles);
+        }
+    return column;
+}
+
+/** What a static predictor answers: @p taken for every branch, at
+ *  @p bubbles fetch bubbles each. */
+PredictionColumn
+staticColumn(const TraceBuffer &t, bool taken, unsigned bubbles = 0)
+{
+    return columnFor(t, [=](std::size_t, bool) {
+        return std::pair{taken, bubbles};
+    });
+}
+
 SimResult
-simulate(const TraceBuffer &t, std::unique_ptr<DirectionPredictor> p,
+simulate(const TraceBuffer &t, const PredictionColumn &column,
          CoreConfig cfg = CoreConfig{})
 {
-    SingleCycleFetchPredictor fp(std::move(p));
-    OooCore core(cfg, fp);
-    return core.run(t);
+    return OooCore(cfg).run(t, column);
 }
 
 TEST(OooCore, CommitsEverything)
 {
     const auto t = independentAlus(5000);
     const auto r =
-        simulate(t, std::make_unique<StaticPredictor>(true));
+        simulate(t, staticColumn(t, true));
     EXPECT_EQ(r.instructions, 5000u);
     EXPECT_GT(r.cycles, 0u);
 }
@@ -96,7 +120,7 @@ TEST(OooCore, IpcBoundedByIssueWidth)
 {
     const auto t = independentAlus(20000);
     const auto r =
-        simulate(t, std::make_unique<StaticPredictor>(true));
+        simulate(t, staticColumn(t, true));
     EXPECT_LE(r.ipc(), 8.0);
     EXPECT_GT(r.ipc(), 4.0)
         << "independent ALUs should sustain most of the width";
@@ -106,7 +130,7 @@ TEST(OooCore, SerialChainLimitsIpcToOne)
 {
     const auto t = serialChain(20000);
     const auto r =
-        simulate(t, std::make_unique<StaticPredictor>(true));
+        simulate(t, staticColumn(t, true));
     EXPECT_LE(r.ipc(), 1.05);
     EXPECT_GT(r.ipc(), 0.8);
 }
@@ -117,9 +141,9 @@ TEST(OooCore, MispredictionsCostPipelineDepth)
     // branch, an always-taken predictor none.
     const auto t = branchy(2000, 6, [](auto) { return true; });
     const auto good =
-        simulate(t, std::make_unique<StaticPredictor>(true));
+        simulate(t, staticColumn(t, true));
     const auto bad =
-        simulate(t, std::make_unique<StaticPredictor>(false));
+        simulate(t, staticColumn(t, false));
     EXPECT_EQ(good.mispredictions, 0u);
     EXPECT_EQ(bad.mispredictions, 2000u);
     EXPECT_GT(good.ipc(), 2.0 * bad.ipc());
@@ -138,10 +162,9 @@ TEST(OooCore, DeeperFrontEndHurtsMispredictionsMore)
     shallow.frontEndDepth = 6;
     CoreConfig deep;
     deep.frontEndDepth = 25;
-    const auto rs = simulate(
-        t, std::make_unique<StaticPredictor>(true), shallow);
+    const auto rs = simulate(t, staticColumn(t, true), shallow);
     const auto rd =
-        simulate(t, std::make_unique<StaticPredictor>(true), deep);
+        simulate(t, staticColumn(t, true), deep);
     EXPECT_GT(rs.ipc(), rd.ipc());
 }
 
@@ -150,14 +173,10 @@ TEST(OooCore, OverridingBubblesReduceIpc)
     const auto t = branchy(4000, 6, [](auto) { return true; });
     CoreConfig cfg;
     // Ideal single-cycle predictor.
-    auto ideal = simulate(t, std::make_unique<StaticPredictor>(true));
-    // Same final predictions, but disagreeing quick predictor costs
+    auto ideal = simulate(t, staticColumn(t, true));
+    // Same final predictions, but an overriding disagreement costs
     // 8 bubbles per branch.
-    OverridingFetchPredictor over(
-        std::make_unique<StaticPredictor>(false),
-        std::make_unique<StaticPredictor>(true), 8);
-    OooCore core(cfg, over);
-    const auto r = core.run(t);
+    const auto r = simulate(t, staticColumn(t, true, 8), cfg);
     EXPECT_EQ(r.mispredictions, 0u);
     EXPECT_GT(r.overridingBubbleCycles, 0u);
     EXPECT_LT(r.ipc(), ideal.ipc());
@@ -177,7 +196,7 @@ TEST(OooCore, LoadMissesThrottleIpc)
         t.push(op);
     }
     const auto r =
-        simulate(t, std::make_unique<StaticPredictor>(true));
+        simulate(t, staticColumn(t, true));
     // ~236 cycles per op: slow, but the livelock guard scales with
     // the miss latencies, so the chase runs to the end.
     EXPECT_EQ(r.instructions, t.size());
@@ -199,8 +218,7 @@ TEST(OooCore, BtbMissPenaltyAccounted)
     }
     CoreConfig small;
     small.btbEntries = 16;
-    const auto r = simulate(
-        t, std::make_unique<StaticPredictor>(true), small);
+    const auto r = simulate(t, staticColumn(t, true), small);
     EXPECT_GT(r.btbMissPenaltyCycles, 0u);
     EXPECT_LT(r.btbHitRate, 0.9);
 }
@@ -209,7 +227,7 @@ TEST(OooCore, ResultRates)
 {
     const auto t = branchy(100, 9, [](auto b) { return b % 4 != 0; });
     const auto r =
-        simulate(t, std::make_unique<StaticPredictor>(true));
+        simulate(t, staticColumn(t, true));
     EXPECT_EQ(r.condBranches, 100u);
     EXPECT_EQ(r.mispredictions, 25u);
     EXPECT_DOUBLE_EQ(r.mispredictionRate(), 0.25);
@@ -249,11 +267,10 @@ branchResolveCycle(std::size_t dependents, unsigned issue_width)
 
     CoreConfig cfg;
     cfg.issueWidth = issue_width;
-    SingleCycleFetchPredictor fp(std::make_unique<StaticPredictor>(true));
     obs::EventTracer tracer;
-    OooCore core(cfg, fp);
+    OooCore core(cfg);
     core.attachTracer(&tracer);
-    const SimResult r = core.run(t);
+    const SimResult r = core.run(t, staticColumn(t, true));
     EXPECT_EQ(r.instructions, t.size());
     EXPECT_EQ(r.mispredictions, 1u);
     for (std::size_t i = 0; i < tracer.size(); ++i)
@@ -284,27 +301,17 @@ TEST(OooCore, IssueScansOnlyTheOldestUnissuedWindow)
     }
 }
 
-/** A fetch predictor that charges a million-cycle bubble per branch,
- *  far beyond any stock delay-hiding scheme. */
-struct MillionCycleBubbles final : FetchPredictor
-{
-    std::string name() const override { return "bubbles"; }
-    std::size_t storageBits() const override { return 0; }
-    FetchPrediction predict(Addr) override { return {true, 1000000}; }
-    void update(Addr, bool) override {}
-};
-
 TEST(OooCore, LivelockGuardThrowsInsteadOfTruncating)
 {
-    // 2000 ops of mcf with a million-cycle bubble per branch run far
-    // past the guard: the run must fail loudly, naming how far it
-    // got, rather than return a partial SimResult.
+    // 2000 ops of mcf with a million-cycle bubble per branch, far
+    // beyond any stock delay-hiding scheme, run far past the guard:
+    // the run must fail loudly, naming how far it got, rather than
+    // return a partial SimResult.
     const auto w = makeWorkload("181.mcf");
     const TraceBuffer t = generateTrace(*w, 2000, 42);
-    MillionCycleBubbles fp;
-    OooCore core(CoreConfig{}, fp);
+    OooCore core(CoreConfig{});
     try {
-        core.run(t);
+        core.run(t, staticColumn(t, true, 1000000));
         FAIL() << "expected the livelock guard to throw";
     } catch (const std::runtime_error &e) {
         const std::string msg = e.what();
@@ -313,6 +320,98 @@ TEST(OooCore, LivelockGuardThrowsInsteadOfTruncating)
             << msg;
         EXPECT_NE(msg.find("/ 2000 ops fetched"), std::string::npos)
             << msg;
+    }
+}
+
+/** The accounting identities every run satisfies (what `bpstat
+ *  check` enforces on reports). */
+void
+expectInvariants(const SimResult &r, const TraceBuffer &t,
+                 const CoreConfig &cfg)
+{
+    EXPECT_EQ(r.instructions, t.size());
+    EXPECT_EQ(r.condBranches, t.condBranches());
+    EXPECT_EQ(r.squashedUops, cfg.issueWidth * r.flushCycles());
+    EXPECT_EQ(r.frontEndStallCycles,
+              r.overrideStallCycles + r.btbStallCycles);
+}
+
+TEST(OooCore, SyntheticColumnsDriveMispredictionsAndBubbles)
+{
+    // The core reads predictions from the column alone: a column
+    // that is right on every branch, one that is wrong on every
+    // branch, and one that is right but charges bubbles on some.
+    const auto w = makeWorkload("176.gcc");
+    const TraceBuffer t = generateTrace(*w, 20000, 42);
+    ASSERT_GT(t.condBranches(), 1000u);
+    const CoreConfig cfg;
+
+    const auto right = columnFor(t, [](std::size_t, bool taken) {
+        return std::pair{taken, 0u};
+    });
+    const auto wrong = columnFor(t, [](std::size_t, bool taken) {
+        return std::pair{!taken, 0u};
+    });
+    Counter bubbleSum = 0, bubbled = 0;
+    const auto bubbly = columnFor(t, [&](std::size_t k, bool taken) {
+        const unsigned b = k % 3 == 0 ? static_cast<unsigned>(k % 7) : 0u;
+        bubbleSum += b;
+        bubbled += b > 0;
+        return std::pair{taken, b};
+    });
+    ASSERT_GT(bubbled, 0u);
+
+    const SimResult r = simulate(t, right, cfg);
+    expectInvariants(r, t, cfg);
+    EXPECT_EQ(r.mispredictions, 0u);
+    EXPECT_EQ(r.overridingBubbleCycles, 0u);
+    EXPECT_EQ(r.flushes, 0u);
+    EXPECT_EQ(r.flushCycles(), 0u);
+
+    const SimResult x = simulate(t, wrong, cfg);
+    expectInvariants(x, t, cfg);
+    EXPECT_EQ(x.mispredictions, t.condBranches());
+    EXPECT_EQ(x.overridingBubbleCycles, 0u);
+    EXPECT_EQ(x.flushes, t.condBranches());
+    EXPECT_GT(x.mispredictWaitCycles, 0u);
+    EXPECT_GT(x.cycles, r.cycles);
+
+    const SimResult b = simulate(t, bubbly, cfg);
+    expectInvariants(b, t, cfg);
+    EXPECT_EQ(b.mispredictions, 0u);
+    EXPECT_EQ(b.overridingBubbleCycles, bubbleSum);
+    EXPECT_EQ(b.flushes, bubbled);
+    EXPECT_GT(b.overrideStallCycles, 0u);
+    EXPECT_GT(b.cycles, r.cycles);
+}
+
+TEST(OooCore, ColumnOfTheWrongLengthThrowsBeforeSimulating)
+{
+    const auto w = makeWorkload("164.gzip");
+    const TraceBuffer t = generateTrace(*w, 5000, 42);
+    ASSERT_GT(t.condBranches(), 0u);
+    PredictionColumn shortColumn;
+    for (Counter k = 0; k + 1 < t.condBranches(); ++k)
+        shortColumn.push(true, 0);
+    PredictionColumn longColumn = staticColumn(t, true);
+    longColumn.push(true, 0);
+
+    for (const PredictionColumn *c : {&shortColumn, &longColumn}) {
+        obs::EventTracer tracer;
+        OooCore core(CoreConfig{});
+        core.attachTracer(&tracer);
+        try {
+            core.run(t, *c);
+            FAIL() << "expected a length mismatch to throw";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::to_string(t.condBranches()) +
+                          " conditional branches"),
+                      std::string::npos)
+                << e.what();
+        }
+        // Nothing was simulated: no cycle recorded a single event.
+        EXPECT_EQ(tracer.size(), 0u);
     }
 }
 

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "robust/fault_injector.hh"
 #include "robust/protection.hh"
 #include "workloads/registry.hh"
+#include "workloads/workload.hh"
 
 namespace bpsim {
 namespace {
@@ -258,6 +263,211 @@ TEST(SuiteTiming, TracerPathMatchesUntracedPath)
               plainReport.toJson().dump(2));
     EXPECT_EQ(tracedMetrics.toJson().dump(2),
               plainMetrics.toJson().dump(2));
+}
+
+TEST(TimingMemo, EveryKeyFieldSeparatesEntries)
+{
+    TimingMemo memo;
+    int computed = 0;
+    const auto compute = [&] {
+        SimResult r;
+        r.cycles = static_cast<Counter>(++computed);
+        return r;
+    };
+    const TimingMemo::Key key{"176.gcc", 1000, 42, CoreConfig{},
+                              Digest128{1, 2}};
+    EXPECT_EQ(memo.time(key, compute).cycles, 1u);
+    EXPECT_EQ(memo.time(key, compute).cycles, 1u);
+
+    // Change one field at a time: each is a new core pass.
+    std::vector<TimingMemo::Key> others(7, key);
+    others[0].workload = "181.mcf";
+    others[1].ops = 1001;
+    others[2].seed = 43;
+    others[3].cfg.frontEndDepth += 1;
+    others[4].cfg.robEntries *= 2;
+    others[5].column.hi = 3;
+    others[6].column.lo = 0;
+    for (std::size_t i = 0; i < others.size(); ++i)
+        EXPECT_EQ(memo.time(others[i], compute).cycles, i + 2) << i;
+    const TimingMemo::Stats st = memo.stats();
+    EXPECT_EQ(st.requests, 9u);
+    EXPECT_EQ(st.hits, 1u);
+    EXPECT_EQ(st.joins, 0u);
+}
+
+TEST(TimingMemo, ConcurrentRequestsJoinOneComputation)
+{
+    TimingMemo memo;
+    const TimingMemo::Key key{"176.gcc", 1000, 42, CoreConfig{},
+                              Digest128{7, 7}};
+    std::atomic<int> computed{0};
+    std::atomic<bool> release{false};
+    std::thread first([&] {
+        memo.time(key, [&] {
+            ++computed;
+            while (!release)
+                std::this_thread::yield();
+            SimResult r;
+            r.cycles = 5;
+            return r;
+        });
+    });
+    while (computed == 0)
+        std::this_thread::yield();
+    std::thread second([&] {
+        EXPECT_EQ(memo.time(key, [&] {
+                          ++computed;
+                          return SimResult{};
+                      }).cycles,
+                  5u);
+    });
+    while (memo.stats().requests < 2)
+        std::this_thread::yield();
+    release = true;
+    first.join();
+    second.join();
+    EXPECT_EQ(computed, 1);
+    EXPECT_EQ(memo.stats().joins, 1u);
+}
+
+TEST(TimingMemo, AFailedComputationIsNotKept)
+{
+    TimingMemo memo;
+    const TimingMemo::Key key{"176.gcc", 1000, 42, CoreConfig{},
+                              Digest128{9, 9}};
+    EXPECT_THROW(memo.time(key,
+                           []() -> SimResult {
+                               throw std::runtime_error("livelock");
+                           }),
+                 std::runtime_error);
+    SimResult ok;
+    ok.cycles = 3;
+    EXPECT_EQ(memo.time(key, [&] { return ok; }).cycles, 3u);
+    EXPECT_EQ(memo.stats().hits, 0u);
+}
+
+TEST(SuiteTiming, MemoNeverSharesAcrossCoreConfigs)
+{
+    // Four configs with the same predictor, hence equal columns: the
+    // Table 1 core, a deeper front end, a smaller ROB, and the Table 1
+    // core again. Only the repeat may hit.
+    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
+    CoreConfig deeper;
+    deeper.frontEndDepth = 25;
+    CoreConfig smaller;
+    smaller.robEntries = 32;
+    const auto configs = [&] {
+        std::vector<TimingCellConfig> cells;
+        for (const CoreConfig &cfg :
+             {CoreConfig{}, deeper, smaller, CoreConfig{}})
+            cells.push_back({[] {
+                                 return makeFetchPredictor(
+                                     PredictorKind::Gshare, 16 * 1024,
+                                     DelayMode::Overriding);
+                             },
+                             "gshare", "overriding", 16 * 1024, cfg});
+        return cells;
+    };
+    std::vector<TimingCellConfig> cells = configs();
+    obs::RunReport report;
+    TimingMemo memo;
+    parallel::CellPool pool(4);
+    suiteTimingReportEnsemble(suite, cells, report, nullptr, nullptr,
+                              &pool, memo);
+    const TimingMemo::Stats st = memo.stats();
+    EXPECT_EQ(st.requests, cells.size() * suite.size());
+    EXPECT_EQ(st.hits + st.joins, suite.size());
+
+    const std::vector<TimingCellConfig> ref = configs();
+    for (std::size_t c = 0; c < cells.size(); ++c)
+        for (std::size_t w = 0; w < suite.size(); ++w) {
+            SCOPED_TRACE(std::to_string(c) + "/" + suite.name(w));
+            auto pred = ref[c].make();
+            expectSameSimResult(
+                cells[c].results[w],
+                runTiming(ref[c].cfg, *pred, suite.trace(w)));
+        }
+    for (std::size_t c : {1u, 2u})
+        EXPECT_NE(cells[c].harmonicMeanIpc, cells[0].harmonicMeanIpc);
+}
+
+TEST(SuiteTiming, TracerBypassesTheMemo)
+{
+    // Two identical configs with a tracer: both are simulated (the
+    // tracer sees every run's events) and the memo is never asked.
+    const SuiteTraces suite(2000, 13, nullptr, TraceCache());
+    const auto config = [] {
+        return TimingCellConfig(
+            [] {
+                return makeFetchPredictor(PredictorKind::Gshare,
+                                          16 * 1024,
+                                          DelayMode::Overriding);
+            },
+            "gshare", "overriding", 16 * 1024, CoreConfig{});
+    };
+    std::vector<TimingCellConfig> once = {config()};
+    std::vector<TimingCellConfig> twice = {config(), config()};
+    obs::RunReport r1, r2;
+    obs::EventTracer t1(1 << 10), t2(1 << 10);
+    TimingMemo memo;
+    suiteTimingReportEnsemble(suite, once, r1, nullptr, &t1, nullptr);
+    suiteTimingReportEnsemble(suite, twice, r2, nullptr, &t2, nullptr,
+                              memo);
+    EXPECT_GT(t1.recorded(), 0u);
+    EXPECT_EQ(t2.recorded(), 2 * t1.recorded());
+    EXPECT_EQ(memo.stats().requests, 0u);
+}
+
+TEST(SuiteTiming, CallsWithoutAMemoEachTimeEveryCell)
+{
+    // The memo of a call that is not given one dies with the call:
+    // nothing carries over, not even to a key that looks the same.
+    // Plant, under every workload's real cache key, its trace with
+    // each ALU op turned into a multiply. Branch streams, and so the
+    // columns, are unchanged; timing is not. A memo that outlived the
+    // first call would answer the second from the planted traces.
+    const Counter ops = 3000;
+    const std::uint64_t seed = 13;
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        "bpsim_test_memo_scope";
+    std::filesystem::remove_all(dir);
+    const TraceCache planted(dir.string());
+    for (const std::string &name : specint2000Names()) {
+        TraceBuffer slow;
+        for (MicroOp op : generateTrace(*makeWorkload(name), ops, seed)) {
+            if (op.cls == InstClass::IntAlu)
+                op.cls = InstClass::IntMul;
+            slow.push(op);
+        }
+        ASSERT_TRUE(planted.store(name, ops, seed, slow));
+    }
+    const SuiteTraces slowSuite(ops, seed, nullptr, planted);
+    const SuiteTraces realSuite(ops, seed, nullptr, TraceCache());
+    ASSERT_EQ(slowSuite.cacheHits(), slowSuite.size());
+
+    const auto configs = [] {
+        return std::vector<TimingCellConfig>{
+            {[] {
+                 return makeFetchPredictor(PredictorKind::Gshare,
+                                           16 * 1024, DelayMode::Ideal);
+             },
+             "gshare", "ideal", 16 * 1024, CoreConfig{}}};
+    };
+    std::vector<TimingCellConfig> slow = configs(), real = configs();
+    obs::RunReport r1, r2;
+    suiteTimingReportEnsemble(slowSuite, slow, r1);
+    suiteTimingReportEnsemble(realSuite, real, r2);
+    for (std::size_t w = 0; w < realSuite.size(); ++w) {
+        SCOPED_TRACE(realSuite.name(w));
+        auto pred = configs()[0].make();
+        expectSameSimResult(
+            real[0].results[w],
+            runTiming(CoreConfig{}, *pred, realSuite.trace(w)));
+        EXPECT_GT(slow[0].results[w].cycles, real[0].results[w].cycles);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(BenchOps, EnvironmentOverride)

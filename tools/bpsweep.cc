@@ -16,7 +16,11 @@
  * artifacts' cell deques with work stealing — so the long-pole
  * artifact keeps every core busy while short ones finish. Traces are
  * materialized once process-wide through the SharedTracePool instead
- * of once per bench.
+ * of once per bench, and one TimingMemo serves every artifact, so a
+ * core pass another artifact already ran (fig2's cells are fig7's)
+ * runs once per invocation. The summary's "timing memo" line counts
+ * its requests, hits and in-flight joins; per-artifact reports carry
+ * no memo data, so they match the standalone benches.
  *
  * Determinism contract: each artifact's rows are computed on workers
  * but committed on its own driver thread in strict index order (the
@@ -264,6 +268,7 @@ main(int argc, char **argv)
     }
 
     const auto sweepStart = std::chrono::steady_clock::now();
+    bpsim::TimingMemo memo;
     std::vector<ArtifactResult> results(selected.size());
     std::vector<std::unique_ptr<bpsim::BufferedSweepContext>> contexts(
         selected.size());
@@ -283,7 +288,7 @@ main(int argc, char **argv)
             pools[i] = std::make_unique<bpsim::parallel::SweepPool>(
                 scheduler, def->spec.name);
             contexts[i] = std::make_unique<bpsim::BufferedSweepContext>(
-                def->spec, pools[i].get(), wantReport);
+                def->spec, pools[i].get(), wantReport, "", &memo);
             drivers.emplace_back([def, &ctx = *contexts[i],
                                   &res = results[i], &artifactsDone] {
                 bpsim::obs::SpanRecorder::nameThisThread(
@@ -383,6 +388,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(sched.cells),
                 static_cast<unsigned long long>(sched.steals),
                 sched.peakActiveQueues);
+    const auto memoStats = memo.stats();
+    std::printf("timing memo: %llu core pass request(s), %llu hit(s), "
+                "%llu in-flight join(s)\n",
+                static_cast<unsigned long long>(memoStats.requests),
+                static_cast<unsigned long long>(memoStats.hits),
+                static_cast<unsigned long long>(memoStats.joins));
     std::printf("trace pool: %llu memory hit(s), %llu disk hit(s), "
                 "%llu generated, %llu evicted\n",
                 static_cast<unsigned long long>(pool.memoryHits),
