@@ -126,9 +126,15 @@ struct LayerTest
     void
     flip(std::size_t elem, unsigned bit)
     {
-        const std::uint64_t before = field.load(elem);
-        layer.recordFlip(field, elem, bit, before);
-        field.store(elem, before ^ (std::uint64_t{1} << bit));
+        flipIn(field, elem, bit);
+    }
+
+    void
+    flipIn(const robust::StateField &f, std::size_t elem, unsigned bit)
+    {
+        const std::uint64_t before = f.load(elem);
+        layer.recordFlip(f, elem, bit, before);
+        f.store(elem, before ^ (std::uint64_t{1} << bit));
     }
 
     std::vector<std::uint64_t> values{0x55, 0x55, 0x55, 0x55};
@@ -216,6 +222,81 @@ TEST(ProtectionLayer, OverwrittenElementsAreLaundered)
     EXPECT_EQ(t.layer.stats().launderedElements, 1u);
     EXPECT_EQ(t.layer.stats().correctedBits, 0u);
     EXPECT_EQ(t.layer.pendingWords(), 0u);
+}
+
+TEST(ProtectionLayer, CarriedParityWordCaughtByAThirdFlip)
+{
+    LayerTest t(ProtectionPolicy::ParityInvalidate);
+    t.flip(0, 1);
+    t.flip(0, 2);
+    t.layer.repair();
+    EXPECT_EQ(t.layer.stats().undetectedWords, 1u);
+    ASSERT_EQ(t.layer.pendingWords(), 1u);
+    // The third flip lands in the carried word's other element: the
+    // word now holds three flipped bits, so parity fires.
+    t.flip(1, 7);
+    t.layer.repair();
+    EXPECT_EQ(t.values[0], t.field.resetValue);
+    EXPECT_EQ(t.values[1], t.field.resetValue);
+    EXPECT_EQ(t.layer.stats().invalidatedWords, 1u);
+    EXPECT_EQ(t.layer.stats().invalidatedElements, 2u);
+    EXPECT_EQ(t.layer.pendingWords(), 0u);
+}
+
+TEST(ProtectionLayer, FlipAfterAWriteIsCheckedAgainstTheWrittenValue)
+{
+    LayerTest t(ProtectionPolicy::SecdedCorrect);
+    // The same bit twice cancels out...
+    t.flip(2, 3);
+    t.flip(2, 3);
+    EXPECT_EQ(t.values[2], 0x55u);
+    // ...the predictor then writes the element, and a third flip
+    // lands on the new value before the check.
+    t.field.store(2, 0x21);
+    t.flip(2, 0);
+    t.layer.repair();
+    // Corrected back to the value before the third flip, not to the
+    // value before the first.
+    EXPECT_EQ(t.values[2], 0x21u);
+    EXPECT_EQ(t.layer.stats().correctedBits, 1u);
+    EXPECT_EQ(t.layer.stats().launderedElements, 0u);
+    EXPECT_EQ(t.layer.pendingWords(), 0u);
+}
+
+TEST(ProtectionLayer, CarriedWordIsLaunderedByAWrite)
+{
+    LayerTest t(ProtectionPolicy::ParityInvalidate);
+    t.flip(0, 1);
+    t.flip(0, 2);
+    t.layer.repair();
+    ASSERT_EQ(t.layer.pendingWords(), 1u);
+    // The predictor overwrites the corrupted element between checks.
+    t.field.store(0, 0x10);
+    t.layer.repair();
+    EXPECT_EQ(t.values[0], 0x10u);
+    EXPECT_EQ(t.values[1], 0x55u);
+    EXPECT_EQ(t.layer.stats().launderedElements, 1u);
+    EXPECT_EQ(t.layer.stats().invalidatedWords, 0u);
+    EXPECT_EQ(t.layer.stats().undetectedWords, 1u);
+    EXPECT_EQ(t.layer.pendingWords(), 0u);
+}
+
+TEST(ProtectionLayer, SameNamedFieldsAreRepairedInTheirOwnStorage)
+{
+    LayerTest t(ProtectionPolicy::SecdedCorrect);
+    std::vector<std::uint64_t> other{0x55, 0x55, 0x55, 0x55};
+    const robust::StateField twin =
+        robust::wordArrayField(t.field.name, other, 8);
+    // One flip in word 0 of each field: two single-bit words, not
+    // one double-bit word.
+    t.flipIn(t.field, 0, 1);
+    t.flipIn(twin, 1, 2);
+    EXPECT_EQ(t.layer.pendingWords(), 2u);
+    t.layer.repair();
+    EXPECT_EQ(t.values[0], 0x55u);
+    EXPECT_EQ(other[1], 0x55u);
+    EXPECT_EQ(t.layer.stats().correctedBits, 2u);
+    EXPECT_EQ(t.layer.stats().invalidatedWords, 0u);
 }
 
 TEST(ProtectedPredictor, RateZeroIsTransparent)

@@ -28,6 +28,13 @@
  * row's JSON, the `#table`, and an `#metrics` line digesting every
  * metric but the core.ensemble.* grouping gauges.
  *
+ * A fourth gate, tests/golden/protection_rows.tsv, pins the
+ * protection layer cell by cell: protected gshare, perceptron,
+ * multicomponent and 2bc-gskew at 64 KB under every policy at two
+ * upset rates, on every stand-in, each line digesting the accuracy
+ * result, every ProtectionStats counter, the injector's tallies and
+ * the predictor's final visitState() contents.
+ *
  * Each test writes what it computed to `<golden name>.actual.tsv` in
  * its working directory. Refresh a golden only from a tree whose
  * numbers are known good, by copying that file over it.
@@ -293,6 +300,86 @@ coreShapeConfigs()
     return cells;
 }
 
+/** Digests every field a visitor sees: name, shape and each
+ *  element's raw bits. */
+class StateDigest : public robust::StateVisitor
+{
+  public:
+    void
+    visit(const robust::StateField &field) override
+    {
+        os_ << field.name << ':' << field.count << 'x' << field.bits
+            << '=';
+        for (std::size_t e = 0; e < field.count; ++e)
+            os_ << field.load(e) << ',';
+        os_ << '\n';
+    }
+
+    std::string str() const { return os_.str(); }
+
+  private:
+    std::ostringstream os_;
+};
+
+/** The protected accuracy cells: each kind under each policy and
+ *  upset rate (perfbench's intervalBranches, wordBits and scrub
+ *  interval), one `protection\t<workload>/<kind>@u=<rate>@p=<policy>`
+ *  line per stand-in. */
+void
+protectionLines(std::vector<std::string> &out)
+{
+    const SuiteTraces suite(kOps, 42);
+    const std::vector<PredictorKind> kinds = {
+        PredictorKind::Gshare, PredictorKind::Perceptron,
+        PredictorKind::MultiComponent, PredictorKind::Gskew};
+    const std::vector<std::pair<double, std::string>> rates = {
+        {1e-4, "1e-4"}, {1e-3, "1e-3"}};
+    const auto &policies = robust::allProtectionPolicies();
+    const std::size_t per_kind = rates.size() * policies.size();
+    const std::size_t per_rate = policies.size();
+    const std::size_t cells = kinds.size() * per_kind * suite.size();
+
+    std::vector<std::string> lines(cells);
+    parallel::CellPool pool(4);
+    pool.run(cells, [&](std::size_t i) {
+        const std::size_t w = i % suite.size();
+        const std::size_t config = i / suite.size();
+        const std::size_t ki = config / per_kind;
+        const std::size_t ri = config % per_kind / per_rate;
+        const std::size_t pi = config % per_rate;
+
+        robust::FaultPlan plan;
+        plan.upsetRatePerBit = rates[ri].first;
+        plan.intervalBranches = 256;
+        plan.seed = 3000 + ki * 1000 + ri * 100 + pi * 20 + w;
+        robust::ProtectionConfig pc;
+        pc.policy = policies[pi];
+        pc.wordBits = 64;
+        pc.scrubIntervalBranches = 2048;
+        auto pred = makeProtectedPredictor(kinds[ki], 64 * 1024, pc, plan);
+        const AccuracyResult r = runAccuracy(*pred, suite.trace(w));
+        const robust::ProtectionStats &s = pred->protectionStats();
+        const robust::FaultInjector &inj = pred->injector();
+        StateDigest state;
+        pred->visitState(state);
+
+        std::ostringstream os;
+        os << r.branches << ',' << r.mispredictions << ';'
+           << s.injectedFlips << ',' << s.correctedBits << ','
+           << s.invalidatedWords << ',' << s.invalidatedElements << ','
+           << s.undetectedWords << ',' << s.launderedElements << ','
+           << s.repairEvents << ',' << s.scrubEvents << ';'
+           << inj.flips() << ',' << inj.events() << ','
+           << inj.bitsVisited() << ';' << state.str();
+        lines[i] = line("protection",
+                        suite.name(w) + "/" + kindName(kinds[ki]) +
+                            "@u=" + rates[ri].second + "@p=" +
+                            robust::protectionPolicyName(policies[pi]),
+                        os.str());
+    });
+    out.insert(out.end(), lines.begin(), lines.end());
+}
+
 std::vector<std::string>
 readLines(const std::string &path)
 {
@@ -368,6 +455,15 @@ TEST(TimingGolden, AccuracyRowsMatchFrozenDigests)
                   actual);
     expectMatchesGolden(actual, "accuracy_rows",
                         BPSIM_GOLDEN_ACCURACY_ROWS);
+}
+
+TEST(TimingGolden, ProtectionCellsMatchFrozenDigests)
+{
+    ASSERT_NO_FATAL_FAILURE(pinEnvironment());
+    std::vector<std::string> actual;
+    protectionLines(actual);
+    expectMatchesGolden(actual, "protection_rows",
+                        BPSIM_GOLDEN_PROTECTION_ROWS);
 }
 
 } // namespace
