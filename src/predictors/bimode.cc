@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/bitutil.hh"
+#include "robust/state_visitor.hh"
 
 namespace bpsim {
 
@@ -18,6 +19,21 @@ BiModePredictor::BiModePredictor(std::size_t direction_entries,
 {
     assert(isPowerOfTwo(direction_entries));
     assert(isPowerOfTwo(choice_.size()));
+}
+
+void
+BiModePredictor::visitState(robust::StateVisitor &v)
+{
+    // An invalidated taken-bank counter goes back to its initial
+    // weakly-taken state, like the bank itself.
+    robust::StateField taken =
+        robust::packedCounterField("pred.bimode.taken_bank", takenBank_);
+    taken.resetValue = 2;
+    v.visit(taken);
+    v.visit(robust::packedCounterField("pred.bimode.not_taken_bank",
+                                       notTakenBank_));
+    v.visit(robust::packedCounterField("pred.bimode.choice", choice_));
+    v.visit(robust::historyField("pred.bimode.history", history_));
 }
 
 } // namespace bpsim

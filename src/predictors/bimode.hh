@@ -35,6 +35,7 @@ class BiModePredictor final : public DirectionPredictor
         return (takenBank_.size() + notTakenBank_.size() +
                 choice_.size()) * 2 + history_.length();
     }
+    void visitState(robust::StateVisitor &v) override;
     // Inline bodies: see the note in gshare.hh.
     bool
     predict(Addr pc) override

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/bitutil.hh"
+#include "robust/state_visitor.hh"
 
 namespace bpsim {
 
@@ -27,6 +28,20 @@ TournamentPredictor::storageBits() const
 {
     return globalPht_.storageBits() + local_.storageBits() +
            chooser_.storageBits() + history_.length();
+}
+
+void
+TournamentPredictor::visitState(robust::StateVisitor &v)
+{
+    v.visit(robust::packedCounterField("pred.tournament.global_pht",
+                                       globalPht_));
+    // The local component's fields are prefixed, as multicomponent
+    // prefixes its components.
+    robust::PrefixingStateVisitor local(v, "pred.tournament.local.");
+    local_.visitState(local);
+    v.visit(robust::packedCounterField("pred.tournament.chooser",
+                                       chooser_));
+    v.visit(robust::historyField("pred.tournament.history", history_));
 }
 
 std::vector<PredictorStat>

@@ -56,6 +56,7 @@ class TournamentPredictor final : public DirectionPredictor
     }
 
     std::vector<PredictorStat> describeStats() const override;
+    void visitState(robust::StateVisitor &v) override;
 
   private:
     std::size_t

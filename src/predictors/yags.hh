@@ -40,6 +40,7 @@ class YagsPredictor final : public DirectionPredictor
 
     std::string name() const override { return "yags"; }
     std::size_t storageBits() const override;
+    void visitState(robust::StateVisitor &v) override;
     // Inline bodies: see the note in gshare.hh.
     bool
     predict(Addr pc) override

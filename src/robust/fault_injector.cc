@@ -1,6 +1,7 @@
 #include "robust/fault_injector.hh"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace bpsim::robust {
 
@@ -30,6 +31,22 @@ FaultPlan::matches(const std::string &field_name) const
         if (field_name == f)
             return true;
     return false;
+}
+
+std::string
+FaultPlan::describeTargets() const
+{
+    std::string out;
+    const auto add = [&out](const std::string &target) {
+        out += (out.empty() ? "" : ", ") + target;
+    };
+    if (!targetPrefix.empty())
+        add(targetPrefix + "*");
+    for (const std::string &p : targetPrefixes)
+        add(p + "*");
+    for (const std::string &f : targetFields)
+        add(f);
+    return out.empty() ? "every field" : out;
 }
 
 FaultInjector::FaultInjector(const FaultPlan &plan)
@@ -67,10 +84,21 @@ FaultInjector::sampleFlipCount(std::size_t total_bits)
 }
 
 void
+FaultInjector::throwNothingMatched() const
+{
+    throw std::invalid_argument(
+        "fault injection event matched no state field (targets: " +
+        plan_.describeTargets() + "; " + std::to_string(fieldOrdinal_) +
+        " field(s) exposed)");
+}
+
+void
 FaultInjector::visit(const StateField &field)
 {
+    const std::size_t ordinal = fieldOrdinal_++;
     if (!plan_.matches(field.name))
         return;
+    ++fieldsMatched_;
 
     const std::size_t total = field.totalBits();
     if (total == 0)
@@ -85,7 +113,7 @@ FaultInjector::visit(const StateField &field)
         const unsigned bit = static_cast<unsigned>(pos % field.bits);
         const std::uint64_t before = field.load(elem);
         if (observer_)
-            observer_(field, elem, bit, before);
+            observer_(ordinal, field, elem, bit, before);
         field.store(elem, before ^ (std::uint64_t{1} << bit));
     }
     flips_ += n;
@@ -104,10 +132,8 @@ FaultInjectingPredictor::update(Addr pc, bool taken)
 {
     inner_->update(pc, taken);
     const Counter interval = injector_.plan().intervalBranches;
-    if (interval > 0 && ++updates_ % interval == 0) {
-        injector_.beginEvent();
-        inner_->visitState(injector_);
-    }
+    if (interval > 0 && ++updates_ % interval == 0)
+        injector_.inject(*inner_);
 }
 
 std::vector<PredictorStat>
@@ -134,10 +160,8 @@ FaultInjectingFetchPredictor::update(Addr pc, bool taken)
 {
     inner_->update(pc, taken);
     const Counter interval = injector_.plan().intervalBranches;
-    if (interval > 0 && ++updates_ % interval == 0) {
-        injector_.beginEvent();
-        inner_->visitState(injector_);
-    }
+    if (interval > 0 && ++updates_ % interval == 0)
+        injector_.inject(*inner_);
 }
 
 std::vector<PredictorStat>

@@ -58,22 +58,48 @@ struct FaultPlan
      *  targeting at all means every field, otherwise the name must
      *  match one prefix or one exact name. */
     bool matches(const std::string &field_name) const;
+
+    /** The targeting, for messages: "every field" or the prefixes
+     *  (as `name*`) and exact names, comma-separated. */
+    std::string describeTargets() const;
 };
 
 /** Walks visitState() fields and flips bits per a FaultPlan. */
 class FaultInjector : public StateVisitor
 {
   public:
-    /** Called for every flip as it lands: the field, the element
+    /** Called for every flip as it lands: the field's ordinal in the
+     *  event's visitState() walk (stable from event to event, and
+     *  distinct for same-named fields), the field, the element
      *  index, the bit within it, and the element's value *before*
      *  the flip. Protection policies record flips through this so
      *  detection/repair replays the exact injection stream. */
     using FlipObserver = std::function<void(
-        const StateField &field, std::size_t elem, unsigned bit,
-        std::uint64_t before)>;
+        std::size_t field_ordinal, const StateField &field,
+        std::size_t elem, unsigned bit, std::uint64_t before)>;
 
     explicit FaultInjector(const FaultPlan &plan);
 
+    /**
+     * Run one injection event: walk @p target's visitState() and
+     * flip bits per the plan. Throws std::invalid_argument, naming
+     * the plan's targets, when no field matched them (a mistyped
+     * prefix, or a predictor that exposes no state): an event that
+     * flips nothing by accident would pass for a fault-free run.
+     */
+    template <class Target>
+    void
+    inject(Target &target)
+    {
+        ++events_;
+        fieldOrdinal_ = 0;
+        fieldsMatched_ = 0;
+        target.visitState(*this);
+        if (fieldsMatched_ == 0)
+            throwNothingMatched();
+    }
+
+    /** Called by inject()'s walk, once per field. */
     void visit(const StateField &field) override;
 
     /** Install @p obs (empty = none); does not perturb sampling. */
@@ -86,7 +112,7 @@ class FaultInjector : public StateVisitor
     Counter flips() const { return flips_; }
     /** Total SRAM bits visited (eligible fields, all events). */
     Counter bitsVisited() const { return bitsVisited_; }
-    /** Injection events (visitState() walks) completed. */
+    /** Injection events (inject() calls) run. */
     Counter events() const { return events_; }
     /** Per-field flip tallies. */
     const std::map<std::string, Counter> &flipsByField() const
@@ -94,13 +120,11 @@ class FaultInjector : public StateVisitor
         return flipsByField_;
     }
 
-    /** Mark the start of one injection event (bookkeeping only). */
-    void beginEvent() { ++events_; }
-
     const FaultPlan &plan() const { return plan_; }
 
   private:
     std::size_t sampleFlipCount(std::size_t total_bits);
+    [[noreturn]] void throwNothingMatched() const;
 
     FaultPlan plan_;
     Rng rng_;
@@ -108,6 +132,8 @@ class FaultInjector : public StateVisitor
     Counter flips_ = 0;
     Counter bitsVisited_ = 0;
     Counter events_ = 0;
+    std::size_t fieldOrdinal_ = 0;  ///< fields walked this event
+    std::size_t fieldsMatched_ = 0; ///< of which the plan matched
     std::map<std::string, Counter> flipsByField_;
 };
 

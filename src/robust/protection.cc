@@ -136,30 +136,44 @@ ProtectionLayer::elemsPerWord(const StateField &field) const
 }
 
 void
-ProtectionLayer::recordFlip(const StateField &field, std::size_t elem,
-                            unsigned bit, std::uint64_t before)
+ProtectionLayer::recordFlip(std::size_t field, const StateField &state,
+                            std::size_t elem, unsigned bit,
+                            std::uint64_t before)
 {
     ++stats_.injectedFlips;
-    const std::size_t word_idx = elem / elemsPerWord(field);
-    WordRecord &word = ledger_[{field.name, word_idx}];
-    if (!word.field.load)
-        word.field = field;
-    ElemRecord &rec = word.elems[elem];
-    if (rec.mask == 0)
-        rec.orig = before;
-    rec.mask ^= std::uint64_t{1} << bit;
+    if (field >= fields_.size())
+        fields_.resize(field + 1);
+    FieldSlot &slot = fields_[field];
+    if (slot.elemsPerWord == 0)
+        slot = {state, elemsPerWord(state)};
+    assert(slot.state.count == state.count &&
+           slot.state.bits == state.bits);
+    records_.push_back({static_cast<std::uint32_t>(field),
+                        static_cast<std::uint32_t>(records_.size()),
+                        elem, before, std::uint64_t{1} << bit});
+}
+
+std::size_t
+ProtectionLayer::pendingWords() const
+{
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> words;
+    for (const FlipRecord &r : records_)
+        words.emplace_back(r.field,
+                           r.elem / fields_[r.field].elemsPerWord);
+    std::sort(words.begin(), words.end());
+    return static_cast<std::size_t>(
+        std::unique(words.begin(), words.end()) - words.begin());
 }
 
 void
-ProtectionLayer::invalidateWord(const WordRecord &word,
-                                std::size_t word_idx)
+ProtectionLayer::invalidateWord(const FieldSlot &slot,
+                                std::uint64_t word)
 {
-    const std::size_t epw = elemsPerWord(word.field);
-    const std::size_t first = word_idx * epw;
+    const std::size_t first = word * slot.elemsPerWord;
     const std::size_t last =
-        std::min(first + epw, word.field.count);
+        std::min(first + slot.elemsPerWord, slot.state.count);
     for (std::size_t e = first; e < last; ++e)
-        word.field.store(e, word.field.resetValue);
+        slot.state.store(e, slot.state.resetValue);
     ++stats_.invalidatedWords;
     stats_.invalidatedElements += last - first;
 }
@@ -171,28 +185,54 @@ ProtectionLayer::repair(bool as_scrub)
     if (as_scrub)
         ++stats_.scrubEvents;
 
-    for (auto it = ledger_.begin(); it != ledger_.end();) {
-        WordRecord &word = it->second;
+    // Group by (field, word), each element's records in arrival
+    // order. Words touch disjoint elements and the stats are sums, so
+    // the order words resolve in changes nothing.
+    std::sort(records_.begin(), records_.end(),
+              [](const FlipRecord &a, const FlipRecord &b) {
+                  if (a.field != b.field)
+                      return a.field < b.field;
+                  if (a.elem != b.elem)
+                      return a.elem < b.elem;
+                  return a.seq < b.seq;
+              });
 
-        // An element the predictor overwrote since the flip was
-        // re-encoded by that write: its recorded corruption is gone.
-        std::map<std::size_t, ElemRecord> live;
-        for (const auto &[elem, rec] : word.elems) {
-            if (rec.mask != 0 &&
-                word.field.load(elem) == (rec.orig ^ rec.mask))
-                live.emplace(elem, rec);
-            else
-                ++stats_.launderedElements;
-        }
+    const std::size_t n = records_.size();
+    std::size_t kept = 0; // carried records, compacted to the front
+    for (std::size_t i = 0; i < n;) {
+        const std::uint32_t field = records_[i].field;
+        const FieldSlot &slot = fields_[field];
+        const std::uint64_t word = records_[i].elem / slot.elemsPerWord;
 
+        // Fold each element's records into (value before its first
+        // flip, XOR mask), as they arrived; a mask that cancels to
+        // zero restarts the element at its next flip. Live elements
+        // are written back in place from the word's first record.
+        const std::size_t start = i;
+        std::size_t live = start;
         std::uint64_t corrupted = 0;
-        for (const auto &[elem, rec] : live)
-            corrupted += popcount64(rec.mask);
-
-        if (corrupted == 0) {
-            it = ledger_.erase(it);
-            continue;
+        while (i < n && records_[i].field == field &&
+               records_[i].elem / slot.elemsPerWord == word) {
+            const std::uint64_t elem = records_[i].elem;
+            std::uint64_t orig = 0, mask = 0;
+            for (; i < n && records_[i].field == field &&
+                   records_[i].elem == elem;
+                 ++i) {
+                if (mask == 0)
+                    orig = records_[i].before;
+                mask ^= records_[i].mask;
+            }
+            // An element the predictor overwrote since the flip was
+            // re-encoded by that write: its corruption is gone.
+            if (mask != 0 && slot.state.load(elem) == (orig ^ mask)) {
+                records_[live++] = {field, 0, elem, orig, mask};
+                corrupted += popcount64(mask);
+            } else {
+                ++stats_.launderedElements;
+            }
         }
+        if (corrupted == 0)
+            continue;
 
         bool resolved = false;
         switch (cfg_.policy) {
@@ -202,11 +242,11 @@ ProtectionLayer::repair(bool as_scrub)
             break;
           case ProtectionPolicy::ParityInvalidate:
             if (corrupted % 2 == 1) {
-                invalidateWord(word, it->first.second);
+                invalidateWord(slot, word);
                 resolved = true;
             } else {
                 // Even number of flipped bits: parity holds, the
-                // corruption rides on. Keep the ledger so a later
+                // corruption rides on. Keep the records so a later
                 // odd flip in the word is still caught.
                 ++stats_.undetectedWords;
             }
@@ -214,13 +254,14 @@ ProtectionLayer::repair(bool as_scrub)
           case ProtectionPolicy::SecdedCorrect:
           case ProtectionPolicy::Scrub:
             if (corrupted == 1) {
-                const auto &[elem, rec] = *live.begin();
-                word.field.store(elem, rec.orig);
+                // One live element with one flipped bit.
+                slot.state.store(records_[start].elem,
+                                 records_[start].before);
                 ++stats_.correctedBits;
                 resolved = true;
             } else if (corrupted == 2) {
                 // Detected, uncorrectable: reset the word.
-                invalidateWord(word, it->first.second);
+                invalidateWord(slot, word);
                 resolved = true;
             } else {
                 // Three or more flips can alias a valid codeword;
@@ -230,13 +271,13 @@ ProtectionLayer::repair(bool as_scrub)
             break;
         }
 
-        if (resolved) {
-            it = ledger_.erase(it);
-        } else {
-            word.elems = std::move(live);
-            ++it;
-        }
+        if (!resolved)
+            for (std::size_t r = start; r < live; ++r, ++kept) {
+                records_[kept] = records_[r];
+                records_[kept].seq = static_cast<std::uint32_t>(kept);
+            }
     }
+    records_.resize(kept);
 }
 
 ProtectedPredictor::ProtectedPredictor(
@@ -246,9 +287,9 @@ ProtectedPredictor::ProtectedPredictor(
 {
     if (cfg.policy != ProtectionPolicy::None) {
         injector_.setFlipObserver(
-            [this](const StateField &field, std::size_t elem,
-                   unsigned bit, std::uint64_t before) {
-                layer_.recordFlip(field, elem, bit, before);
+            [this](std::size_t field, const StateField &state,
+                   std::size_t elem, unsigned bit, std::uint64_t before) {
+                layer_.recordFlip(field, state, elem, bit, before);
             });
     }
 }
@@ -261,8 +302,7 @@ ProtectedPredictor::update(Addr pc, bool taken)
 
     const Counter interval = injector_.plan().intervalBranches;
     if (interval > 0 && updates_ % interval == 0) {
-        injector_.beginEvent();
-        inner_->visitState(injector_);
+        injector_.inject(*inner_);
         const ProtectionPolicy policy = layer_.config().policy;
         if (policy == ProtectionPolicy::ParityInvalidate ||
             policy == ProtectionPolicy::SecdedCorrect) {

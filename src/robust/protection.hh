@@ -19,26 +19,26 @@
  *
  * Detection and repair are *modeled*, not bit-accurately encoded: the
  * ProtectionLayer records every flip the FaultInjector lands (same
- * seeded stream, via the flip observer) into a per-word ledger and,
- * at check time, resolves each word the way the real circuit would —
+ * seeded stream, via the flip observer) into a flat flip ledger and,
+ * at check time, groups it by word and resolves each word the way
+ * the real circuit would —
  * parity detects an odd number of flipped bits and can only
  * invalidate; SEC-DED corrects one flipped bit, detects-and-
  * invalidates two, and is blind past that; scrubbing applies SEC-DED
  * semantics but only every scrubIntervalBranches updates. A word the
  * predictor has overwritten since the flip was re-encoded by that
  * write, so its ledger entry is dropped ("laundered") rather than
- * repaired. Everything is driven by the injector's RNG and ordered
- * maps, so protected campaigns stay byte-reproducible from the seed.
+ * repaired. Everything is driven by the injector's RNG, and each
+ * word resolves on its own elements alone, so protected campaigns
+ * stay byte-reproducible from the seed.
  */
 
 #ifndef BPSIM_ROBUST_PROTECTION_HH
 #define BPSIM_ROBUST_PROTECTION_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -120,6 +120,14 @@ struct ProtectionStats
  * Flips stream in through recordFlip() (wired to the FaultInjector's
  * observer); repair() then resolves every touched word per the
  * policy. Public so tests can drive exact flip patterns without RNG.
+ *
+ * The ledger is a flat list of fixed-size flip records. A field is
+ * keyed by its ordinal in the injector's visitState() walk, which is
+ * stable for one predictor, so one layer serves exactly one
+ * predictor. repair() sorts the records by (field, element), folds
+ * each element's flips into (value before its first flip, XOR
+ * mask), resolves each word, and keeps the live elements of words
+ * it could not resolve as records for the next pass.
  */
 class ProtectionLayer
 {
@@ -129,9 +137,12 @@ class ProtectionLayer
     const ProtectionConfig &config() const { return cfg_; }
     const ProtectionStats &stats() const { return stats_; }
 
-    /** Record one injected flip (element value @p before the flip). */
-    void recordFlip(const StateField &field, std::size_t elem,
-                    unsigned bit, std::uint64_t before);
+    /** Record one injected flip in element @p elem of @p state, the
+     *  field at ordinal @p field of the walk (element value @p before
+     *  the flip). The first flip at an ordinal keeps its StateField,
+     *  whose accessors alias the predictor's storage. */
+    void recordFlip(std::size_t field, const StateField &state,
+                    std::size_t elem, unsigned bit, std::uint64_t before);
 
     /**
      * Resolve every ledgered word: drop laundered elements, then
@@ -141,27 +152,33 @@ class ProtectionLayer
     void repair(bool as_scrub = false);
 
     /** Words currently ledgered as (possibly) corrupt. */
-    std::size_t pendingWords() const { return ledger_.size(); }
+    std::size_t pendingWords() const;
 
   private:
-    struct ElemRecord
+    /** One flip, or one live element carried over from a repair. */
+    struct FlipRecord
     {
-        std::uint64_t orig = 0; ///< value before the first flip
-        std::uint64_t mask = 0; ///< accumulated flipped bits
+        std::uint32_t field; ///< ordinal in the injection walk
+        std::uint32_t seq;   ///< arrival order within the ledger
+        std::uint64_t elem;
+        std::uint64_t before; ///< value before this flip (carried:
+                              ///< before the element's first flip)
+        std::uint64_t mask;   ///< bits this record flips
     };
-    struct WordRecord
+    /** A field's accessors, kept once, and its elements per word. */
+    struct FieldSlot
     {
-        StateField field; ///< copy; accessors alias predictor state
-        std::map<std::size_t, ElemRecord> elems;
+        StateField state;
+        std::size_t elemsPerWord = 0; ///< 0 until the field is seen
     };
 
     std::size_t elemsPerWord(const StateField &field) const;
-    void invalidateWord(const WordRecord &word, std::size_t word_idx);
+    void invalidateWord(const FieldSlot &slot, std::uint64_t word);
 
     ProtectionConfig cfg_;
     ProtectionStats stats_;
-    /** (field name, word index) -> record; ordered for determinism. */
-    std::map<std::pair<std::string, std::size_t>, WordRecord> ledger_;
+    std::vector<FieldSlot> fields_;    ///< indexed by walk ordinal
+    std::vector<FlipRecord> records_;  ///< the ledger, unordered
 };
 
 /**

@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.hh"
 #include "core/factory.hh"
 #include "core/runner.hh"
+#include "predictors/static_pred.hh"
 #include "robust/trace_fault.hh"
 #include "sim/btb.hh"
 #include "workloads/registry.hh"
@@ -52,12 +55,7 @@ TEST(StateVisitor, ExposedBitsMatchStorageBits)
 {
     // The fault model must cover exactly the hardware budget the
     // paper charges — no hidden state, no double counting.
-    const std::vector<PredictorKind> kinds = {
-        PredictorKind::Bimodal,       PredictorKind::Gshare,
-        PredictorKind::GshareFast,    PredictorKind::Perceptron,
-        PredictorKind::MultiComponent, PredictorKind::Gskew,
-    };
-    for (PredictorKind kind : kinds) {
+    for (PredictorKind kind : allKinds()) {
         auto pred = makePredictor(kind, 64 * 1024);
         CountingVisitor counter;
         pred->visitState(counter);
@@ -175,8 +173,7 @@ TEST(FaultInjector, TargetPrefixRestrictsFields)
     robust::FaultInjector injector(plan);
 
     auto pred = makePredictor(PredictorKind::Gshare, 64 * 1024);
-    injector.beginEvent();
-    pred->visitState(injector);
+    injector.inject(*pred);
 
     EXPECT_GT(injector.flips(), 0u);
     for (const auto &[name, n] : injector.flipsByField()) {
@@ -222,10 +219,8 @@ TEST(FaultInjector, ExactFieldTargetingHitsOnlyThatField)
     auto pred = makePredictor(PredictorKind::Gshare, 64 * 1024);
     // The history register is tiny; fire enough events for the
     // Poisson sampler to land at least one flip in it.
-    for (int i = 0; i < 200; ++i) {
-        injector.beginEvent();
-        pred->visitState(injector);
-    }
+    for (int i = 0; i < 200; ++i)
+        injector.inject(*pred);
     EXPECT_GT(injector.flips(), 0u);
     ASSERT_EQ(injector.flipsByField().size(), 1u);
     EXPECT_EQ(injector.flipsByField().begin()->first,
@@ -240,8 +235,7 @@ TEST(FaultInjector, MultiPrefixTargetingCoversListedBanksOnly)
     robust::FaultInjector injector(plan);
 
     auto pred = makePredictor(PredictorKind::Gskew, 64 * 1024);
-    injector.beginEvent();
-    pred->visitState(injector);
+    injector.inject(*pred);
 
     EXPECT_GT(injector.flips(), 0u);
     EXPECT_GE(injector.flipsByField().size(), 2u);
@@ -251,6 +245,33 @@ TEST(FaultInjector, MultiPrefixTargetingCoversListedBanksOnly)
             << name;
         EXPECT_GT(n, 0u);
     }
+}
+
+TEST(FaultInjector, EventMatchingNoFieldThrows)
+{
+    robust::FaultPlan plan;
+    plan.upsetRatePerBit = 1e-2;
+    plan.targetPrefix = "pred.gshrae.";
+    plan.targetFields = {"pred.gshare.pth"};
+    robust::FaultInjectingPredictor pred(
+        makePredictor(PredictorKind::Gshare, 16 * 1024), plan);
+    const auto w = makeWorkload("176.gcc");
+    const TraceBuffer trace = generateTrace(*w, 20000, 3);
+    try {
+        runAccuracy(pred, trace);
+        FAIL() << "a plan that matches no field must not run";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("pred.gshrae.*"), std::string::npos) << what;
+        EXPECT_NE(what.find("pred.gshare.pth"), std::string::npos)
+            << what;
+    }
+
+    // A predictor with no state fails the same way, even under an
+    // untargeted plan.
+    StaticPredictor stateless(true);
+    robust::FaultInjector injector(robust::FaultPlan{});
+    EXPECT_THROW(injector.inject(stateless), std::invalid_argument);
 }
 
 TEST(FaultInjector, BombardsTheBtb)
@@ -267,8 +288,7 @@ TEST(FaultInjector, BombardsTheBtb)
     robust::FaultPlan plan;
     plan.upsetRatePerBit = 0.05;
     robust::FaultInjector injector(plan);
-    injector.beginEvent();
-    btb.visitState(injector);
+    injector.inject(btb);
     EXPECT_GT(injector.flips(), 0u);
 
     // A flipped valid/tag bit shows up as misses or wrong targets —

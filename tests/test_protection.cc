@@ -126,14 +126,16 @@ struct LayerTest
     void
     flip(std::size_t elem, unsigned bit)
     {
-        flipIn(field, elem, bit);
+        flipIn(0, field, elem, bit);
     }
 
+    /** As flip(), in @p f at walk ordinal @p ordinal. */
     void
-    flipIn(const robust::StateField &f, std::size_t elem, unsigned bit)
+    flipIn(std::size_t ordinal, const robust::StateField &f,
+           std::size_t elem, unsigned bit)
     {
         const std::uint64_t before = f.load(elem);
-        layer.recordFlip(f, elem, bit, before);
+        layer.recordFlip(ordinal, f, elem, bit, before);
         f.store(elem, before ^ (std::uint64_t{1} << bit));
     }
 
@@ -289,8 +291,8 @@ TEST(ProtectionLayer, SameNamedFieldsAreRepairedInTheirOwnStorage)
         robust::wordArrayField(t.field.name, other, 8);
     // One flip in word 0 of each field: two single-bit words, not
     // one double-bit word.
-    t.flipIn(t.field, 0, 1);
-    t.flipIn(twin, 1, 2);
+    t.flipIn(0, t.field, 0, 1);
+    t.flipIn(1, twin, 1, 2);
     EXPECT_EQ(t.layer.pendingWords(), 2u);
     t.layer.repair();
     EXPECT_EQ(t.values[0], 0x55u);
