@@ -14,6 +14,24 @@ hasPrefix(const std::string &name, const std::string &prefix)
            name.compare(0, prefix.size(), prefix) == 0;
 }
 
+/** The plan's targeting, for messages: "every field", or its
+ *  prefixes (as `prefix*`) and exact names, comma-separated. */
+std::string
+describeTargets(const FaultPlan &plan)
+{
+    std::string out;
+    const auto add = [&out](const std::string &target) {
+        out += (out.empty() ? "" : ", ") + target;
+    };
+    if (!plan.targetPrefix.empty())
+        add(plan.targetPrefix + "*");
+    for (const std::string &p : plan.targetPrefixes)
+        add(p + "*");
+    for (const std::string &f : plan.targetFields)
+        add(f);
+    return out.empty() ? "every field" : out;
+}
+
 } // namespace
 
 bool
@@ -31,22 +49,6 @@ FaultPlan::matches(const std::string &field_name) const
         if (field_name == f)
             return true;
     return false;
-}
-
-std::string
-FaultPlan::describeTargets() const
-{
-    std::string out;
-    const auto add = [&out](const std::string &target) {
-        out += (out.empty() ? "" : ", ") + target;
-    };
-    if (!targetPrefix.empty())
-        add(targetPrefix + "*");
-    for (const std::string &p : targetPrefixes)
-        add(p + "*");
-    for (const std::string &f : targetFields)
-        add(f);
-    return out.empty() ? "every field" : out;
 }
 
 FaultInjector::FaultInjector(const FaultPlan &plan)
@@ -88,7 +90,7 @@ FaultInjector::throwNothingMatched() const
 {
     throw std::invalid_argument(
         "fault injection event matched no state field (targets: " +
-        plan_.describeTargets() + "; " + std::to_string(fieldOrdinal_) +
+        describeTargets(plan_) + "; " + std::to_string(fieldOrdinal_) +
         " field(s) exposed)");
 }
 

@@ -58,10 +58,6 @@ struct FaultPlan
      *  targeting at all means every field, otherwise the name must
      *  match one prefix or one exact name. */
     bool matches(const std::string &field_name) const;
-
-    /** The targeting, for messages: "every field" or the prefixes
-     *  (as `name*`) and exact names, comma-separated. */
-    std::string describeTargets() const;
 };
 
 /** Walks visitState() fields and flips bits per a FaultPlan. */

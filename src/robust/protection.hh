@@ -21,16 +21,15 @@
  * ProtectionLayer records every flip the FaultInjector lands (same
  * seeded stream, via the flip observer) into a flat flip ledger and,
  * at check time, groups it by word and resolves each word the way
- * the real circuit would —
- * parity detects an odd number of flipped bits and can only
- * invalidate; SEC-DED corrects one flipped bit, detects-and-
- * invalidates two, and is blind past that; scrubbing applies SEC-DED
- * semantics but only every scrubIntervalBranches updates. A word the
- * predictor has overwritten since the flip was re-encoded by that
- * write, so its ledger entry is dropped ("laundered") rather than
- * repaired. Everything is driven by the injector's RNG, and each
- * word resolves on its own elements alone, so protected campaigns
- * stay byte-reproducible from the seed.
+ * the real circuit would — parity detects an odd number of flipped
+ * bits and can only invalidate; SEC-DED corrects one flipped bit,
+ * detects-and-invalidates two, and is blind past that; scrubbing
+ * applies SEC-DED semantics but only every scrubIntervalBranches
+ * updates. An element the predictor has overwritten since its flip
+ * was re-encoded by that write, so its ledger entry is dropped
+ * ("laundered") rather than repaired. Everything is driven by the
+ * injector's RNG, and each word resolves on its own elements alone,
+ * so protected campaigns stay byte-reproducible from the seed.
  */
 
 #ifndef BPSIM_ROBUST_PROTECTION_HH
@@ -178,7 +177,7 @@ class ProtectionLayer
     ProtectionConfig cfg_;
     ProtectionStats stats_;
     std::vector<FieldSlot> fields_;    ///< indexed by walk ordinal
-    std::vector<FlipRecord> records_;  ///< the ledger, unordered
+    std::vector<FlipRecord> records_;  ///< the ledger; repair() sorts it
 };
 
 /**

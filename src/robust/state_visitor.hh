@@ -74,7 +74,7 @@ class StateVisitor
  * to its name. Hybrid predictors wrap their component walks in this
  * so nested fields get unique names (three gshare components must
  * not all expose "pred.gshare.pht" — per-field targeting and the
- * protection ledger key on names).
+ * injector's per-field tallies key on names).
  */
 class PrefixingStateVisitor : public StateVisitor
 {
