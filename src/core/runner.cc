@@ -303,13 +303,14 @@ SuiteTraces::describe(obs::RunReport &report) const
 
 namespace {
 
-/** Publish describeStats() gauges, tagging names with the workload. */
-template <typename Pred>
+/** Publish a predictor's describeStats() list as gauges, tagging
+ *  names with the workload. */
 void
-publishPredictorStats(obs::MetricRegistry &reg, const Pred &pred,
+publishPredictorStats(obs::MetricRegistry &reg,
+                      const std::vector<PredictorStat> &stats,
                       const std::string &workload)
 {
-    for (const PredictorStat &s : pred.describeStats()) {
+    for (const PredictorStat &s : stats) {
         // Splice the workload label into an existing {label} suffix
         // or append a fresh one.
         std::string name = s.name;
@@ -386,13 +387,12 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
     // Compute phase: one cell per (group, workload), fanned out on
     // the pool when one is passed. Cells are indexed workload-major,
     // so one trace's columns stay hot across the groups that replay
-    // it. Each cell builds its own member predictors, so cells stay
-    // independent; predictors are kept until the emission phase
-    // publishes their describeStats().
-    std::vector<std::vector<std::unique_ptr<DirectionPredictor>>>
-        preds(nc);
-    for (auto &row : preds)
-        row.resize(nw);
+    // it. A cell builds its member predictors, replays them, copies
+    // their describeStats() when a registry is attached, and frees
+    // them before it returns: no predictor outlives its cell.
+    std::vector<std::vector<std::vector<PredictorStat>>> predStats(
+        metrics ? nc : 0,
+        std::vector<std::vector<PredictorStat>>(nw));
     for (auto &cfg : configs)
         cfg.results.assign(nw, AccuracyResult{});
     const std::size_t ng = groups.size();
@@ -402,11 +402,12 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
             const std::vector<std::size_t> &g = groups[cell % ng];
             const std::size_t w = cell / ng;
             const TraceBuffer &trace = suite.trace(w);
+            std::vector<std::unique_ptr<DirectionPredictor>> preds;
             std::vector<PerceptronPredictor *> batch;
             for (std::size_t c : g) {
-                preds[c][w] = makePred(c, w);
+                preds.push_back(makePred(c, w));
                 if (auto *p = dynamic_cast<PerceptronPredictor *>(
-                        preds[c][w].get()))
+                        preds.back().get()))
                     batch.push_back(p);
             }
             // A per-workload factory may build a different type than
@@ -415,10 +416,13 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
             std::optional<std::vector<AccuracyResult>> batched;
             if (g.size() >= 2 && batch.size() == g.size())
                 batched = runPerceptronEnsemble(batch, trace);
-            for (std::size_t k = 0; k < g.size(); ++k)
+            for (std::size_t k = 0; k < g.size(); ++k) {
                 configs[g[k]].results[w] =
                     batched ? (*batched)[k]
-                            : runAccuracy(*preds[g[k]][w], trace);
+                            : runAccuracy(*preds[k], trace);
+                if (metrics)
+                    predStats[g[k]][w] = preds[k]->describeStats();
+            }
         },
         [](std::size_t) {});
 
@@ -433,9 +437,8 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
                           configs[c].budgetBytes,
                           configs[c].results[w]));
             if (metrics)
-                publishPredictorStats(*metrics, *preds[c][w],
+                publishPredictorStats(*metrics, predStats[c][w],
                                       suite.name(w));
-            preds[c][w].reset();
         }
         configs[c].meanPercent = arithmeticMean(percents);
     }
@@ -471,22 +474,25 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
 
     // One cell per (config, workload), indexed config-major so the
     // pool's in-order commits emit rows config-major, workload-minor.
-    // Each predictor lives from its cell's compute to its commit,
-    // where its describeStats() gauges are published. An event
+    // A cell's compute builds its fetch predictor, runs it, copies
+    // its describeStats() when a registry is attached, and frees it
+    // before it returns; the commit publishes the copy. An event
     // tracer records a single ordered stream, so it never fans out,
     // and it must see every run's events, so it bypasses the memo.
-    std::vector<std::unique_ptr<FetchPredictor>> preds(nc * nw);
+    std::vector<std::vector<PredictorStat>> predStats(
+        metrics ? nc * nw : 0);
     forEachCell(
         tracer ? nullptr : pool, nc * nw,
         [&](std::size_t cell) {
             TimingCellConfig &c = configs[cell / nw];
             const std::size_t w = cell % nw;
-            preds[cell] = c.makeForWorkload ? c.makeForWorkload(w)
-                                            : c.make();
+            const std::unique_ptr<FetchPredictor> pred =
+                c.makeForWorkload ? c.makeForWorkload(w) : c.make();
             c.results[w] =
-                tracer ? runTiming(c.cfg, *preds[cell], suite.trace(w),
-                                   tracer)
-                       : runTiming(c.cfg, *preds[cell], suite, w, memo);
+                tracer ? runTiming(c.cfg, *pred, suite.trace(w), tracer)
+                       : runTiming(c.cfg, *pred, suite, w, memo);
+            if (metrics)
+                predStats[cell] = pred->describeStats();
         },
         [&](std::size_t cell) {
             const TimingCellConfig &c = configs[cell / nw];
@@ -496,10 +502,9 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
                                             c.cfg, c.results[w]));
             if (metrics) {
                 c.results[w].publishMetrics(*metrics, suite.name(w));
-                publishPredictorStats(*metrics, *preds[cell],
+                publishPredictorStats(*metrics, predStats[cell],
                                       suite.name(w));
             }
-            preds[cell].reset();
         });
 
     for (TimingCellConfig &c : configs) {

@@ -258,6 +258,9 @@ struct EnsembleStats
  * config replays one (config, workload) cell at a time through
  * runAccuracy(). Rows, results and metrics (bar the core.ensemble.*
  * gauges) are byte-identical to one single-config sweep per config.
+ * No predictor outlives its cell: the cell frees its predictors once
+ * replayed, after copying their describeStats() when @p metrics is
+ * non-null, so a call holds at most one cell's predictors per worker.
  */
 EnsembleStats suiteAccuracyReportEnsemble(
     const SuiteTraces &suite,
@@ -400,7 +403,9 @@ SimResult runTiming(const CoreConfig &cfg, FetchPredictor &pred,
  * Each cell builds a fresh predictor and runs it through the
  * memoized runTiming() above, so a core pass that an earlier cell
  * already timed — in this call or, for a longer-lived memo, an
- * earlier one — is not repeated. Appends one report row per cell —
+ * earlier one — is not repeated. The cell frees its predictor before
+ * it returns, after copying its describeStats() when @p metrics is
+ * non-null, so a call holds at most one predictor per worker. Appends one report row per cell —
  * config-major, workload-minor, after all cells compute — publishes
  * each run's SimResult counters and the fetch predictor's
  * describeStats() gauges into @p metrics (when non-null) under

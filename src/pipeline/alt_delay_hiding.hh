@@ -72,6 +72,11 @@ class DualPathFetchPredictor : public FetchPredictor
         slow_->update(pc, taken);
     }
 
+    void visitState(robust::StateVisitor &v) override
+    {
+        slow_->visitState(v);
+    }
+
     unsigned slowLatency() const { return slowLatency_; }
     DirectionPredictor &slow() { return *slow_; }
 
@@ -136,6 +141,14 @@ class CascadingFetchPredictor : public FetchPredictor
     {
         quick_->update(pc, taken);
         slow_->update(pc, taken);
+    }
+
+    /** The two predictors storageBits() counts; the prediction bank
+     *  is idealized and charged nothing, so it is not exposed. */
+    void visitState(robust::StateVisitor &v) override
+    {
+        quick_->visitState(v);
+        slow_->visitState(v);
     }
 
     /** Fraction of predictions served by the banked slow result. */

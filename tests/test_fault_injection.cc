@@ -67,16 +67,31 @@ TEST(StateVisitor, ExposedBitsMatchStorageBits)
 
 TEST(StateVisitor, FetchWrappersForwardToComponents)
 {
+    // Every wrapper exposes exactly the predictors its storageBits()
+    // counts, so a fault plan can bombard any delay mode.
+    const TraceBuffer trace =
+        generateTrace(*makeWorkload("176.gcc"), 20000, 3);
     for (auto mode : {DelayMode::Ideal, DelayMode::Overriding,
-                      DelayMode::Pipelined}) {
+                      DelayMode::Stall, DelayMode::Pipelined,
+                      DelayMode::DualPath, DelayMode::Cascading}) {
+        SCOPED_TRACE(delayModeName(mode));
         auto fp = makeFetchPredictor(PredictorKind::Perceptron,
                                      64 * 1024, mode);
         CountingVisitor counter;
         fp->visitState(counter);
-        // Overriding wraps quick + slow, so it exposes at least the
-        // slow predictor's fields; the others exactly one predictor.
-        EXPECT_GT(counter.fields(), 0u) << delayModeName(mode);
-        EXPECT_GT(counter.totalBits(), 0u) << delayModeName(mode);
+        EXPECT_GT(counter.fields(), 0u);
+        EXPECT_EQ(counter.totalBits(), fp->storageBits());
+
+        robust::FaultPlan plan;
+        plan.upsetRatePerBit = 1e-3;
+        plan.intervalBranches = 256;
+        plan.seed = 17;
+        robust::FaultInjectingFetchPredictor faulty(
+            makeFetchPredictor(PredictorKind::Perceptron, 64 * 1024,
+                               mode),
+            plan);
+        EXPECT_NO_THROW(predictColumn(faulty, trace));
+        EXPECT_GT(faulty.injector().flips(), 0u);
     }
 }
 

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -468,6 +470,288 @@ TEST(SuiteTiming, CallsWithoutAMemoEachTimeEveryCell)
         EXPECT_GT(slow[0].results[w].cycles, real[0].results[w].cycles);
     }
     std::filesystem::remove_all(dir);
+}
+
+/**
+ * Predicts taken and counts its live and peak instances, so a test
+ * can see how many predictors a suite call holds at once. The
+ * instance built with @c gated stalls its first prediction until
+ * @c gateTarget instances have been built (or ten seconds pass): a
+ * pool worker then sits on one early cell while the others run every
+ * later one, so predictors that outlive their cell pile up.
+ */
+class CountedPredictor final : public DirectionPredictor
+{
+  public:
+    inline static std::atomic<int> live{0};
+    inline static std::atomic<int> peak{0};
+    inline static std::atomic<int> built{0};
+    inline static std::atomic<int> gateTarget{0};
+
+    static void
+    resetCounts()
+    {
+        live = 0;
+        peak = 0;
+        built = 0;
+        gateTarget = 0;
+    }
+
+    explicit CountedPredictor(bool gated = false) : gated_(gated)
+    {
+        const int now = ++live;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        ++built;
+    }
+    ~CountedPredictor() override { --live; }
+
+    std::string name() const override { return "counted"; }
+    std::size_t storageBits() const override { return 1; }
+
+    bool
+    predict(Addr) override
+    {
+        if (gated_) {
+            gated_ = false;
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::seconds(10);
+            while (built < gateTarget &&
+                   std::chrono::steady_clock::now() < until)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+        }
+        return true;
+    }
+    void update(Addr, bool) override {}
+
+  private:
+    bool gated_;
+};
+
+/**
+ * Three configs whose workload-0 probe is a perceptron, so they form
+ * one group, but which build counted predictors for every other
+ * workload; the compute step replays such members one by one, holding
+ * the whole group's predictors at once. Then two plain counted
+ * configs, one cell each; @p gated stalls the first one's workload-0
+ * cell.
+ */
+std::vector<AccuracyCellConfig>
+countedAccuracyConfigs(bool gated)
+{
+    std::vector<AccuracyCellConfig> cells;
+    for (const std::size_t budget : {4u * 1024, 8u * 1024, 16u * 1024}) {
+        AccuracyCellConfig c;
+        c.makeForWorkload =
+            [budget](std::size_t w) -> std::unique_ptr<DirectionPredictor> {
+            if (w == 0)
+                return makePredictor(PredictorKind::Perceptron, budget);
+            return std::make_unique<CountedPredictor>();
+        };
+        c.name = "group";
+        c.budgetBytes = budget;
+        cells.push_back(std::move(c));
+    }
+    for (int k = 0; k < 2; ++k) {
+        AccuracyCellConfig c;
+        c.makeForWorkload = [gated, k](std::size_t w) {
+            return std::make_unique<CountedPredictor>(gated && k == 0 &&
+                                                      w == 0);
+        };
+        c.name = "counted";
+        cells.push_back(std::move(c));
+    }
+    return cells;
+}
+
+/** Two counted timing configs; @p gated stalls the first cell. */
+std::vector<TimingCellConfig>
+countedTimingConfigs(bool gated)
+{
+    std::vector<TimingCellConfig> cells;
+    for (int k = 0; k < 2; ++k) {
+        TimingCellConfig c;
+        c.makeForWorkload = [gated, k](std::size_t w) {
+            return std::make_unique<SingleCycleFetchPredictor>(
+                std::make_unique<CountedPredictor>(gated && k == 0 &&
+                                                   w == 0));
+        };
+        c.name = "counted";
+        c.mode = "ideal";
+        cells.push_back(std::move(c));
+    }
+    return cells;
+}
+
+TEST(PredictorLifetime, SerialAccuracyHoldsOneCellAtATime)
+{
+    const SuiteTraces suite(3000, 13, nullptr, TraceCache());
+    CountedPredictor::resetCounts();
+    std::vector<AccuracyCellConfig> cells = countedAccuracyConfigs(false);
+    obs::RunReport report;
+    const EnsembleStats stats =
+        suiteAccuracyReportEnsemble(suite, cells, report);
+    ASSERT_EQ(stats.batchWidth, 3u);
+    EXPECT_EQ(CountedPredictor::peak, 3);
+    EXPECT_EQ(CountedPredictor::live, 0);
+    EXPECT_EQ(report.rows.size(), cells.size() * suite.size());
+}
+
+TEST(PredictorLifetime, SerialTimingHoldsOneFetchPredictor)
+{
+    const SuiteTraces suite(3000, 13, nullptr, TraceCache());
+    CountedPredictor::resetCounts();
+    std::vector<TimingCellConfig> cells = countedTimingConfigs(false);
+    obs::RunReport report;
+    suiteTimingReportEnsemble(suite, cells, report);
+    EXPECT_EQ(CountedPredictor::peak, 1);
+    EXPECT_EQ(CountedPredictor::live, 0);
+    EXPECT_EQ(CountedPredictor::built,
+              static_cast<int>(cells.size() * suite.size()));
+}
+
+TEST(PredictorLifetime, PoolHoldsAtMostOneCellPerWorker)
+{
+    const SuiteTraces suite(3000, 13, nullptr, TraceCache());
+    constexpr unsigned kJobs = 2;
+
+    // Count what a serial call builds, then let the gated cell wait
+    // for that many while the other worker runs the rest.
+    CountedPredictor::resetCounts();
+    std::vector<AccuracyCellConfig> acc = countedAccuracyConfigs(false);
+    obs::RunReport accSerial;
+    suiteAccuracyReportEnsemble(suite, acc, accSerial);
+    const int accBuilt = CountedPredictor::built;
+
+    CountedPredictor::resetCounts();
+    CountedPredictor::gateTarget = accBuilt;
+    acc = countedAccuracyConfigs(true);
+    obs::RunReport accReport;
+    parallel::CellPool accPool(kJobs);
+    suiteAccuracyReportEnsemble(suite, acc, accReport, nullptr,
+                                &accPool);
+    EXPECT_EQ(CountedPredictor::built, accBuilt);
+    EXPECT_LE(CountedPredictor::peak, static_cast<int>(kJobs * 3));
+    EXPECT_EQ(CountedPredictor::live, 0);
+    EXPECT_EQ(accReport.toJson().dump(), accSerial.toJson().dump());
+
+    // A timing cell builds one predictor and there are no probes.
+    std::vector<TimingCellConfig> timing = countedTimingConfigs(true);
+    CountedPredictor::resetCounts();
+    CountedPredictor::gateTarget =
+        static_cast<int>(timing.size() * suite.size());
+    obs::RunReport timingReport;
+    parallel::CellPool timingPool(kJobs);
+    suiteTimingReportEnsemble(suite, timing, timingReport, nullptr,
+                              nullptr, &timingPool);
+    EXPECT_EQ(CountedPredictor::built, CountedPredictor::gateTarget);
+    EXPECT_LE(CountedPredictor::peak, static_cast<int>(kJobs));
+    EXPECT_EQ(CountedPredictor::live, 0);
+}
+
+/** @p stats as suite sweeps publish them for @p workload, later
+ *  writes of a name overwriting earlier ones, as in a registry. */
+void
+addPublished(std::map<std::string, double> &want,
+             const std::vector<PredictorStat> &stats,
+             const std::string &workload)
+{
+    for (const PredictorStat &s : stats) {
+        std::string name = s.name;
+        if (!name.empty() && name.back() == '}')
+            name.insert(name.size() - 1, ",workload=" + workload);
+        else
+            name += "{workload=" + workload + "}";
+        want[name] = s.value;
+    }
+}
+
+/** Every expected gauge is published with its value, and no other
+ *  `pred.*` gauge is. */
+void
+expectPublished(const obs::MetricRegistry &metrics,
+                const std::map<std::string, double> &want)
+{
+    for (const auto &[name, value] : want) {
+        const obs::GaugeMetric *g = metrics.findGauge(name);
+        ASSERT_NE(g, nullptr) << name;
+        EXPECT_EQ(g->value(), value) << name;
+    }
+    for (const std::string &name : metrics.names()) {
+        if (name.rfind("pred.", 0) == 0) {
+            EXPECT_EQ(want.count(name), 1u) << name;
+        }
+    }
+}
+
+TEST(PredictorLifetime, PublishedStatsEqualEachCellReplayedAlone)
+{
+    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
+    const auto accuracyConfigs = [] {
+        std::vector<AccuracyCellConfig> cells;
+        for (const auto &[kind, budget] :
+             std::vector<std::pair<PredictorKind, std::size_t>>{
+                 {PredictorKind::Gshare, 16 * 1024},
+                 {PredictorKind::Perceptron, 16 * 1024},
+                 {PredictorKind::MultiComponent, 64 * 1024},
+                 {PredictorKind::Tournament, 16 * 1024},
+                 {PredictorKind::Perceptron, 64 * 1024}})
+            cells.push_back({[kind, budget] {
+                                 return makePredictor(kind, budget);
+                             },
+                             kindName(kind), budget});
+        AccuracyCellConfig fault;
+        fault.makeForWorkload = [](std::size_t w) {
+            robust::FaultPlan plan;
+            plan.upsetRatePerBit = 1e-3;
+            plan.intervalBranches = 256;
+            plan.seed = 5 + w;
+            return std::make_unique<robust::FaultInjectingPredictor>(
+                makePredictor(PredictorKind::Gshare, 16 * 1024), plan);
+        };
+        fault.name = "gshare.fault";
+        fault.budgetBytes = 16 * 1024;
+        cells.push_back(std::move(fault));
+        return cells;
+    };
+
+    std::vector<AccuracyCellConfig> acc = accuracyConfigs();
+    obs::RunReport accReport;
+    obs::MetricRegistry accMetrics;
+    parallel::CellPool accPool(4);
+    const EnsembleStats stats = suiteAccuracyReportEnsemble(
+        suite, acc, accReport, &accMetrics, &accPool);
+    EXPECT_EQ(stats.batchWidth, 2u);
+    std::map<std::string, double> want;
+    const std::vector<AccuracyCellConfig> accRef = accuracyConfigs();
+    for (const AccuracyCellConfig &c : accRef)
+        for (std::size_t w = 0; w < suite.size(); ++w) {
+            auto pred = c.makeForWorkload ? c.makeForWorkload(w)
+                                          : c.make();
+            runAccuracy(*pred, suite.trace(w));
+            addPublished(want, pred->describeStats(), suite.name(w));
+        }
+    EXPECT_FALSE(want.empty());
+    expectPublished(accMetrics, want);
+
+    std::vector<TimingCellConfig> timing = timingSweepConfigs();
+    obs::RunReport timingReport;
+    obs::MetricRegistry timingMetrics;
+    parallel::CellPool timingPool(4);
+    suiteTimingReportEnsemble(suite, timing, timingReport,
+                              &timingMetrics, nullptr, &timingPool);
+    want.clear();
+    for (const TimingCellConfig &c : timingSweepConfigs())
+        for (std::size_t w = 0; w < suite.size(); ++w) {
+            auto pred = c.makeForWorkload ? c.makeForWorkload(w)
+                                          : c.make();
+            runTiming(c.cfg, *pred, suite.trace(w));
+            addPublished(want, pred->describeStats(), suite.name(w));
+        }
+    EXPECT_FALSE(want.empty());
+    expectPublished(timingMetrics, want);
 }
 
 TEST(BenchOps, EnvironmentOverride)

@@ -19,8 +19,9 @@
  * of once per bench, and one TimingMemo serves every artifact, so a
  * core pass another artifact already ran (fig2's cells are fig7's)
  * runs once per invocation. The summary's "timing memo" line counts
- * its requests, hits and in-flight joins; per-artifact reports carry
- * no memo data, so they match the standalone benches.
+ * its requests, hits and in-flight joins, and its "memory" line the
+ * process's peak resident set; per-artifact reports carry neither,
+ * so they match the standalone benches.
  *
  * Determinism contract: each artifact's rows are computed on workers
  * but committed on its own driver thread in strict index order (the
@@ -57,6 +58,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "artifact_registry.hh"
 #include "obs/report_session.hh"
@@ -400,6 +403,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(pool.diskHits),
                 static_cast<unsigned long long>(pool.generated),
                 static_cast<unsigned long long>(pool.evictions));
+    // Linux reports ru_maxrss in KiB.
+    rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) == 0)
+        std::printf("memory: peak RSS %.0f MB\n",
+                    static_cast<double>(usage.ru_maxrss) / 1024.0);
 
     return failed ? 1 : 0;
 }
