@@ -18,10 +18,14 @@
  *
  * A second gate, tests/golden/core_shapes.tsv, digests every
  * SimResult field of a core-shape grid: ROB {16, 32, 512, 1024} x
- * issue width {4, 8}, gshare overriding and perceptron ideal at
+ * issue width {4, 8}, then Table 1 cores with one odd field (ROB 100,
+ * width 1 or 3, a one-entry fetch buffer, zero-cycle multiply, no
+ * front-end stages), gshare overriding and perceptron ideal at
  * 64 KB, on every stand-in. The artifacts above only ever run the
- * Table 1 core (ROB 128, width 8), so ROB wrap-around and a short
- * issue window are checked here.
+ * Table 1 core (ROB 128, width 8), so ROB wrap-around, partial
+ * bitmap words and a short issue window are checked here. Its
+ * `core_events` lines digest the full EventTracer stream of two of
+ * those cells, so the traced path is pinned too.
  *
  * A third gate, tests/golden/accuracy_rows.tsv, covers every other
  * registry artifact (the accuracy-only sweeps) the same way: each
@@ -57,6 +61,7 @@
 
 #include "core/factory.hh"
 #include "core/runner.hh"
+#include "obs/event_trace.hh"
 #include "parallel/cell_pool.hh"
 #include "robust/fault_injector.hh"
 #include "robust/protection.hh"
@@ -271,33 +276,103 @@ suiteLines(const std::string &section,
     }
 }
 
-/** The core-shape grid: each (ROB, issue width) core under gshare
- *  overriding and perceptron ideal at 64 KB. */
+/** The core shapes beyond the ROB x width grid, each a Table 1 core
+ *  with one field changed: a ROB that is not a multiple of 64 (a
+ *  partial last bitmap word), issue widths 1 and 3, a one-entry fetch
+ *  buffer, a zero-cycle multiply and no front-end stages. */
+std::vector<std::pair<std::string, CoreConfig>>
+oddCoreShapes()
+{
+    std::vector<std::pair<std::string, CoreConfig>> shapes;
+    const auto add = [&](const std::string &name, auto edit) {
+        CoreConfig cfg;
+        edit(cfg);
+        shapes.emplace_back(name, cfg);
+    };
+    add("rob100", [](CoreConfig &c) { c.robEntries = 100; });
+    add("w1", [](CoreConfig &c) { c.issueWidth = 1; });
+    add("w3", [](CoreConfig &c) { c.issueWidth = 3; });
+    add("fb1", [](CoreConfig &c) { c.fetchBufferEntries = 1; });
+    add("mul0", [](CoreConfig &c) { c.mulCycles = 0; });
+    add("fe0", [](CoreConfig &c) { c.frontEndDepth = 0; });
+    return shapes;
+}
+
+/** The core-shape grid: each (ROB, issue width) core, then each odd
+ *  shape, under gshare overriding and perceptron ideal at 64 KB. */
 std::vector<TimingCellConfig>
 coreShapeConfigs()
 {
     const std::size_t budget = 64 * 1024;
-    std::vector<TimingCellConfig> cells;
+    std::vector<std::pair<std::string, CoreConfig>> shapes;
     for (std::size_t rob : {16u, 32u, 512u, 1024u})
         for (unsigned width : {4u, 8u}) {
             CoreConfig cfg;
             cfg.robEntries = rob;
             cfg.issueWidth = width;
-            const std::string shape = "rob" + std::to_string(rob) +
-                                      "/w" + std::to_string(width);
-            for (const auto &[k, mode] :
-                 {std::pair{PredictorKind::Gshare,
-                            DelayMode::Overriding},
-                  std::pair{PredictorKind::Perceptron,
-                            DelayMode::Ideal}})
-                cells.push_back(
-                    {[k, mode, budget] {
-                         return makeFetchPredictor(k, budget, mode);
-                     },
-                     kindName(k), delayModeName(mode) + "/" + shape,
-                     budget, cfg});
+            shapes.emplace_back("rob" + std::to_string(rob) + "/w" +
+                                    std::to_string(width),
+                                cfg);
         }
+    for (const auto &shape : oddCoreShapes())
+        shapes.push_back(shape);
+    std::vector<TimingCellConfig> cells;
+    for (const auto &[shape, cfg] : shapes)
+        for (const auto &[k, mode] :
+             {std::pair{PredictorKind::Gshare, DelayMode::Overriding},
+              std::pair{PredictorKind::Perceptron, DelayMode::Ideal}})
+            cells.push_back(
+                {[k, mode, budget] {
+                     return makeFetchPredictor(k, budget, mode);
+                 },
+                 kindName(k), delayModeName(mode) + "/" + shape, budget,
+                 cfg});
     return cells;
+}
+
+/** Digest the whole event stream an attached EventTracer records for
+ *  two cells on every stand-in, one `core_events\t<workload>/<cell>`
+ *  line each: gshare overriding on the 3-wide core and perceptron
+ *  ideal on the ROB-100 core. */
+void
+tracerLines(std::vector<std::string> &out)
+{
+    const SuiteTraces suite(kOps, 42);
+    const auto shapes = oddCoreShapes();
+    const auto shape = [&](const std::string &name) {
+        for (const auto &s : shapes)
+            if (s.first == name)
+                return s.second;
+        ADD_FAILURE() << "no core shape " << name;
+        return CoreConfig{};
+    };
+    const struct
+    {
+        PredictorKind kind;
+        DelayMode mode;
+        std::string shape;
+    } cells[] = {{PredictorKind::Gshare, DelayMode::Overriding, "w3"},
+                 {PredictorKind::Perceptron, DelayMode::Ideal, "rob100"}};
+    for (const auto &c : cells)
+        for (std::size_t w = 0; w < suite.size(); ++w) {
+            auto pred = makeFetchPredictor(c.kind, 64 * 1024, c.mode);
+            obs::EventTracer tracer(std::size_t{1} << 18);
+            const SimResult r =
+                runTiming(shape(c.shape), *pred, suite.trace(w), &tracer);
+            ASSERT_EQ(tracer.dropped(), 0u);
+            std::ostringstream os;
+            os << simResultFields(r) << ';' << tracer.recorded() << ';';
+            for (std::size_t i = 0; i < tracer.size(); ++i) {
+                const obs::TraceEvent &e = tracer.at(i);
+                os << e.cycle << ',' << static_cast<unsigned>(e.type)
+                   << ',' << e.pc << ',' << e.arg << '\n';
+            }
+            out.push_back(line("core_events",
+                               suite.name(w) + "/" + kindName(c.kind) +
+                                   "/" + delayModeName(c.mode) + "/" +
+                                   c.shape,
+                               os.str()));
+        }
 }
 
 /** Digests every field a visitor sees: name, shape and each
@@ -444,6 +519,7 @@ TEST(TimingGolden, CoreShapesMatchFrozenDigests)
     ASSERT_NO_FATAL_FAILURE(pinEnvironment());
     std::vector<std::string> actual;
     suiteLines("core_shapes", coreShapeConfigs(), actual);
+    tracerLines(actual);
     expectMatchesGolden(actual, "core_shapes", BPSIM_GOLDEN_CORE_SHAPES);
 }
 
