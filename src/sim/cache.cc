@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include <bit>
 #include <cassert>
 
 #include "common/bitutil.hh"
@@ -12,6 +13,9 @@ Cache::Cache(std::size_t size_bytes, std::size_t line_bytes,
       lineBytes_(line_bytes),
       assoc_(assoc),
       numSets_(size_bytes / (line_bytes * assoc)),
+      lineShift_(static_cast<unsigned>(std::countr_zero(line_bytes))),
+      tagShift_(static_cast<unsigned>(
+          std::countr_zero(line_bytes * numSets_))),
       name_(std::move(name)),
       ways_(numSets_ * assoc)
 {
@@ -19,44 +23,6 @@ Cache::Cache(std::size_t size_bytes, std::size_t line_bytes,
     assert(isPowerOfTwo(line_bytes));
     assert(assoc >= 1);
     assert(numSets_ >= 1 && isPowerOfTwo(numSets_));
-}
-
-std::size_t
-Cache::setIndex(Addr addr) const
-{
-    return static_cast<std::size_t>(addr / lineBytes_) & (numSets_ - 1);
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return addr / lineBytes_ / numSets_;
-}
-
-bool
-Cache::access(Addr addr)
-{
-    ++accesses_;
-    ++useClock_;
-    Way *set = &ways_[setIndex(addr) * assoc_];
-    const Addr tag = tagOf(addr);
-
-    Way *victim = &set[0];
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (set[w].valid && set[w].tag == tag) {
-            set[w].lastUse = useClock_;
-            return true;
-        }
-        if (!set[w].valid ||
-            (victim->valid && set[w].lastUse < victim->lastUse)) {
-            victim = &set[w];
-        }
-    }
-    ++misses_;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = useClock_;
-    return false;
 }
 
 bool

@@ -35,7 +35,31 @@ class Cache
     /**
      * Access @p addr; allocate on miss. @return true on hit.
      */
-    bool access(Addr addr);
+    bool
+    access(Addr addr)
+    {
+        ++accesses_;
+        ++useClock_;
+        Way *set = &ways_[setIndex(addr) * assoc_];
+        const Addr tag = tagOf(addr);
+
+        Way *victim = &set[0];
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (set[w].valid && set[w].tag == tag) {
+                set[w].lastUse = useClock_;
+                return true;
+            }
+            if (!set[w].valid ||
+                (victim->valid && set[w].lastUse < victim->lastUse)) {
+                victim = &set[w];
+            }
+        }
+        ++misses_;
+        victim->valid = true;
+        victim->tag = tag;
+        victim->lastUse = useClock_;
+        return false;
+    }
 
     /** Probe without updating LRU or allocating (tests). */
     bool contains(Addr addr) const;
@@ -62,13 +86,20 @@ class Cache
         std::uint64_t lastUse = 0;
     };
 
-    std::size_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
+    std::size_t
+    setIndex(Addr addr) const
+    {
+        return static_cast<std::size_t>(addr >> lineShift_) &
+               (numSets_ - 1);
+    }
+    Addr tagOf(Addr addr) const { return addr >> tagShift_; }
 
     std::size_t sizeBytes_;
     std::size_t lineBytes_;
     unsigned assoc_;
     std::size_t numSets_;
+    unsigned lineShift_; ///< log2(lineBytes_)
+    unsigned tagShift_;  ///< log2(lineBytes_ * numSets_)
     std::string name_;
     std::vector<Way> ways_; // numSets_ * assoc_
     std::uint64_t useClock_ = 0;

@@ -37,9 +37,7 @@
 #define BPSIM_SIM_OOO_CORE_HH
 
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -152,122 +150,12 @@ class OooCore
     void attachTracer(obs::EventTracer *tracer) { tracer_ = tracer; }
 
   private:
-    struct Producer
-    {
-        std::int32_t robSlot = -1;
-        InstSeqNum seq = 0;
-    };
-
-    /** "No entry" in a wakeup list. */
-    static constexpr std::uint32_t kNoLink = ~std::uint32_t{0};
-
-    struct RobEntry
-    {
-        InstSeqNum seq = 0;
-        Cycle completeCycle = 0;
-        std::uint32_t traceIndex = 0;
-        /** Wakeup-list links, one per source operand: the next
-         *  consumer waiting on the same producer, encoded
-         *  `(slot << 1) | operand` (kNoLink ends the list). */
-        std::uint32_t wakeNext[2] = {kNoLink, kNoLink};
-        /** Head of this entry's own consumer list. */
-        std::uint32_t wakeHead = kNoLink;
-        /** Next entry completing in the same cycle. */
-        std::uint32_t completeNext = kNoLink;
-        /** Source operands whose producer has not completed. */
-        std::uint8_t pending = 0;
-        bool done = false;
-        bool mispredictedBranch = false;
-        bool valid = false;
-    };
-
-    struct FetchedInst
-    {
-        std::uint32_t traceIndex;
-        Cycle dispatchReady;
-        bool mispredictedBranch;
-    };
-
-    void fetchStage(const TraceBuffer &trace);
-    void dispatchStage(const TraceBuffer &trace);
-    void issueStage(const TraceBuffer &trace);
-    void issue(const TraceBuffer &trace, std::size_t slot);
-    void completeStage(const TraceBuffer &trace);
-    void commitStage(const TraceBuffer &trace);
-
-    /** Register ROB slot @p slot's operand @p operand as waiting on
-     *  @p p, unless @p p has already completed (or retired). */
-    void waitOn(const Producer &p, std::size_t slot, unsigned operand);
-
-    unsigned loadLatency(Addr addr);
-    Producer producerOf(std::uint8_t reg) const;
-
     CoreConfig cfg_;
     Cache l1i_;
     Cache l1d_;
     Cache l2_;
     Btb btb_;
-
-    /** Why fetch is currently stalled (for cycle attribution). */
-    enum class StallReason : std::uint8_t {
-        None,
-        Icache,
-        Override, ///< overriding-predictor disagreement squash
-        BtbMiss,  ///< taken branch without a BTB target
-        Redirect, ///< post-resolution redirect gap
-    };
-
-    Cycle cycle_ = 0;
-    std::size_t fetchIndex_ = 0;
-    Cycle fetchStallUntil_ = 0;
-    StallReason stallReason_ = StallReason::None;
-    bool fetchBlocked_ = false; ///< waiting on a mispredicted branch
-
-    /** The run's prediction column and the ordinal of the next
-     *  conditional branch to fetch. */
-    const std::uint32_t *column_ = nullptr;
-    std::size_t branchOrdinal_ = 0;
-
-    std::deque<FetchedInst> fetchBuffer_;
-    std::vector<RobEntry> rob_;
-    std::size_t robHead_ = 0;
-    std::size_t robTail_ = 0;
-    std::size_t robCount_ = 0;
-    InstSeqNum nextSeq_ = 1;
-
-    std::vector<Producer> regProducer_;
-    Addr lastFetchLine_ = ~Addr{0};
-
-    /**
-     * Wakeup-driven issue. One bit per ROB slot: @c unissued_ marks
-     * dispatched entries not yet issued, @c ready_ the subset whose
-     * operands have all completed. Dispatch links an entry onto each
-     * unfinished producer's consumer list and counts them in
-     * `pending`; completion walks the list, and an entry whose count
-     * reaches zero sets its ready bit. issueStage then walks the
-     * bitmaps a 64-slot word at a time in age order (ROB ring order
-     * from the head), so a cycle costs a few word operations plus
-     * one step per issued entry instead of a readiness check for
-     * every entry in the issue window.
-     */
-    std::vector<std::uint64_t> unissued_;
-    std::vector<std::uint64_t> ready_;
-    std::size_t unissuedCount_ = 0;
-    std::size_t readyCount_ = 0;
-
-    /**
-     * Completion wheel: bucket `cycle % size` lists, linked through
-     * RobEntry::completeNext, the issued entries that complete in
-     * that cycle, so completeStage touches only the entries that
-     * actually finish. The wheel is longer than the slowest latency,
-     * so a bucket never mixes cycles. Order within a bucket does not
-     * matter: marking done and waking consumers commute, and at most
-     * one unresolved mispredicted branch is ever in flight.
-     */
-    std::vector<std::uint32_t> completions_;
-
     obs::EventTracer *tracer_ = nullptr;
-    SimResult result_;
 };
 
 } // namespace bpsim
