@@ -63,9 +63,11 @@ struct SweepSchedulerStats
     /** Most participant deques that simultaneously held work. */
     std::size_t peakActiveQueues = 0;
 
-    /** Export as `<prefix>.*` gauges/counters. */
+    /** Export as `<prefix>.*` gauges/counters. The default prefix
+     *  keeps them with the other host-dependent `parallel.*`
+     *  metrics: steals and peak queues vary between runs. */
     void publish(obs::MetricRegistry &reg,
-                 const std::string &prefix = "sweep.scheduler") const;
+                 const std::string &prefix = "parallel.scheduler") const;
 };
 
 /** Point-in-time view of one participant's deque (for live progress

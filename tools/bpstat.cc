@@ -303,13 +303,13 @@ cmdSummary(const char *dir)
         // the shared scheduler stamps its counters into every
         // artifact's registry; standalone reports show "-".
         const double steals =
-            metricValue(r, "sweep.scheduler.steals");
+            metricValue(r, "parallel.scheduler.steals");
         if (std::isnan(steals))
             std::printf(" %8s", "-");
         else
             std::printf(" %8.0f", steals);
         const double peakq =
-            metricValue(r, "sweep.scheduler.peak_active_queues");
+            metricValue(r, "parallel.scheduler.peak_active_queues");
         if (std::isnan(peakq))
             std::printf(" %7s", "-");
         else
