@@ -23,6 +23,7 @@
 #ifndef BPSIM_COMMON_PACKED_PHT_HH
 #define BPSIM_COMMON_PACKED_PHT_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -98,6 +99,20 @@ class PackedPhtStorage
         std::uint8_t &b = bytes_[i >> 2];
         b = static_cast<std::uint8_t>(
             (b & ~(3u << shift)) | ((v & 3u) << shift));
+    }
+
+    /** Overwrite counters [@p first, @p last) with @p v: the
+     *  partial bytes at either end counter by counter, the whole
+     *  bytes between in one fill. */
+    void
+    fill(std::size_t first, std::size_t last, std::uint8_t v)
+    {
+        for (; first < last && (first & 3) != 0; ++first)
+            set(first, v);
+        for (; last > first && (last & 3) != 0; --last)
+            set(last - 1, v);
+        std::fill(bytes_.begin() + first / 4, bytes_.begin() + last / 4,
+                  static_cast<std::uint8_t>((v & 3u) * 0x55u));
     }
 
     /** SRAM bits this table charges the hardware budget. */

@@ -125,7 +125,9 @@ FaultInjector::visit(const StateField &field)
 
 FaultInjectingPredictor::FaultInjectingPredictor(
     std::unique_ptr<DirectionPredictor> inner, const FaultPlan &plan)
-    : inner_(std::move(inner)), injector_(plan)
+    : inner_(std::move(inner)),
+      injector_(plan),
+      toInject_(plan.intervalBranches)
 {
 }
 
@@ -133,9 +135,10 @@ void
 FaultInjectingPredictor::update(Addr pc, bool taken)
 {
     inner_->update(pc, taken);
-    const Counter interval = injector_.plan().intervalBranches;
-    if (interval > 0 && ++updates_ % interval == 0)
+    if (toInject_ != 0 && --toInject_ == 0) {
+        toInject_ = injector_.plan().intervalBranches;
         injector_.inject(*inner_);
+    }
 }
 
 std::vector<PredictorStat>
@@ -153,7 +156,9 @@ FaultInjectingPredictor::describeStats() const
 
 FaultInjectingFetchPredictor::FaultInjectingFetchPredictor(
     std::unique_ptr<FetchPredictor> inner, const FaultPlan &plan)
-    : inner_(std::move(inner)), injector_(plan)
+    : inner_(std::move(inner)),
+      injector_(plan),
+      toInject_(plan.intervalBranches)
 {
 }
 
@@ -161,9 +166,10 @@ void
 FaultInjectingFetchPredictor::update(Addr pc, bool taken)
 {
     inner_->update(pc, taken);
-    const Counter interval = injector_.plan().intervalBranches;
-    if (interval > 0 && ++updates_ % interval == 0)
+    if (toInject_ != 0 && --toInject_ == 0) {
+        toInject_ = injector_.plan().intervalBranches;
         injector_.inject(*inner_);
+    }
 }
 
 std::vector<PredictorStat>

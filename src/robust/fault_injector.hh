@@ -165,7 +165,7 @@ class FaultInjectingPredictor : public DirectionPredictor
   private:
     std::unique_ptr<DirectionPredictor> inner_;
     FaultInjector injector_;
-    Counter updates_ = 0;
+    Counter toInject_; ///< updates left to the next event (0: never)
 };
 
 /**
@@ -199,7 +199,7 @@ class FaultInjectingFetchPredictor : public FetchPredictor
   private:
     std::unique_ptr<FetchPredictor> inner_;
     FaultInjector injector_;
-    Counter updates_ = 0;
+    Counter toInject_; ///< updates left to the next event (0: never)
 };
 
 } // namespace bpsim::robust

@@ -54,6 +54,12 @@ struct StateField
      *  invalidate an uncorrectable element (e.g. weakly-not-taken
      *  for two-bit counters, zero for weights and histories). */
     std::uint64_t resetValue = 0;
+    /** Optional: store @p v into elements [first, last) at once.
+     *  Empty for fields without a faster path than store() per
+     *  element. */
+    std::function<void(std::size_t first, std::size_t last,
+                       std::uint64_t v)>
+        fill = {};
 
     /** Total SRAM bits this field contributes. */
     std::size_t totalBits() const { return count * bits; }
@@ -131,7 +137,10 @@ packedCounterField(std::string name, PackedPhtStorage &pht)
             [&pht](std::size_t i, std::uint64_t v) {
                 pht.set(i, static_cast<std::uint8_t>(v & 3));
             },
-            1};
+            1,
+            [&pht](std::size_t first, std::size_t last, std::uint64_t v) {
+                pht.fill(first, last, static_cast<std::uint8_t>(v & 3));
+            }};
 }
 
 /** A bit-packed table of n-bit unsigned saturating counters; same

@@ -265,8 +265,6 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
                 std::uint64_t mask = ~std::uint64_t{0};
                 if (w * 64 < lo)
                     mask &= ~std::uint64_t{0} << (lo - w * 64);
-                if (hi - w * 64 < 64)
-                    mask &= (std::uint64_t{1} << (hi - w * 64)) - 1;
                 const std::uint64_t waiting = unissued[w] & mask;
                 if (waiting == 0)
                     continue;

@@ -133,6 +133,33 @@ TEST(FaultInjector, RateZeroIsTransparent)
     EXPECT_GT(faulty.injector().events(), 0u);
 }
 
+TEST(FaultInjector, EventsFireEveryIntervalUpdates)
+{
+    // Both decorators fire on update interval, 2 * interval, ...;
+    // interval 0 never fires. Pinned after every update.
+    for (const Counter interval : {Counter{0}, Counter{1}, Counter{256}}) {
+        robust::FaultPlan plan;
+        plan.upsetRatePerBit = 1e-4;
+        plan.intervalBranches = interval;
+        robust::FaultInjectingPredictor direct(
+            makePredictor(PredictorKind::Gshare, 1024), plan);
+        robust::FaultInjectingFetchPredictor fetch(
+            makeFetchPredictor(PredictorKind::Gshare, 1024,
+                               DelayMode::Ideal),
+            plan);
+        for (Counter u = 1; u <= 1000; ++u) {
+            const Addr pc = 0x4000 + 4 * (u % 37);
+            direct.update(pc, u % 3 == 0);
+            fetch.update(pc, u % 3 == 0);
+            const Counter want = interval == 0 ? 0 : u / interval;
+            ASSERT_EQ(direct.injector().events(), want)
+                << "interval " << interval << ", update " << u;
+            ASSERT_EQ(fetch.injector().events(), want)
+                << "interval " << interval << ", update " << u;
+        }
+    }
+}
+
 TEST(FaultInjector, SameSeedSameFlipsAndPredictions)
 {
     const auto w = makeWorkload("186.crafty");

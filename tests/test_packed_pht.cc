@@ -83,6 +83,28 @@ TEST(PackedPhtStorage, NeighbourCountersDoNotInterfere)
     EXPECT_EQ(p.value(1), 0);
 }
 
+TEST(PackedPhtStorage, FillMatchesSetOverEveryRange)
+{
+    // Every [first, last) of a 13-counter table, so ranges start and
+    // end at each offset within a byte and span zero to three whole
+    // bytes; the counters outside the range keep their values.
+    const std::size_t n = 13;
+    for (std::size_t first = 0; first <= n; ++first)
+        for (std::size_t last = first; last <= n; ++last) {
+            PackedPhtStorage filled(n, 0), ref(n, 0);
+            for (std::size_t i = 0; i < n; ++i) {
+                filled.set(i, static_cast<std::uint8_t>(i % 4));
+                ref.set(i, static_cast<std::uint8_t>(i % 4));
+            }
+            filled.fill(first, last, 2);
+            for (std::size_t i = first; i < last; ++i)
+                ref.set(i, 2);
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(filled.value(i), ref.value(i))
+                    << "[" << first << ", " << last << ") at " << i;
+        }
+}
+
 TEST(PackedPhtStorage, ChargesExactlyTwoBitsPerCounter)
 {
     EXPECT_EQ(PackedPhtStorage(4096).storageBits(), 8192u);
