@@ -25,7 +25,10 @@
  * Table 1 core (ROB 128, width 8), so ROB wrap-around, partial
  * bitmap words and a short issue window are checked here. Its
  * `core_events` lines digest the full EventTracer stream of two of
- * those cells, so the traced path is pinned too.
+ * those cells, so the traced path is pinned too, and its
+ * `core_random` lines digest result and event stream of 32 seeded
+ * random shapes (ROB 1-1024, widths 1-8, fetch buffers 1-64,
+ * multiply 0-7 cycles, front ends 0-30 deep) on short traces.
  *
  * A third gate, tests/golden/accuracy_rows.tsv, covers every other
  * registry artifact (the accuracy-only sweeps) the same way: each
@@ -59,6 +62,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "core/factory.hh"
 #include "core/runner.hh"
 #include "obs/event_trace.hh"
@@ -330,6 +334,26 @@ coreShapeConfigs()
     return cells;
 }
 
+/** Every SimResult field plus the whole event stream an attached
+ *  EventTracer records for one cell at 64 KB. */
+std::string
+tracedCell(const CoreConfig &cfg, PredictorKind kind, DelayMode mode,
+           const TraceBuffer &trace)
+{
+    auto pred = makeFetchPredictor(kind, 64 * 1024, mode);
+    obs::EventTracer tracer(std::size_t{1} << 18);
+    const SimResult r = runTiming(cfg, *pred, trace, &tracer);
+    EXPECT_EQ(tracer.dropped(), 0u);
+    std::ostringstream os;
+    os << simResultFields(r) << ';' << tracer.recorded() << ';';
+    for (std::size_t i = 0; i < tracer.size(); ++i) {
+        const obs::TraceEvent &e = tracer.at(i);
+        os << e.cycle << ',' << static_cast<unsigned>(e.type) << ','
+           << e.pc << ',' << e.arg << '\n';
+    }
+    return os.str();
+}
+
 /** Digest the whole event stream an attached EventTracer records for
  *  two cells on every stand-in, one `core_events\t<workload>/<cell>`
  *  line each: gshare overriding on the 3-wide core and perceptron
@@ -354,25 +378,66 @@ tracerLines(std::vector<std::string> &out)
     } cells[] = {{PredictorKind::Gshare, DelayMode::Overriding, "w3"},
                  {PredictorKind::Perceptron, DelayMode::Ideal, "rob100"}};
     for (const auto &c : cells)
-        for (std::size_t w = 0; w < suite.size(); ++w) {
-            auto pred = makeFetchPredictor(c.kind, 64 * 1024, c.mode);
-            obs::EventTracer tracer(std::size_t{1} << 18);
-            const SimResult r =
-                runTiming(shape(c.shape), *pred, suite.trace(w), &tracer);
-            ASSERT_EQ(tracer.dropped(), 0u);
-            std::ostringstream os;
-            os << simResultFields(r) << ';' << tracer.recorded() << ';';
-            for (std::size_t i = 0; i < tracer.size(); ++i) {
-                const obs::TraceEvent &e = tracer.at(i);
-                os << e.cycle << ',' << static_cast<unsigned>(e.type)
-                   << ',' << e.pc << ',' << e.arg << '\n';
-            }
+        for (std::size_t w = 0; w < suite.size(); ++w)
             out.push_back(line("core_events",
                                suite.name(w) + "/" + kindName(c.kind) +
                                    "/" + delayModeName(c.mode) + "/" +
                                    c.shape,
-                               os.str()));
+                               tracedCell(shape(c.shape), c.kind, c.mode,
+                                          suite.trace(w))));
+}
+
+/** Seeded random core shapes across the ranges the loop must handle:
+ *  ROB 1-1024 (mostly not powers of two), issue width 1-8, fetch
+ *  buffer 1-64, multiply latency 0-7 and front-end depth 0-30. The
+ *  first two are the smallest and largest corners. Each runs on
+ *  three stand-ins at a short trace, alternating gshare overriding
+ *  and perceptron ideal, one `core_random\t<i>/<workload>/<shape>`
+ *  line digesting every SimResult field and the EventTracer
+ *  stream. */
+void
+randomShapeLines(std::vector<std::string> &out)
+{
+    const SuiteTraces suite(4000, 42);
+    Rng rng(2024);
+    for (unsigned i = 0; i < 32; ++i) {
+        CoreConfig cfg;
+        if (i < 2) {
+            cfg.robEntries = i == 0 ? 1 : 1024;
+            cfg.issueWidth = i == 0 ? 1 : 8;
+            cfg.fetchBufferEntries = i == 0 ? 1 : 64;
+            cfg.mulCycles = i == 0 ? 0 : 7;
+            cfg.frontEndDepth = i == 0 ? 0 : 30;
+        } else {
+            cfg.robEntries =
+                static_cast<std::size_t>(rng.nextBetween(1, 1024));
+            cfg.issueWidth = static_cast<unsigned>(rng.nextBetween(1, 8));
+            cfg.fetchBufferEntries =
+                static_cast<std::size_t>(rng.nextBetween(1, 64));
+            cfg.mulCycles = static_cast<unsigned>(rng.nextBetween(0, 7));
+            cfg.frontEndDepth =
+                static_cast<unsigned>(rng.nextBetween(0, 30));
         }
+        const std::string shape =
+            "rob" + std::to_string(cfg.robEntries) + "/w" +
+            std::to_string(cfg.issueWidth) + "/fb" +
+            std::to_string(cfg.fetchBufferEntries) + "/mul" +
+            std::to_string(cfg.mulCycles) + "/fe" +
+            std::to_string(cfg.frontEndDepth);
+        const auto [kind, mode] =
+            i % 2 == 0
+                ? std::pair{PredictorKind::Gshare, DelayMode::Overriding}
+                : std::pair{PredictorKind::Perceptron, DelayMode::Ideal};
+        for (unsigned k = 0; k < 3; ++k) {
+            const std::size_t w = (i + 4 * k) % suite.size();
+            out.push_back(line("core_random",
+                               std::to_string(i) + "/" + suite.name(w) +
+                                   "/" + kindName(kind) + "/" +
+                                   delayModeName(mode) + "/" + shape,
+                               tracedCell(cfg, kind, mode,
+                                          suite.trace(w))));
+        }
+    }
 }
 
 /** Digests every field a visitor sees: name, shape and each
@@ -520,6 +585,7 @@ TEST(TimingGolden, CoreShapesMatchFrozenDigests)
     std::vector<std::string> actual;
     suiteLines("core_shapes", coreShapeConfigs(), actual);
     tracerLines(actual);
+    randomShapeLines(actual);
     expectMatchesGolden(actual, "core_shapes", BPSIM_GOLDEN_CORE_SHAPES);
 }
 
