@@ -96,6 +96,10 @@ class HistoryRegister
             words_[i / 64] &= ~mask;
     }
 
+    /** The history as little-endian words: bit i is bit i % 64 of
+     *  word i / 64, and the bits at and above length() are zero. */
+    const std::uint64_t *words() const { return words_.data(); }
+
     /** The newest min(64, length) history bits as an integer. */
     std::uint64_t
     low64() const

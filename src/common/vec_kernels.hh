@@ -11,6 +11,10 @@
  * vectorizer there), which bench/microbench pins with a dedicated
  * BM_PerceptronKernel benchmark.
  *
+ * The ±1 input vector itself comes from expandSignsI16, which copies
+ * one 16-byte row of a 256-entry table per eight history bits instead
+ * of testing each bit.
+ *
  * Saturation note: inputs are ±1 and @p dir is ±1, so a single
  * clamped add per element is exactly SignedWeight::train()'s
  * increment/decrement-with-saturation.
@@ -29,8 +33,10 @@
 #ifndef BPSIM_COMMON_VEC_KERNELS_HH
 #define BPSIM_COMMON_VEC_KERNELS_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace bpsim {
 
@@ -56,6 +62,33 @@ trainSignedI16(std::int16_t *w, const std::int16_t *x, std::size_t n,
         int v = static_cast<int>(w[i]) + dir * static_cast<int>(x[i]);
         v = v < lo ? lo : (v > hi ? hi : v);
         w[i] = static_cast<std::int16_t>(v);
+    }
+}
+
+/** kByteSigns[b][i] is +1 when bit i of b is set and -1 otherwise:
+ *  the ±1 inputs of eight history bits as one 16-byte row. */
+inline constexpr auto kByteSigns = [] {
+    std::array<std::array<std::int16_t, 8>, 256> t{};
+    for (unsigned b = 0; b < 256; ++b)
+        for (unsigned i = 0; i < 8; ++i)
+            t[b][i] = (b >> i) & 1 ? 1 : -1;
+    return t;
+}();
+
+/** x[i] = +1 if bit i of @p words is set, else -1, for i < n (bit i
+ *  is bit i % 64 of words[i / 64]). Copies one kByteSigns row per
+ *  eight bits, so it writes n rounded up to a multiple of 8 entries:
+ *  @p x needs room for them, and the ones past n hold the signs of
+ *  the bits above n. */
+inline void
+expandSignsI16(std::int16_t *x, const std::uint64_t *words,
+               std::size_t n)
+{
+    for (std::size_t i = 0; i < n; i += 8) {
+        const auto byte =
+            static_cast<std::uint8_t>(words[i / 64] >> (i % 64));
+        std::memcpy(x + i, kByteSigns[byte].data(),
+                    sizeof kByteSigns[byte]);
     }
 }
 

@@ -87,7 +87,8 @@ struct PerceptronBatch
         // time.
         std::vector<std::int16_t> xbuf(2 * std::size_t{maxGb}, -1);
         std::size_t xpos = maxGb;
-        std::vector<std::int16_t> lx(lb, 0);
+        // Room for expandSignsI16's whole last row.
+        std::vector<std::int16_t> lx(lb + 7, 0);
         std::vector<std::uint64_t> lh(lb > 0 ? localMask + 1 : 0, 0);
 
         // Per-member hot fields, unpacked once.
@@ -176,8 +177,7 @@ struct PerceptronBatch
             if (lb > 0) {
                 li = static_cast<std::size_t>(idx) & localMask;
                 lhv = lh[li];
-                for (unsigned b = 0; b < lb; ++b)
-                    lx[b] = ((lhv >> b) & 1) ? 1 : -1;
+                expandSignsI16(lx.data(), &lhv, lb);
             }
             for (Member &m : ms) {
                 std::int16_t *row = m.row;

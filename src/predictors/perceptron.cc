@@ -25,7 +25,7 @@ PerceptronPredictor::PerceptronPredictor(std::size_t num_perceptrons,
       rowStride_(1 + global_bits + local_bits),
       globalHistory_(global_bits),
       localHistories_(local_bits > 0 ? local_entries : 0, 0),
-      inputs_(1 + global_bits + local_bits, 0)
+      inputs_(1 + global_bits + local_bits + 7, 0)
 {
     assert(num_perceptrons >= 1);
     assert(local_bits == 0 || isPowerOfTwo(local_entries));
@@ -73,15 +73,13 @@ PerceptronPredictor::visitState(robust::StateVisitor &v)
 void
 PerceptronPredictor::fillInputs(Addr pc)
 {
+    // Global first: its last row may spill into the local inputs,
+    // which the local expansion then overwrites.
     std::int16_t *x = inputs_.data() + 1;
-    for (unsigned i = 0; i < globalBits_; ++i)
-        x[i] = globalHistory_.bit(i) ? 1 : -1;
-    if (localBits_ > 0) {
-        const std::uint64_t lh = localHistories_[localIndex(pc)];
-        std::int16_t *lx = x + globalBits_;
-        for (unsigned i = 0; i < localBits_; ++i)
-            lx[i] = ((lh >> i) & 1) ? 1 : -1;
-    }
+    expandSignsI16(x, globalHistory_.words(), globalBits_);
+    if (localBits_ > 0)
+        expandSignsI16(x + globalBits_, &localHistories_[localIndex(pc)],
+                       localBits_);
 }
 
 bool

@@ -85,7 +85,8 @@ class PerceptronPredictor final : public DirectionPredictor
     HistoryRegister globalHistory_;
     std::vector<std::uint64_t> localHistories_;
 
-    /** Scratch ±1 input vector (x[0] = 1 bias input), refilled from
+    /** Scratch ±1 input vector (x[0] = 1 bias input, then seven
+     *  spare entries for expandSignsI16's last row), refilled from
      *  the live history state by fillInputs() on every call so fault
      *  injection into history bits is observed exactly as before. */
     std::vector<std::int16_t> inputs_;

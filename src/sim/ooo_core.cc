@@ -108,22 +108,6 @@ enum class StallReason : std::uint8_t {
     Redirect, ///< post-resolution redirect gap
 };
 
-/** The lowest @p m set bits of @p x, for m < popcount(x): a rank
- *  select that halves the search width six times. */
-std::uint64_t
-lowestSetBits(std::uint64_t x, unsigned m)
-{
-    unsigned pos = 0;
-    for (unsigned width = 32; width != 0; width >>= 1) {
-        const auto below = static_cast<unsigned>(std::popcount(
-            (x >> pos) & ((std::uint64_t{1} << width) - 1)));
-        const bool skip = below <= m;
-        m -= skip ? below : 0;
-        pos += skip ? width : 0;
-    }
-    return x & ((std::uint64_t{1} << pos) - 1);
-}
-
 } // namespace
 
 /*
@@ -276,8 +260,11 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
                     // entries among its first (windowSize - seen)
                     // waiting ones.
                     n = windowSize - seen;
-                    ready &= lowestSetBits(waiting,
-                                           static_cast<unsigned>(n));
+                    std::uint64_t first = 0;
+                    std::uint64_t rest = waiting;
+                    for (std::size_t k = 0; k < n; ++k, rest &= rest - 1)
+                        first |= rest & -rest;
+                    ready &= first;
                 }
                 while (ready != 0) {
                     issueEntry(w * 64 + static_cast<std::size_t>(
@@ -373,16 +360,18 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
 
             // Look the operand producers up *now*: dispatch order is
             // program order, so regs still names the youngest older
-            // writer of each source register.
+            // writer of each source register. Each wait test ANDs
+            // both comparisons, where `&&` would branch on data the
+            // host cannot predict.
             const MicroOp &op = ops[fi.traceIndex];
             const Producer pa = regs[op.srcA];
             RobEntry &a = rob[pa.slot];
-            const bool waitA = a.seq == pa.seq && !a.done;
+            const bool waitA = (a.seq == pa.seq) & !a.done;
             e.wakeNext[0] = a.wakeHead;
             a.wakeHead = waitA ? slot << 1 : a.wakeHead;
             const Producer pb = regs[op.srcB];
             RobEntry &b = rob[pb.slot];
-            const bool waitB = b.seq == pb.seq && !b.done;
+            const bool waitB = (b.seq == pb.seq) & !b.done;
             e.wakeNext[1] = b.wakeHead;
             b.wakeHead = waitB ? slot << 1 | 1 : b.wakeHead;
             e.pending = static_cast<std::uint8_t>(waitA + waitB);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "predictors/bimodal.hh"
@@ -16,6 +20,7 @@
 #include "predictors/perceptron.hh"
 #include "predictors/static_pred.hh"
 #include "predictors/tournament.hh"
+#include "robust/state_visitor.hh"
 
 namespace bpsim {
 namespace {
@@ -209,6 +214,145 @@ TEST(Perceptron, LearnsLinearlySeparableCorrelation)
         }
     }
     EXPECT_LT(static_cast<double>(wrong) / total, 0.01);
+}
+
+/** The TOCS perceptron with its ±1 inputs built one history bit at a
+ *  time, as the reference for PerceptronPredictor's table-built
+ *  inputs. */
+class ScalarPerceptron
+{
+  public:
+    ScalarPerceptron(std::size_t rows, unsigned global_bits,
+                     unsigned local_bits, std::size_t local_entries)
+        : rows_(rows), globalBits_(global_bits), localBits_(local_bits),
+          threshold_(static_cast<int>(1.93 * (global_bits + local_bits)) +
+                     14),
+          weights_(rows * (1 + global_bits + local_bits), 0),
+          global_(global_bits, false), local_(local_entries, 0)
+    {}
+
+    bool
+    predict(Addr pc)
+    {
+        out_ = 0;
+        const std::vector<int> x = inputs(pc);
+        for (std::size_t j = 0; j < x.size(); ++j)
+            out_ += weights_[rowBase(pc) + j] * x[j];
+        return out_ >= 0;
+    }
+
+    void
+    update(Addr pc, bool taken)
+    {
+        if ((out_ >= 0) != taken || std::abs(out_) <= threshold_) {
+            const std::vector<int> x = inputs(pc);
+            for (std::size_t j = 0; j < x.size(); ++j) {
+                int &w = weights_[rowBase(pc) + j];
+                w = std::clamp(w + (taken ? 1 : -1) * x[j], -128, 127);
+            }
+        }
+        global_.insert(global_.begin(), taken);
+        global_.pop_back();
+        std::uint64_t &lh = local_[localIndex(pc)];
+        lh = ((lh << 1) | (taken ? 1 : 0)) &
+             ((std::uint64_t{1} << localBits_) - 1);
+    }
+
+    /** Weights as 8-bit two's-complement patterns, row by row. */
+    std::vector<std::uint64_t>
+    weightBits() const
+    {
+        std::vector<std::uint64_t> bits;
+        for (int w : weights_)
+            bits.push_back(static_cast<std::uint64_t>(w) & 0xff);
+        return bits;
+    }
+
+  private:
+    std::size_t
+    rowBase(Addr pc) const
+    {
+        return static_cast<std::size_t>(pc >> 4) % rows_ *
+               (1 + globalBits_ + localBits_);
+    }
+
+    std::size_t
+    localIndex(Addr pc) const
+    {
+        return static_cast<std::size_t>(pc >> 4) & (local_.size() - 1);
+    }
+
+    std::vector<int>
+    inputs(Addr pc) const
+    {
+        std::vector<int> x{1};
+        for (unsigned i = 0; i < globalBits_; ++i)
+            x.push_back(global_[i] ? 1 : -1);
+        const std::uint64_t lh = local_[localIndex(pc)];
+        for (unsigned i = 0; i < localBits_; ++i)
+            x.push_back((lh >> i) & 1 ? 1 : -1);
+        return x;
+    }
+
+    std::size_t rows_;
+    unsigned globalBits_;
+    unsigned localBits_;
+    int threshold_;
+    int out_ = 0;
+    std::vector<int> weights_;
+    std::vector<bool> global_; ///< newest outcome first
+    std::vector<std::uint64_t> local_;
+};
+
+/** The raw bits of the field named @p name. */
+class FieldBits : public robust::StateVisitor
+{
+  public:
+    explicit FieldBits(std::string name) : name_(std::move(name)) {}
+
+    void
+    visit(const robust::StateField &field) override
+    {
+        if (field.name == name_)
+            for (std::size_t i = 0; i < field.count; ++i)
+                bits.push_back(field.load(i));
+    }
+
+    std::vector<std::uint64_t> bits;
+
+  private:
+    std::string name_;
+};
+
+TEST(Perceptron, InputsMatchPerBitReference)
+{
+    // History lengths around each 8-bit table row and 64-bit word
+    // boundary, with and without local inputs behind the global ones.
+    for (unsigned gb : {1u, 7u, 8u, 9u, 44u, 63u, 64u, 65u, 130u})
+        for (unsigned lb : {0u, 10u}) {
+            SCOPED_TRACE("global " + std::to_string(gb) + ", local " +
+                         std::to_string(lb));
+            PerceptronPredictor p(37, gb, lb, 64);
+            ScalarPerceptron ref(37, gb, lb, 64);
+            Rng rng(gb * 100 + lb);
+            std::size_t mismatches = 0;
+            for (unsigned i = 0; i < 6000; ++i) {
+                const Addr pc = 0x4000 + 16 * rng.nextRange(97);
+                // Per-branch bias plus noise: most pcs lean one way,
+                // so weights both grow and saturate.
+                const bool taken = rng.nextBool((pc >> 4) % 3 == 0
+                                                    ? 0.5
+                                                    : ((pc >> 4) % 2 ? 0.9
+                                                                     : 0.1));
+                mismatches += p.predict(pc) != ref.predict(pc);
+                p.update(pc, taken);
+                ref.update(pc, taken);
+            }
+            EXPECT_EQ(mismatches, 0u);
+            FieldBits weights("pred.perceptron.weights");
+            p.visitState(weights);
+            EXPECT_EQ(weights.bits, ref.weightBits());
+        }
 }
 
 TEST(MultiComponent, SelectsWorkingComponentPerBranch)
