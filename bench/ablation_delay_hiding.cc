@@ -83,7 +83,7 @@ ablationDelayHidingArtifact()
     static const ArtifactDef def = {
         {"ablation_delay_hiding",
          "Section 2.6 ablation: delay-hiding schemes (perceptron)",
-         600000, false, ""},
+         600000},
         run,
     };
     return def;

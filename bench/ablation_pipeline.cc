@@ -187,7 +187,7 @@ ablationPipelineArtifact()
     static const ArtifactDef def = {
         {"ablation_pipeline",
          "Sections 3.1/3.3.1: engine fidelity, buffers, staleness",
-         400000, false, ""},
+         400000},
         run,
     };
     return def;

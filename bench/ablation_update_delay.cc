@@ -83,7 +83,7 @@ ablationUpdateDelayArtifact()
     static const ArtifactDef def = {
         {"ablation_update_delay",
          "Section 3.2 ablation: accuracy/IPC vs PHT update delay",
-         800000, false, ""},
+         800000},
         run,
     };
     return def;

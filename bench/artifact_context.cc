@@ -35,8 +35,7 @@ SweepContext::printf(const char *fmt, ...)
 StandaloneSweepContext::StandaloneSweepContext(
     const ArtifactSpec &spec, const BenchArgs &args)
     : session_(args.report, args.trace, spec.name),
-      pool_(args.jobs, spec.name),
-      manifest_(args.manifest)
+      pool_(args.jobs, spec.name)
 {
     // Timing runs under --trace bypass the pool (runner.cc hands the
     // tracer a serial path so event streams stay in cycle order);
@@ -68,12 +67,10 @@ StandaloneSweepContext::write(const char *data, std::size_t n)
 BufferedSweepContext::BufferedSweepContext(const ArtifactSpec &spec,
                                            parallel::CellPool *pool,
                                            bool want_report,
-                                           std::string manifest,
                                            TimingMemo *memo)
     : metrics_(/*enabled=*/true),
       pool_(pool),
       wantReport_(want_report),
-      manifest_(std::move(manifest)),
       memo_(memo ? memo : &ownMemo_)
 {
     report_.experiment = spec.name;
@@ -102,9 +99,7 @@ BufferedSweepContext::write(const char *data, std::size_t n)
 int
 artifactMain(const ArtifactDef &def, int argc, char **argv)
 {
-    const BenchArgs args =
-        BenchArgs::parse(argc, argv, def.spec.acceptsManifest,
-                         def.spec.extraUsage);
+    const BenchArgs args = BenchArgs::parse(argc, argv);
     StandaloneSweepContext ctx(def.spec, args);
     return def.fn(def.spec, ctx);
 }

@@ -51,8 +51,6 @@ struct ArtifactSpec
     /** Default BPSIM_OPS_PER_WORKLOAD fallback; 0 = replays no
      *  suite traces (table2). */
     Counter defaultOps = 0;
-    bool acceptsManifest = false; ///< takes --manifest (soft error)
-    std::string extraUsage;       ///< e.g. "[--manifest FILE]"
 };
 
 /**
@@ -74,8 +72,6 @@ class SweepContext
     /** The suite-cell executor (private CellPool standalone, a
      *  SweepPool inside bpsweep). Never nullptr. */
     virtual parallel::CellPool *pool() = 0;
-    /** --manifest path; "" when absent or not accepted. */
-    virtual const std::string &manifestPath() const = 0;
     /** The memo timing sweeps share (core/runner.hh): one per
      *  standalone artifact, one per bpsweep invocation. */
     virtual TimingMemo &timingMemo() = 0;
@@ -153,10 +149,6 @@ class StandaloneSweepContext final : public SweepContext
     obs::EventTracer *tracer() override { return session_.tracer(); }
     bool wantReport() const override { return session_.wantReport(); }
     parallel::CellPool *pool() override { return &pool_; }
-    const std::string &manifestPath() const override
-    {
-        return manifest_;
-    }
     TimingMemo &timingMemo() override { return memo_; }
 
   protected:
@@ -165,7 +157,6 @@ class StandaloneSweepContext final : public SweepContext
   private:
     obs::ReportSession session_;
     parallel::CellPool pool_;
-    std::string manifest_;
     TimingMemo memo_;
 };
 
@@ -185,7 +176,6 @@ class BufferedSweepContext final : public SweepContext
      *  outlive the context); nullptr gives the context its own. */
     BufferedSweepContext(const ArtifactSpec &spec,
                          parallel::CellPool *pool, bool want_report,
-                         std::string manifest = "",
                          TimingMemo *memo = nullptr);
 
     obs::RunReport &report() override { return report_; }
@@ -193,10 +183,6 @@ class BufferedSweepContext final : public SweepContext
     obs::EventTracer *tracer() override { return nullptr; }
     bool wantReport() const override { return wantReport_; }
     parallel::CellPool *pool() override { return pool_; }
-    const std::string &manifestPath() const override
-    {
-        return manifest_;
-    }
     TimingMemo &timingMemo() override { return *memo_; }
 
     const std::string &output() const { return out_; }
@@ -213,7 +199,6 @@ class BufferedSweepContext final : public SweepContext
     obs::MetricRegistry metrics_;
     parallel::CellPool *pool_;
     bool wantReport_;
-    std::string manifest_;
     std::string out_;
     TimingMemo ownMemo_;
     TimingMemo *memo_;

@@ -34,17 +34,14 @@ namespace bpsim {
 
 /**
  * Uniform CLI error handling for the bench binaries: after
- * BenchArgs::parse has stripped --report/--trace/--jobs (and
- * --manifest where accepted) and the bench has consumed its own
- * flags, anything left in argv is unknown (this also catches a
- * trailing `--report` or `--jobs` with no value, which the strippers
- * leave in place). Prints a one-line error plus usage to stderr and
- * exits 2, matching the bpstat usage exit code. @p extra_usage names
- * bench-specific flags, e.g. "[--manifest FILE]".
+ * BenchArgs::parse has stripped --report/--trace/--jobs, anything
+ * left in argv is unknown (this also catches a trailing `--report`
+ * or `--jobs` with no value, which the strippers leave in place).
+ * Prints a one-line error plus usage to stderr and exits 2,
+ * matching the bpstat usage exit code.
  */
 inline void
-requireNoExtraArgs(int argc, char **argv,
-                   const std::string &extra_usage = "")
+requireNoExtraArgs(int argc, char **argv)
 {
     if (argc <= 1)
         return;
@@ -52,9 +49,8 @@ requireNoExtraArgs(int argc, char **argv,
                  argv[1]);
     std::fprintf(stderr,
                  "usage: %s [--report FILE] [--trace FILE] "
-                 "[--jobs N]%s%s\n",
-                 argv[0], extra_usage.empty() ? "" : " ",
-                 extra_usage.c_str());
+                 "[--jobs N]\n",
+                 argv[0]);
     std::exit(2);
 }
 
@@ -110,44 +106,26 @@ takeJobsFlag(int &argc, char **argv)
  * programmatically without fabricating an argv.
  *
  * parse() is the one shared arg-parsing path for every bench main:
- * it strips --report/--trace (obs::takeFlag), --jobs
- * (takeJobsFlag) and, when @p accepts_manifest, the separated
- * `--manifest FILE` form, then rejects anything left over
+ * it strips --report/--trace (obs::takeFlag) and --jobs
+ * (takeJobsFlag), then rejects anything left over
  * (requireNoExtraArgs: exit 2 with the usage line). Flag syntax,
  * precedence (last occurrence wins) and exit codes are exactly the
  * pre-BenchArgs behavior.
  */
 struct BenchArgs
 {
-    std::string report;   ///< --report path, "" when absent
-    std::string trace;    ///< --trace path, "" when absent
-    unsigned jobs = 0;    ///< --jobs value, 0 = env/hardware
-    std::string manifest; ///< --manifest path, "" when absent
+    std::string report; ///< --report path, "" when absent
+    std::string trace;  ///< --trace path, "" when absent
+    unsigned jobs = 0;  ///< --jobs value, 0 = env/hardware
 
     static BenchArgs
-    parse(int &argc, char **argv, bool accepts_manifest = false,
-          const std::string &extra_usage = "")
+    parse(int &argc, char **argv)
     {
         BenchArgs args;
         args.report = obs::takeFlag(argc, argv, "--report");
         args.trace = obs::takeFlag(argc, argv, "--trace");
         args.jobs = takeJobsFlag(argc, argv);
-        if (accepts_manifest) {
-            // Separated form only, as study_soft_error always
-            // accepted it.
-            int out = 1;
-            for (int i = 1; i < argc; ++i) {
-                if (std::strcmp(argv[i], "--manifest") == 0 &&
-                    i + 1 < argc) {
-                    args.manifest = argv[i + 1];
-                    ++i;
-                    continue;
-                }
-                argv[out++] = argv[i];
-            }
-            argc = out;
-        }
-        requireNoExtraArgs(argc, argv, extra_usage);
+        requireNoExtraArgs(argc, argv);
         return args;
     }
 };

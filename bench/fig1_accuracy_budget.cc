@@ -71,7 +71,7 @@ fig1AccuracyBudgetArtifact()
     static const ArtifactDef def = {
         {"fig1_accuracy_budget",
          "Figure 1: mean misprediction (%) vs hardware budget",
-         1200000, false, ""},
+         1200000},
         run,
     };
     return def;

@@ -85,7 +85,7 @@ fig2IdealVsOverridingArtifact()
     static const ArtifactDef def = {
         {"fig2_ideal_vs_overriding",
          "Figure 2: harmonic-mean IPC, zero-delay vs overriding",
-         800000, false, ""},
+         800000},
         run,
     };
     return def;

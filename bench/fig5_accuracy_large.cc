@@ -64,7 +64,7 @@ fig5AccuracyLargeArtifact()
     static const ArtifactDef def = {
         {"fig5_accuracy_large",
          "Figure 5: mean misprediction (%) of the large predictors",
-         1200000, false, ""},
+         1200000},
         run,
     };
     return def;

@@ -76,7 +76,7 @@ fig6PerBenchmarkAccuracyArtifact()
     static const ArtifactDef def = {
         {"fig6_per_benchmark_accuracy",
          "Figure 6: per-benchmark misprediction (%) at 64KB",
-         1200000, false, ""},
+         1200000},
         run,
     };
     return def;

@@ -76,8 +76,7 @@ fig7IpcBudgetArtifact()
 {
     static const ArtifactDef def = {
         {"fig7_ipc_budget",
-         "Figure 7: harmonic-mean IPC vs hardware budget", 800000,
-         false, ""},
+         "Figure 7: harmonic-mean IPC vs hardware budget", 800000},
         run,
     };
     return def;

@@ -85,7 +85,7 @@ fig8PerBenchmarkIpcArtifact()
     static const ArtifactDef def = {
         {"fig8_per_benchmark_ipc",
          "Figure 8: per-benchmark IPC at 53KB/64KB (overriding)",
-         800000, false, ""},
+         800000},
         run,
     };
     return def;

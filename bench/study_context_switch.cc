@@ -139,7 +139,7 @@ studyContextSwitchArtifact()
     static const ArtifactDef def = {
         {"study_context_switch",
          "Context-switch study: interleaved gcc+crafty at 64KB",
-         400000, false, ""},
+         400000},
         run,
     };
     return def;

@@ -111,7 +111,7 @@ studyDisagreementArtifact()
     static const ArtifactDef def = {
         {"study_disagreement",
          "Section 4.5 study: overriding disagreement rates at 64KB",
-         800000, false, ""},
+         800000},
         run,
     };
     return def;

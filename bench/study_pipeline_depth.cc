@@ -85,8 +85,7 @@ studyPipelineDepthArtifact()
 {
     static const ArtifactDef def = {
         {"study_pipeline_depth",
-         "Depth study: 512KB predictors vs front-end depth", 600000,
-         false, ""},
+         "Depth study: 512KB predictors vs front-end depth", 600000},
         run,
     };
     return def;

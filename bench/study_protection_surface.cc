@@ -19,10 +19,9 @@
  * --monotone-upsets` gates that misprediction never improves as the
  * upset rate climbs in any (budget, policy) slice.
  *
- * Every cell runs through the HardenedSuiteRunner: pass
- * `--manifest FILE` and a killed campaign restarted with the same
- * file resumes from the first incomplete cell, producing a final
- * --report byte-identical to an uninterrupted run.
+ * One cell per (configuration, workload), run through the suite
+ * entry points like every other artifact: a cell that throws fails
+ * the study, so no surface is ever built from a partial sweep.
  */
 
 #include <cstdio>
@@ -32,7 +31,6 @@
 
 #include "artifact_registry.hh"
 #include "common/stats.hh"
-#include "robust/hardened_runner.hh"
 #include "robust/protection.hh"
 
 namespace bpsim {
@@ -101,161 +99,62 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     const std::size_t timing_budget = 64 * 1024;
     const std::vector<double> timing_rates = {0.0, 1e-3};
 
-    robust::HardenedRunSummary summary;
-    if (ctx.manifestPath().empty()) {
-        // No manifest, no resume granularity to honour: run the
-        // whole surface through the suite entry points, one cell per
-        // (config, workload).
-        // The injector fires every 256 updates; scrubbing sweeps
-        // every 2048, so eight injection events ride inside one
-        // scrub window.
-        std::vector<AccuracyCellConfig> acc;
-        for (std::size_t bi = 0; bi < budgets.size(); ++bi) {
-            for (std::size_t ri = 0; ri < rates.size(); ++ri) {
-                for (std::size_t pi = 0; pi < policies.size();
-                     ++pi) {
-                    const std::size_t budget = budgets[bi];
-                    const double rate = rates[ri];
-                    const robust::ProtectionPolicy policy =
-                        policies[pi];
-                    AccuracyCellConfig c;
-                    c.makeForWorkload = [kind, rate, policy, budget,
-                                         bi, ri, pi](std::size_t wi) {
-                        robust::FaultPlan plan;
-                        plan.upsetRatePerBit = rate;
-                        plan.intervalBranches = 256;
-                        plan.seed = cellSeed(bi, ri, pi, wi);
-                        return std::unique_ptr<DirectionPredictor>(
-                            makeProtectedPredictor(kind, budget,
-                                                   configFor(policy),
-                                                   plan));
-                    };
-                    c.name = cellLabel(kind, rate, policy);
-                    c.budgetBytes = budget;
-                    acc.push_back(std::move(c));
-                }
-            }
-        }
-        std::vector<TimingCellConfig> tim;
-        for (std::size_t ri = 0; ri < timing_rates.size(); ++ri) {
-            for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-                const double rate = timing_rates[ri];
-                const robust::ProtectionPolicy policy = policies[pi];
-                TimingCellConfig c;
-                c.makeForWorkload = [kind, rate, policy,
-                                     timing_budget, ri,
-                                     pi](std::size_t wi) {
-                    robust::FaultPlan plan;
-                    plan.upsetRatePerBit = rate;
-                    plan.intervalBranches = 256;
-                    plan.seed = cellSeed(77, ri, pi, wi);
-                    return std::unique_ptr<FetchPredictor>(
-                        makeProtectedFetchPredictor(
-                            kind, timing_budget, DelayMode::Overriding,
-                            configFor(policy), plan));
-                };
-                c.name = cellLabel(kind, rate, policy);
-                c.mode = delayModeName(DelayMode::Overriding);
-                c.budgetBytes = timing_budget;
-                c.cfg = cfg;
-                tim.push_back(std::move(c));
-            }
-        }
-        suiteAccuracyReportEnsemble(suite, acc, ctx.report(),
-                                    ctx.metricsIfEnabled(),
-                                    ctx.pool());
-        suiteTimingReportEnsemble(suite, tim, ctx.report(),
-                                  ctx.metricsIfEnabled(), nullptr,
-                                  ctx.pool(), ctx.timingMemo());
-        summary.completed =
-            (acc.size() + tim.size()) * suite.size();
-    } else {
-    // A manifest was passed: keep the serial HardenedSuiteRunner
-    // path, whose one-cell-per-point granularity is what resume
-    // depends on. One cell per point so resume granularity matches
-    // report granularity. The injector fires every 256 updates;
-    // scrubbing sweeps every 2048, so eight injection events ride
-    // inside one scrub window.
-    std::vector<robust::SuiteCell> cells;
+    // The injector fires every 256 updates; scrubbing sweeps every
+    // 2048, so eight injection events ride inside one scrub window.
+    std::vector<AccuracyCellConfig> acc;
     for (std::size_t bi = 0; bi < budgets.size(); ++bi) {
         for (std::size_t ri = 0; ri < rates.size(); ++ri) {
             for (std::size_t pi = 0; pi < policies.size(); ++pi) {
                 const std::size_t budget = budgets[bi];
                 const double rate = rates[ri];
                 const robust::ProtectionPolicy policy = policies[pi];
-                const std::string label =
-                    cellLabel(kind, rate, policy);
-                for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-                    obs::RunReport::Row probe;
-                    probe.workload = suite.name(wi);
-                    probe.predictor = label;
-                    probe.budgetBytes = budget;
-                    cells.push_back(
-                        {probe.key(),
-                         [&suite, kind, rate, policy, label, budget,
-                          bi, ri, pi,
-                          wi](const robust::Deadline &deadline) {
-                             robust::FaultPlan plan;
-                             plan.upsetRatePerBit = rate;
-                             plan.intervalBranches = 256;
-                             plan.seed = cellSeed(bi, ri, pi, wi);
-                             auto pred = makeProtectedPredictor(
-                                 kind, budget, configFor(policy),
-                                 plan);
-                             const AccuracyResult r = runAccuracy(
-                                 *pred, suite.trace(wi),
-                                 [&deadline] {
-                                     deadline.check(
-                                         "protection cell");
-                                 });
-                             return reportRow(suite.name(wi), label,
-                                              budget, r);
-                         }});
-                }
+                AccuracyCellConfig c;
+                c.makeForWorkload = [kind, rate, policy, budget, bi,
+                                     ri, pi](std::size_t wi) {
+                    robust::FaultPlan plan;
+                    plan.upsetRatePerBit = rate;
+                    plan.intervalBranches = 256;
+                    plan.seed = cellSeed(bi, ri, pi, wi);
+                    return std::unique_ptr<DirectionPredictor>(
+                        makeProtectedPredictor(kind, budget,
+                                               configFor(policy),
+                                               plan));
+                };
+                c.name = cellLabel(kind, rate, policy);
+                c.budgetBytes = budget;
+                acc.push_back(std::move(c));
             }
         }
     }
+    std::vector<TimingCellConfig> tim;
     for (std::size_t ri = 0; ri < timing_rates.size(); ++ri) {
         for (std::size_t pi = 0; pi < policies.size(); ++pi) {
             const double rate = timing_rates[ri];
             const robust::ProtectionPolicy policy = policies[pi];
-            const std::string label = cellLabel(kind, rate, policy);
-            for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-                obs::RunReport::Row probe;
-                probe.workload = suite.name(wi);
-                probe.predictor = label;
-                probe.mode = delayModeName(DelayMode::Overriding);
-                probe.budgetBytes = timing_budget;
-                cells.push_back(
-                    {probe.key(),
-                     [&suite, &cfg, kind, rate, policy, label,
-                      timing_budget, ri, pi,
-                      wi](const robust::Deadline &) {
-                         robust::FaultPlan plan;
-                         plan.upsetRatePerBit = rate;
-                         plan.intervalBranches = 256;
-                         plan.seed = cellSeed(77, ri, pi, wi);
-                         auto pred = makeProtectedFetchPredictor(
-                             kind, timing_budget,
-                             DelayMode::Overriding,
-                             configFor(policy), plan);
-                         const SimResult r =
-                             runTiming(cfg, *pred, suite.trace(wi));
-                         return reportRow(
-                             suite.name(wi), label,
-                             delayModeName(DelayMode::Overriding),
-                             timing_budget, cfg, r);
-                     }});
-            }
+            TimingCellConfig c;
+            c.makeForWorkload = [kind, rate, policy, timing_budget,
+                                 ri, pi](std::size_t wi) {
+                robust::FaultPlan plan;
+                plan.upsetRatePerBit = rate;
+                plan.intervalBranches = 256;
+                plan.seed = cellSeed(77, ri, pi, wi);
+                return std::unique_ptr<FetchPredictor>(
+                    makeProtectedFetchPredictor(
+                        kind, timing_budget, DelayMode::Overriding,
+                        configFor(policy), plan));
+            };
+            c.name = cellLabel(kind, rate, policy);
+            c.mode = delayModeName(DelayMode::Overriding);
+            c.budgetBytes = timing_budget;
+            c.cfg = cfg;
+            tim.push_back(std::move(c));
         }
     }
-
-    robust::HardenedSuiteRunner runner(ctx.manifestPath(),
-                                       robust::RetryPolicy{},
-                                       std::chrono::minutes{5},
-                                       ctx.pool());
-    summary = runner.run(cells, ctx.report());
-    }
+    suiteAccuracyReportEnsemble(suite, acc, ctx.report(),
+                                ctx.metricsIfEnabled(), ctx.pool());
+    suiteTimingReportEnsemble(suite, tim, ctx.report(),
+                              ctx.metricsIfEnabled(), nullptr,
+                              ctx.pool(), ctx.timingMemo());
 
     // Reduce report rows back to the surface tables. Keys:
     // (label, budget) for accuracy, label for the timing slice.
@@ -281,15 +180,11 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
         ctx.printf("\n");
         for (double rate : rates) {
             ctx.printf("%-10s", rateLabel(rate).c_str());
-            for (std::size_t budget : budgets) {
-                const auto it = misp.find(
-                    {cellLabel(kind, rate, policy), budget});
-                if (it == misp.end())
-                    ctx.printf("%14s", "-");
-                else
-                    ctx.printf("%14.3f",
-                               arithmeticMean(it->second));
-            }
+            for (std::size_t budget : budgets)
+                ctx.printf("%14.3f",
+                           arithmeticMean(misp.at(
+                               {cellLabel(kind, rate, policy),
+                                budget})));
             ctx.printf("\n");
         }
     }
@@ -325,13 +220,9 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     for (robust::ProtectionPolicy policy : policies) {
         ctx.printf("%-8s",
                    robust::protectionPolicyName(policy).c_str());
-        for (double rate : timing_rates) {
-            const auto it = ipcs.find(cellLabel(kind, rate, policy));
-            if (it == ipcs.end())
-                ctx.printf("%14s", "-");
-            else
-                ctx.printf("%14.3f", harmonicMean(it->second));
-        }
+        for (double rate : timing_rates)
+            ctx.printf("%14.3f", harmonicMean(ipcs.at(
+                                     cellLabel(kind, rate, policy))));
         ctx.printf("\n");
     }
 
@@ -360,14 +251,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
         }
     }
 
-    ctx.printf("\ncells: %zu completed, %zu resumed from manifest, "
-               "%zu failed (%zu retries)\n",
-               summary.completed, summary.resumed, summary.failed,
-               summary.retries);
-    if (!ctx.manifestPath().empty())
-        ctx.printf("manifest: %s\n", ctx.manifestPath().c_str());
-
-    return summary.allOk() ? 0 : 1;
+    return 0;
 }
 
 } // namespace
@@ -379,7 +263,7 @@ studyProtectionSurfaceArtifact()
         {"study_protection_surface",
          "Protection surface: misprediction vs budget x upset rate "
          "x ECC policy, with storage/delay taxes",
-         250000, true, "[--manifest FILE]"},
+         250000},
         run,
     };
     return def;

@@ -11,10 +11,9 @@
  * branches) and reports mean misprediction per rate, plus a
  * gshare.fast timing sweep showing the IPC cost of the same upsets.
  *
- * Every cell runs through the HardenedSuiteRunner: pass
- * `--manifest FILE` and a killed campaign restarted with the same
- * file resumes from the first incomplete cell, producing a final
- * --report byte-identical to an uninterrupted run.
+ * One cell per (configuration, workload), run through the suite
+ * entry points like every other artifact: a cell that throws fails
+ * the study, so no table is ever built from a partial sweep.
  */
 
 #include <cstdio>
@@ -25,7 +24,6 @@
 #include "artifact_registry.hh"
 #include "common/stats.hh"
 #include "robust/fault_injector.hh"
-#include "robust/hardened_runner.hh"
 
 namespace bpsim {
 
@@ -76,144 +74,56 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
         PredictorKind::Gskew,
     };
 
-    robust::HardenedRunSummary summary;
-    if (ctx.manifestPath().empty()) {
-        // No manifest, no resume granularity to honour: run the
-        // sweep through the suite entry points, one cell per
-        // (config, workload).
-        std::vector<AccuracyCellConfig> acc;
-        for (std::size_t ki = 0; ki < kinds.size(); ++ki) {
-            for (std::size_t ri = 0; ri < rates.size(); ++ri) {
-                const PredictorKind kind = kinds[ki];
-                const double rate = rates[ri];
-                AccuracyCellConfig c;
-                c.makeForWorkload = [kind, rate, budget, ki,
-                                     ri](std::size_t wi) {
-                    robust::FaultPlan plan;
-                    plan.upsetRatePerBit = rate;
-                    plan.intervalBranches = 256;
-                    plan.seed = cellSeed(ki, ri, wi);
-                    return std::unique_ptr<DirectionPredictor>(
-                        std::make_unique<
-                            robust::FaultInjectingPredictor>(
-                            makePredictor(kind, budget), plan));
-                };
-                c.name = cellLabel(kind, rate);
-                c.budgetBytes = budget;
-                acc.push_back(std::move(c));
-            }
-        }
-        std::vector<TimingCellConfig> tim;
-        for (std::size_t ri = 0; ri < rates.size(); ++ri) {
-            const double rate = rates[ri];
-            TimingCellConfig c;
-            c.makeForWorkload = [rate, budget, ri](std::size_t wi) {
-                robust::FaultPlan plan;
-                plan.upsetRatePerBit = rate;
-                plan.intervalBranches = 256;
-                plan.seed = cellSeed(99, ri, wi);
-                return std::unique_ptr<FetchPredictor>(
-                    std::make_unique<
-                        robust::FaultInjectingFetchPredictor>(
-                        makeFetchPredictor(PredictorKind::GshareFast,
-                                           budget,
-                                           DelayMode::Pipelined),
-                        plan));
-            };
-            c.name = cellLabel(PredictorKind::GshareFast, rate);
-            c.mode = delayModeName(DelayMode::Pipelined);
-            c.budgetBytes = budget;
-            c.cfg = cfg;
-            tim.push_back(std::move(c));
-        }
-        suiteAccuracyReportEnsemble(suite, acc, ctx.report(),
-                                    ctx.metricsIfEnabled(),
-                                    ctx.pool());
-        suiteTimingReportEnsemble(suite, tim, ctx.report(),
-                                  ctx.metricsIfEnabled(), nullptr,
-                                  ctx.pool(), ctx.timingMemo());
-        summary.completed =
-            (acc.size() + tim.size()) * suite.size();
-    } else {
-    // A manifest was passed: keep the serial HardenedSuiteRunner
-    // path, whose one-cell-per-point granularity is what resume
-    // depends on. One cell per (workload, predictor, rate) so resume
-    // granularity matches report granularity. Accuracy cells for all
-    // five predictors; timing cells for the pipelined gshare.fast
-    // only (the timing core dominates runtime).
-    std::vector<robust::SuiteCell> cells;
+    // One accuracy cell per (predictor, rate) for all five
+    // predictors; timing cells for the pipelined gshare.fast only
+    // (the timing core dominates runtime).
+    std::vector<AccuracyCellConfig> acc;
     for (std::size_t ki = 0; ki < kinds.size(); ++ki) {
         for (std::size_t ri = 0; ri < rates.size(); ++ri) {
             const PredictorKind kind = kinds[ki];
             const double rate = rates[ri];
-            const std::string label = cellLabel(kind, rate);
-            for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-                obs::RunReport::Row probe;
-                probe.workload = suite.name(wi);
-                probe.predictor = label;
-                probe.budgetBytes = budget;
-                cells.push_back(
-                    {probe.key(),
-                     [&suite, kind, rate, label, budget, ki, ri,
-                      wi](const robust::Deadline &deadline) {
-                         robust::FaultPlan plan;
-                         plan.upsetRatePerBit = rate;
-                         plan.intervalBranches = 256;
-                         plan.seed = cellSeed(ki, ri, wi);
-                         robust::FaultInjectingPredictor pred(
-                             makePredictor(kind, budget), plan);
-                         const AccuracyResult r = runAccuracy(
-                             pred, suite.trace(wi),
-                             [&deadline] {
-                                 deadline.check("accuracy cell");
-                             });
-                         return reportRow(suite.name(wi), label,
-                                          budget, r);
-                     }});
-            }
+            AccuracyCellConfig c;
+            c.makeForWorkload = [kind, rate, budget, ki,
+                                 ri](std::size_t wi) {
+                robust::FaultPlan plan;
+                plan.upsetRatePerBit = rate;
+                plan.intervalBranches = 256;
+                plan.seed = cellSeed(ki, ri, wi);
+                return std::unique_ptr<DirectionPredictor>(
+                    std::make_unique<robust::FaultInjectingPredictor>(
+                        makePredictor(kind, budget), plan));
+            };
+            c.name = cellLabel(kind, rate);
+            c.budgetBytes = budget;
+            acc.push_back(std::move(c));
         }
     }
+    std::vector<TimingCellConfig> tim;
     for (std::size_t ri = 0; ri < rates.size(); ++ri) {
         const double rate = rates[ri];
-        const std::string label =
-            cellLabel(PredictorKind::GshareFast, rate);
-        for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-            obs::RunReport::Row probe;
-            probe.workload = suite.name(wi);
-            probe.predictor = label;
-            probe.mode = delayModeName(DelayMode::Pipelined);
-            probe.budgetBytes = budget;
-            cells.push_back(
-                {probe.key(),
-                 [&suite, &cfg, rate, label, budget, ri,
-                  wi](const robust::Deadline &) {
-                     robust::FaultPlan plan;
-                     plan.upsetRatePerBit = rate;
-                     plan.intervalBranches = 256;
-                     plan.seed = cellSeed(99, ri, wi);
-                     robust::FaultInjectingFetchPredictor pred(
-                         makeFetchPredictor(PredictorKind::GshareFast,
-                                            budget,
-                                            DelayMode::Pipelined),
-                         plan);
-                     const SimResult r =
-                         runTiming(cfg, pred, suite.trace(wi));
-                     return reportRow(
-                         suite.name(wi), label,
-                         delayModeName(DelayMode::Pipelined), budget,
-                         cfg, r);
-                 }});
-        }
+        TimingCellConfig c;
+        c.makeForWorkload = [rate, budget, ri](std::size_t wi) {
+            robust::FaultPlan plan;
+            plan.upsetRatePerBit = rate;
+            plan.intervalBranches = 256;
+            plan.seed = cellSeed(99, ri, wi);
+            return std::unique_ptr<FetchPredictor>(
+                std::make_unique<robust::FaultInjectingFetchPredictor>(
+                    makeFetchPredictor(PredictorKind::GshareFast,
+                                       budget, DelayMode::Pipelined),
+                    plan));
+        };
+        c.name = cellLabel(PredictorKind::GshareFast, rate);
+        c.mode = delayModeName(DelayMode::Pipelined);
+        c.budgetBytes = budget;
+        c.cfg = cfg;
+        tim.push_back(std::move(c));
     }
-
-    // Generous per-cell watchdog: any wedged cell is timed out,
-    // retried, and at worst annotated instead of hanging the sweep.
-    robust::HardenedSuiteRunner runner(ctx.manifestPath(),
-                                       robust::RetryPolicy{},
-                                       std::chrono::minutes{5},
-                                       ctx.pool());
-    summary = runner.run(cells, ctx.report());
-    }
+    suiteAccuracyReportEnsemble(suite, acc, ctx.report(),
+                                ctx.metricsIfEnabled(), ctx.pool());
+    suiteTimingReportEnsemble(suite, tim, ctx.report(),
+                              ctx.metricsIfEnabled(), nullptr,
+                              ctx.pool(), ctx.timingMemo());
 
     // Reduce report rows back to the study tables.
     std::map<std::string, std::vector<double>> misp, ipcs;
@@ -232,36 +142,19 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     ctx.printf("\n");
     for (double rate : rates) {
         ctx.printf("%-10s", rateLabel(rate).c_str());
-        for (auto k : kinds) {
-            const auto it = misp.find(cellLabel(k, rate));
-            if (it == misp.end())
-                ctx.printf("%16s", "-");
-            else
-                ctx.printf("%16.3f", arithmeticMean(it->second));
-        }
+        for (auto k : kinds)
+            ctx.printf("%16.3f",
+                       arithmeticMean(misp.at(cellLabel(k, rate))));
         ctx.printf("\n");
     }
 
     ctx.printf("\ngshare.fast harmonic-mean IPC vs upset rate\n");
     ctx.printf("%-10s %12s\n", "rate", "IPC");
-    for (double rate : rates) {
-        const auto it =
-            ipcs.find(cellLabel(PredictorKind::GshareFast, rate));
-        if (it == ipcs.end())
-            ctx.printf("%-10s %12s\n", rateLabel(rate).c_str(), "-");
-        else
-            ctx.printf("%-10s %12.3f\n", rateLabel(rate).c_str(),
-                       harmonicMean(it->second));
-    }
-
-    ctx.printf("\ncells: %zu completed, %zu resumed from manifest, "
-               "%zu failed (%zu retries)\n",
-               summary.completed, summary.resumed, summary.failed,
-               summary.retries);
-    if (!ctx.manifestPath().empty())
-        ctx.printf("manifest: %s\n", ctx.manifestPath().c_str());
-
-    return summary.allOk() ? 0 : 1;
+    for (double rate : rates)
+        ctx.printf("%-10s %12.3f\n", rateLabel(rate).c_str(),
+                   harmonicMean(ipcs.at(
+                       cellLabel(PredictorKind::GshareFast, rate))));
+    return 0;
 }
 
 } // namespace
@@ -272,7 +165,7 @@ studySoftErrorArtifact()
     static const ArtifactDef def = {
         {"study_soft_error",
          "Soft-error study: accuracy/IPC vs SRAM upset rate at 64KB",
-         250000, true, "[--manifest FILE]"},
+         250000},
         run,
     };
     return def;

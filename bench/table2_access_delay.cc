@@ -82,8 +82,7 @@ table2AccessDelayArtifact()
 {
     static const ArtifactDef def = {
         {"table2_access_delay",
-         "Table 2: modelled predictor access latencies (cycles)", 0,
-         false, ""},
+         "Table 2: modelled predictor access latencies (cycles)", 0},
         run,
     };
     return def;

@@ -1,7 +1,6 @@
 #include "core/runner.hh"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 
 #include "common/env.hh"
@@ -17,62 +16,32 @@ namespace bpsim {
 namespace {
 
 /**
- * The one accuracy replay loop, shared by the poll and non-poll
- * entry points so they cannot diverge. Walks the trace's dense
- * conditional-branch columns in blocks of @p poll_interval branches
- * and calls @p poll after each full block (never when the interval
- * is 0).
+ * The one accuracy replay loop: walks the trace's dense
+ * conditional-branch columns once.
  *
  * Templated over the predictor's *static* type: instantiated once
  * per concrete (final) predictor class via withConcretePredictor so
  * predict/update inline, and once at Pred=DirectionPredictor as the
  * virtual fallback for unknown types.
  */
-template <typename Pred, typename Poll>
+template <typename Pred>
 AccuracyResult
-runAccuracyLoop(Pred &pred, const TraceBuffer &trace, Poll &&poll,
-                Counter poll_interval)
+runAccuracyLoop(Pred &pred, const TraceBuffer &trace)
 {
     const BranchSpan view = trace.branchView();
     const std::size_t n = view.size();
     const Addr *pcs = view.pcData();
     const std::uint8_t *takens = view.takenData();
-    const Counter block =
-        poll_interval ? poll_interval : std::numeric_limits<Counter>::max();
+    Counter misp = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const bool taken = takens[i] != 0;
+        const bool predicted = pred.predict(pcs[i]);
+        pred.update(pcs[i], taken);
+        misp += predicted != taken ? 1 : 0;
+    }
     AccuracyResult r;
     r.branches = n;
-    for (std::size_t base = 0; base < n;) {
-        const std::size_t end = n - base > block ? base + block : n;
-        Counter misp = 0;
-        for (std::size_t i = base; i < end; ++i) {
-            const bool taken = takens[i] != 0;
-            const bool predicted = pred.predict(pcs[i]);
-            pred.update(pcs[i], taken);
-            misp += predicted != taken ? 1 : 0;
-        }
-        r.mispredictions += misp;
-        if (end - base == block)
-            poll();
-        base = end;
-    }
-    return r;
-}
-
-/** Monomorphize on the concrete type when known, else run the
- *  virtual-dispatch loop. Both paths are the same template, so they
- *  cannot diverge semantically. */
-template <typename Poll>
-AccuracyResult
-runAccuracyDispatch(DirectionPredictor &pred, const TraceBuffer &trace,
-                    Poll &&poll, Counter poll_interval)
-{
-    AccuracyResult r;
-    const bool matched =
-        withConcretePredictor(pred, [&](auto &concrete) {
-            r = runAccuracyLoop(concrete, trace, poll, poll_interval);
-        });
-    if (!matched)
-        r = runAccuracyLoop(pred, trace, poll, poll_interval);
+    r.mispredictions = misp;
     return r;
 }
 
@@ -97,22 +66,23 @@ forEachCell(parallel::CellPool *pool, std::size_t count,
 AccuracyResult
 runAccuracy(DirectionPredictor &pred, const TraceBuffer &trace)
 {
-    return runAccuracyDispatch(
-        pred, trace, [] {}, std::numeric_limits<Counter>::max());
-}
-
-AccuracyResult
-runAccuracy(DirectionPredictor &pred, const TraceBuffer &trace,
-            const std::function<void()> &poll, Counter poll_interval)
-{
-    return runAccuracyDispatch(pred, trace, poll, poll_interval);
+    // Monomorphize on the concrete type when known, else run the
+    // virtual-dispatch loop. Both paths are the same template, so
+    // they cannot diverge semantically.
+    AccuracyResult r;
+    const bool matched =
+        withConcretePredictor(pred, [&](auto &concrete) {
+            r = runAccuracyLoop(concrete, trace);
+        });
+    if (!matched)
+        r = runAccuracyLoop(pred, trace);
+    return r;
 }
 
 AccuracyResult
 runAccuracyVirtual(DirectionPredictor &pred, const TraceBuffer &trace)
 {
-    return runAccuracyLoop(
-        pred, trace, [] {}, std::numeric_limits<Counter>::max());
+    return runAccuracyLoop(pred, trace);
 }
 
 SimResult

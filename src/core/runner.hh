@@ -63,17 +63,6 @@ AccuracyResult runAccuracy(DirectionPredictor &pred,
                            const TraceBuffer &trace);
 
 /**
- * As above, invoking @p poll every @p poll_interval conditional
- * branches. Intended for cooperative watchdogs: a suite cell passes
- * a closure that calls Deadline::check() so a wedged or oversized
- * run aborts with DeadlineExceeded instead of hanging the campaign.
- */
-AccuracyResult runAccuracy(DirectionPredictor &pred,
-                           const TraceBuffer &trace,
-                           const std::function<void()> &poll,
-                           Counter poll_interval = 65536);
-
-/**
  * The virtual-dispatch replay loop, bypassing the monomorphic
  * fast path that runAccuracy() takes for factory-built predictor
  * types. Exists so equivalence tests and microbenchmarks can compare

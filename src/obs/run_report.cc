@@ -95,16 +95,6 @@ RunReport::toJson() const
     for (const Row &r : rows)
         arr.push(r.toJson());
     j.set("rows", std::move(arr));
-    if (!annotations.empty()) {
-        Json ann = Json::array();
-        for (const Annotation &a : annotations) {
-            Json e = Json::object();
-            e.set("key", Json(a.key));
-            e.set("message", Json(a.message));
-            ann.push(std::move(e));
-        }
-        j.set("annotations", std::move(ann));
-    }
     if (!metrics.isNull())
         j.set("metrics", metrics);
     return j;
@@ -128,11 +118,14 @@ RunReport::fromJson(const Json &j)
         rep.seed = j.get("seed").asU64();
         for (const Json &row : j.get("rows").items())
             rep.rows.push_back(Row::fromJson(row));
-        if (const Json *ann = j.find("annotations"))
-            for (const Json &e : ann->items())
-                rep.annotations.push_back(
-                    {e.get("key").asString(),
-                     e.get("message").asString()});
+        // Older binaries listed failed cells here instead of
+        // failing the run; such a report is missing those rows.
+        if (const Json *ann = j.find("annotations");
+            ann && !ann->items().empty())
+            throw RunReportParseError(
+                "partial report: " +
+                std::to_string(ann->items().size()) +
+                " failed cell(s)");
         if (const Json *m = j.find("metrics"))
             rep.metrics = *m;
         return rep;

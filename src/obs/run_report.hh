@@ -117,22 +117,10 @@ struct RunReport
         /** Key identifying this cell across two reports. */
         std::string key() const;
 
-        /** Serialize this row alone (RunManifest cell caching). */
+        /** Serialize this row alone (one entry of `rows`). */
         Json toJson() const;
         /** Throws RunReportParseError on shape problems. */
         static Row fromJson(const Json &j);
-    };
-
-    /**
-     * A per-cell failure note attached by hardened suite execution:
-     * the cell's key plus what went wrong (timeout, exhausted
-     * retries). A report with annotations is *partial* — the listed
-     * cells have no row — but still validates and diffs.
-     */
-    struct Annotation
-    {
-        std::string key;
-        std::string message;
     };
 
     int schemaVersion = kSchemaVersion;
@@ -141,13 +129,13 @@ struct RunReport
     Counter opsPerWorkload = 0;
     std::uint64_t seed = 0;
     std::vector<Row> rows;
-    /** Failure annotations from hardened runs (usually empty). */
-    std::vector<Annotation> annotations;
     /** Metric-registry snapshot (object), or null when absent. */
     Json metrics;
 
     Json toJson() const;
-    /** Throws RunReportError on schema or shape problems. */
+    /** Throws RunReportError on schema or shape problems, and
+     *  RunReportParseError on a partial report (one carrying the
+     *  `annotations` older binaries wrote for failed cells). */
     static RunReport fromJson(const Json &j);
 
     /** Returns false (with a stderr message) on I/O failure. */

@@ -12,8 +12,8 @@
  *  - compute(i) runs concurrently on the workers and must only write
  *    cell-private state (its result slot);
  *  - commit(i) runs on the *calling* thread in strict index order, so
- *    report rows, metric publication and manifest checkpoints happen
- *    in exactly the serial sequence.
+ *    report rows and metric publication happen in exactly the serial
+ *    sequence.
  *
  * With jobs == 1 (or a single cell) no threads are spawned at all —
  * compute/commit alternate inline, byte-for-byte the serial code path.

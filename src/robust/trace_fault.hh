@@ -11,8 +11,6 @@
  *  - corruptFileBytes() flips bits in a serialized file, for
  *    exercising reader hardening (trace + report parsers must throw
  *    their typed errors, never crash or over-read).
- *  - IoFaultInjector schedules deterministic transient I/O failures,
- *    for driving RetryPolicy paths in tests and studies.
  */
 
 #ifndef BPSIM_ROBUST_TRACE_FAULT_HH
@@ -57,45 +55,6 @@ TraceCorruption corruptTrace(TraceBuffer &trace, double rate,
  */
 Counter corruptFileBytes(const std::string &path, Counter flips,
                          Rng &rng);
-
-/**
- * Deterministic transient-failure schedule: each shouldFail() call
- * is an independent Bernoulli(@p failure_rate) draw from the seeded
- * RNG, with an optional cap on total failures so a campaign is
- * guaranteed to eventually succeed.
- */
-class IoFaultInjector
-{
-  public:
-    IoFaultInjector(double failure_rate, std::uint64_t seed,
-                    Counter max_failures = ~Counter{0})
-        : rate_(failure_rate), rng_(seed), maxFailures_(max_failures)
-    {
-    }
-
-    /** True when this operation should fail. */
-    bool
-    shouldFail()
-    {
-        ++calls_;
-        if (failures_ >= maxFailures_)
-            return false;
-        if (!rng_.nextBool(rate_))
-            return false;
-        ++failures_;
-        return true;
-    }
-
-    Counter calls() const { return calls_; }
-    Counter failures() const { return failures_; }
-
-  private:
-    double rate_;
-    Rng rng_;
-    Counter maxFailures_;
-    Counter calls_ = 0;
-    Counter failures_ = 0;
-};
 
 } // namespace bpsim::robust
 

@@ -153,7 +153,7 @@ TEST(ArtifactRegistry, SweepRunsAreByteIdenticalToStandaloneRuns)
             contexts.push_back(
                 std::make_unique<BufferedSweepContext>(
                     def.spec, pools.back().get(),
-                    /*want_report=*/true, "", &sweepMemo));
+                    /*want_report=*/true, &sweepMemo));
         }
         std::vector<std::thread> drivers;
         for (std::size_t i = 0; i < defs.size(); ++i)
@@ -197,10 +197,10 @@ TEST(ArtifactRegistry, SweepRunsAreByteIdenticalToStandaloneRuns)
     const std::size_t fig7 = index("fig7_ipc_budget");
     TimingMemo memo;
     parallel::CellPool pool(4);
-    BufferedSweepContext first(defs[fig7].spec, &pool, true, "", &memo);
+    BufferedSweepContext first(defs[fig7].spec, &pool, true, &memo);
     ASSERT_EQ(defs[fig7].fn(defs[fig7].spec, first), 0);
     const TimingMemo::Stats afterFig7 = memo.stats();
-    BufferedSweepContext second(defs[fig2].spec, &pool, true, "", &memo);
+    BufferedSweepContext second(defs[fig2].spec, &pool, true, &memo);
     ASSERT_EQ(defs[fig2].fn(defs[fig2].spec, second), 0);
     second.finalize();
     EXPECT_EQ(memo.stats().requests - afterFig7.requests, 288u);
@@ -451,6 +451,39 @@ TEST(ArtifactRegistry, StandaloneTraceWithJobsWarnsSerialFallback)
         << err;
 
     std::remove(tracePath.c_str());
+}
+
+using ArtifactRegistryDeathTest = ::testing::Test;
+
+TEST(ArtifactRegistryDeathTest, ManifestIsAnUnknownArgument)
+{
+    // The two fault studies take only the common flags, so
+    // `--manifest` is rejected like any other unknown argument.
+    const std::string manifest =
+        (std::filesystem::temp_directory_path() /
+         "bpsim_test_manifest_probe.json")
+            .string();
+    for (const char *name :
+         {"study_soft_error", "study_protection_surface"}) {
+        const ArtifactDef *def = findArtifact(name);
+        ASSERT_NE(def, nullptr) << name;
+        std::vector<std::string> args = {name, "--manifest", manifest};
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        argv.push_back(nullptr);
+        EXPECT_EXIT(
+            {
+                setenv("BPSIM_OPS_PER_WORKLOAD", "2000", 1);
+                std::exit(artifactMain(
+                    *def, static_cast<int>(args.size()), argv.data()));
+            },
+            ::testing::ExitedWithCode(2),
+            "unknown argument '--manifest'(.|\n)*usage: .*"
+            "\\[--jobs N\\]")
+            << name;
+    }
+    std::remove(manifest.c_str());
 }
 
 } // namespace

@@ -377,15 +377,5 @@ TEST(TraceFault, CorruptTraceIsDeterministicAndKeepsClasses)
     EXPECT_GT(r.branches, 0u);
 }
 
-TEST(TraceFault, IoFaultInjectorIsDeterministicAndCapped)
-{
-    robust::IoFaultInjector a(0.5, 42, 3);
-    robust::IoFaultInjector b(0.5, 42, 3);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(a.shouldFail(), b.shouldFail()) << "call " << i;
-    EXPECT_EQ(a.failures(), 3u);
-    EXPECT_EQ(a.calls(), 100u);
-}
-
 } // namespace
 } // namespace bpsim

@@ -117,6 +117,29 @@ TEST(RunReport, RejectsNonObject)
     EXPECT_THROW(Json::parse("{not json"), JsonError);
 }
 
+TEST(RunReport, RejectsPartialReport)
+{
+    // Older binaries listed failed cells under `annotations` and
+    // wrote the report without their rows; reading one back must
+    // fail rather than pass a partial result off as complete.
+    Json j = sampleReport().toJson();
+    Json annotations = Json::array();
+    for (const char *key : {"164.gzip|gshare||16384",
+                            "176.gcc|gshare||16384"}) {
+        Json a = Json::object();
+        a.set("key", Json(std::string(key)));
+        a.set("message", Json(std::string("deadline exceeded")));
+        annotations.push(std::move(a));
+    }
+    j.set("annotations", std::move(annotations));
+    try {
+        RunReport::fromJson(j);
+        FAIL() << "a partial report was accepted";
+    } catch (const RunReportParseError &e) {
+        EXPECT_STREQ(e.what(), "partial report: 2 failed cell(s)");
+    }
+}
+
 TEST(RunReport, ValidateAcceptsConsistentReport)
 {
     EXPECT_TRUE(sampleReport().validate().empty());

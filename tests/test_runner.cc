@@ -51,18 +51,6 @@ TEST(AccuracyRunner, CountsOnlyConditionalBranches)
     EXPECT_EQ(r.branches, 10u);
     EXPECT_EQ(r.mispredictions, 10u);
     EXPECT_DOUBLE_EQ(r.percent(), 100.0);
-
-    // The poll overload polls after every full block of
-    // poll_interval branches, and only then.
-    const std::pair<Counter, int> cadences[] = {
-        {1, 10}, {3, 3}, {5, 2}, {10, 1}, {11, 0}};
-    for (const auto &[interval, polls] : cadences) {
-        int calls = 0;
-        const auto rp =
-            runAccuracy(never, t, [&calls] { ++calls; }, interval);
-        EXPECT_EQ(calls, polls) << "interval " << interval;
-        EXPECT_EQ(rp.mispredictions, 10u);
-    }
 }
 
 TEST(SuiteTraces, BuildsAllTwelveOnce)

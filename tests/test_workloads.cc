@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "workloads/workload.hh"
 
@@ -58,6 +60,51 @@ TEST_P(KernelTest, DeterministicForSameSeed)
         ASSERT_EQ(a[i].pc, b[i].pc) << "op " << i;
         ASSERT_EQ(a[i].taken, b[i].taken) << "op " << i;
         ASSERT_EQ(a[i].extra, b[i].extra) << "op " << i;
+    }
+}
+
+TEST_P(KernelTest, ShortTraceIsPrefixOfLongTrace)
+{
+    // A kernel's op stream does not depend on the op budget: the
+    // budget only decides where the tracer stops it. So a short
+    // trace is the exact prefix of a longer one at the same seed.
+    const Counter lengths[] = {1000, 20000, 60000};
+    for (std::uint64_t seed : {1ull, 42ull, 6007ull}) {
+        std::vector<TraceBuffer> traces;
+        for (Counter ops : lengths)
+            traces.push_back(gen(ops, seed));
+        for (std::size_t s = 0; s < traces.size(); ++s) {
+            for (std::size_t l = s + 1; l < traces.size(); ++l) {
+                const TraceBuffer &shorter = traces[s];
+                const TraceBuffer &longer = traces[l];
+                const std::string where =
+                    "seed " + std::to_string(seed) + ", " +
+                    std::to_string(lengths[s]) + " vs " +
+                    std::to_string(lengths[l]) + " ops";
+                ASSERT_EQ(shorter.size(), lengths[s]) << where;
+                for (std::size_t i = 0; i < shorter.size(); ++i) {
+                    const MicroOp &a = shorter[i];
+                    const MicroOp &b = longer[i];
+                    ASSERT_EQ(a.pc, b.pc) << where << ", op " << i;
+                    ASSERT_EQ(a.extra, b.extra) << where << ", op " << i;
+                    ASSERT_EQ(a.cls, b.cls) << where << ", op " << i;
+                    ASSERT_EQ(a.taken, b.taken) << where << ", op " << i;
+                    ASSERT_EQ(a.dst, b.dst) << where << ", op " << i;
+                    ASSERT_EQ(a.srcA, b.srcA) << where << ", op " << i;
+                    ASSERT_EQ(a.srcB, b.srcB) << where << ", op " << i;
+                }
+                const BranchSpan sv = shorter.branchView();
+                const BranchSpan lv = longer.branchView();
+                ASSERT_EQ(sv.size(), shorter.condBranches()) << where;
+                ASSERT_LE(sv.size(), lv.size()) << where;
+                for (std::size_t i = 0; i < sv.size(); ++i) {
+                    ASSERT_EQ(sv.pcData()[i], lv.pcData()[i])
+                        << where << ", branch " << i;
+                    ASSERT_EQ(sv.takenData()[i], lv.takenData()[i])
+                        << where << ", branch " << i;
+                }
+            }
+        }
     }
 }
 

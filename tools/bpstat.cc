@@ -8,8 +8,6 @@
  *   bpstat diff     OLD.json NEW.json    per-cell deltas
  *   bpstat summary  DIR                  one line per report in DIR
  *                                        (a bpsweep --report-dir)
- *   bpstat manifest MANIFEST.json        summarise a campaign
- *                                        checkpoint (src/robust)
  *   bpstat timeline TIMELINE.json        summarise a flight
  *                                        recording (bpsweep
  *                                        --timeline): per-worker
@@ -29,10 +27,11 @@
  * never an unhandled exception:
  *
  *   0  success
- *   1  invariant violation / diff regression / failed manifest cells
+ *   1  invariant violation / diff regression
  *   2  usage error (unknown command, wrong arity)
  *   3  file missing or unreadable
- *   4  file unparsable (truncated, not JSON, wrong shape)
+ *   4  file unparsable (truncated, not JSON, wrong shape) or a
+ *      partial report
  *   5  schema version mismatch
  */
 
@@ -50,16 +49,12 @@
 
 #include "obs/json.hh"
 #include "obs/run_report.hh"
-#include "robust/run_manifest.hh"
 
 using bpsim::obs::RunReport;
 using bpsim::obs::RunReportError;
 using bpsim::obs::RunReportIoError;
 using bpsim::obs::RunReportParseError;
 using bpsim::obs::RunReportSchemaError;
-using bpsim::robust::CellRecord;
-using bpsim::robust::RunManifest;
-using bpsim::robust::RunManifestError;
 
 namespace {
 
@@ -72,7 +67,6 @@ usage()
                  "              [--monotone-upsets [TOLERANCE_PP]]\n"
                  "       bpstat diff OLD.json NEW.json\n"
                  "       bpstat summary DIR\n"
-                 "       bpstat manifest MANIFEST.json\n"
                  "       bpstat timeline TIMELINE.json\n");
     return 2;
 }
@@ -113,9 +107,6 @@ cmdShow(const char *path)
         else
             std::printf(" %8s %12s %12s\n", "-", "-", "-");
     }
-    for (const auto &a : r.annotations)
-        std::printf("failed cell %s: %s\n", a.key.c_str(),
-                    a.message.c_str());
     return 0;
 }
 
@@ -205,37 +196,11 @@ cmdCheck(const char *path, bool monotone_upsets,
             std::fprintf(stderr, "  - %s\n", p.c_str());
         return 1;
     }
-    if (r.annotations.empty())
-        std::printf("%s: OK (%zu rows, schema v%d)\n", path,
-                    r.rows.size(), r.schemaVersion);
-    else
-        std::printf("%s: OK but PARTIAL (%zu rows, %zu failed "
-                    "cell(s), schema v%d)\n",
-                    path, r.rows.size(), r.annotations.size(),
-                    r.schemaVersion);
+    std::printf("%s: OK (%zu rows, schema v%d)\n", path,
+                r.rows.size(), r.schemaVersion);
     if (monotone_upsets)
         return checkMonotoneUpsets(r, path, monotone_tolerance_pp);
     return 0;
-}
-
-int
-cmdManifest(const char *path)
-{
-    const RunManifest m = RunManifest::load(path);
-    const std::size_t done = m.done(), failed = m.failed();
-    const std::size_t pending = m.cells().size() - done - failed;
-    std::printf("%s: campaign '%s', %zu cell(s): %zu done, "
-                "%zu failed, %zu pending\n",
-                path, m.experiment().c_str(), m.cells().size(), done,
-                failed, pending);
-    for (const auto &c : m.cells()) {
-        if (c.status == CellRecord::Status::Failed)
-            std::printf("  FAILED  %s (%u attempts): %s\n",
-                        c.key.c_str(), c.attempts, c.error.c_str());
-        else if (c.status == CellRecord::Status::Pending)
-            std::printf("  pending %s\n", c.key.c_str());
-    }
-    return failed ? 1 : 0;
 }
 
 /** A named metric from a report's snapshot, or NAN when absent. */
@@ -635,8 +600,6 @@ main(int argc, char **argv)
             return cmdDiff(argv[2], argv[3]);
         if (cmd == "summary" && argc == 3)
             return cmdSummary(argv[2]);
-        if (cmd == "manifest" && argc == 3)
-            return cmdManifest(argv[2]);
         if (cmd == "timeline" && argc == 3)
             return cmdTimeline(argv[2]);
     } catch (const RunReportIoError &e) {
@@ -652,11 +615,6 @@ main(int argc, char **argv)
         // Base-class fallback; treat as a parse-level failure.
         std::fprintf(stderr, "bpstat: %s\n", e.what());
         return 4;
-    } catch (const RunManifestError &e) {
-        const bool io =
-            std::strstr(e.what(), "cannot open") != nullptr;
-        std::fprintf(stderr, "bpstat: %s\n", e.what());
-        return io ? 3 : 4;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "bpstat: %s\n", e.what());
         return 4;

@@ -291,7 +291,7 @@ main(int argc, char **argv)
             pools[i] = std::make_unique<bpsim::parallel::SweepPool>(
                 scheduler, def->spec.name);
             contexts[i] = std::make_unique<bpsim::BufferedSweepContext>(
-                def->spec, pools[i].get(), wantReport, "", &memo);
+                def->spec, pools[i].get(), wantReport, &memo);
             drivers.emplace_back([def, &ctx = *contexts[i],
                                   &res = results[i], &artifactsDone] {
                 bpsim::obs::SpanRecorder::nameThisThread(
