@@ -37,10 +37,14 @@
  *
  * A fourth gate, tests/golden/protection_rows.tsv, pins the
  * protection layer cell by cell: protected gshare, perceptron,
- * multicomponent and 2bc-gskew at 64 KB under every policy at two
- * upset rates, on every stand-in, each line digesting the accuracy
- * result, every ProtectionStats counter, the injector's tallies and
- * the predictor's final visitState() contents.
+ * multicomponent, 2bc-gskew, bi-mode, YAGS, the EV6 tournament and
+ * gshare.fast at 64 KB under every policy at two upset rates, on
+ * every stand-in, each line digesting the accuracy result, every
+ * ProtectionStats counter, the injector's tallies and the
+ * predictor's final visitState() contents. Between them the eight
+ * kinds expose every storage type a state field describes: packed
+ * two- and three-bit counters, SatCounter tables, int16 weights,
+ * history registers, words, word arrays and YAGS's struct members.
  *
  * Each test writes what it computed to `<golden name>.actual.tsv` in
  * its working directory. Refresh a golden only from a tree whose
@@ -470,8 +474,10 @@ protectionLines(std::vector<std::string> &out)
 {
     const SuiteTraces suite(kOps, 42);
     const std::vector<PredictorKind> kinds = {
-        PredictorKind::Gshare, PredictorKind::Perceptron,
-        PredictorKind::MultiComponent, PredictorKind::Gskew};
+        PredictorKind::Gshare,         PredictorKind::Perceptron,
+        PredictorKind::MultiComponent, PredictorKind::Gskew,
+        PredictorKind::BiMode,         PredictorKind::Yags,
+        PredictorKind::Tournament,     PredictorKind::GshareFast};
     const std::vector<std::pair<double, std::string>> rates = {
         {1e-4, "1e-4"}, {1e-3, "1e-3"}};
     const auto &policies = robust::allProtectionPolicies();
