@@ -26,10 +26,8 @@ BiModePredictor::visitState(robust::StateVisitor &v)
 {
     // An invalidated taken-bank counter goes back to its initial
     // weakly-taken state, like the bank itself.
-    robust::StateField taken =
-        robust::packedCounterField("pred.bimode.taken_bank", takenBank_);
-    taken.resetValue = 2;
-    v.visit(taken);
+    v.visit(robust::packedCounterField("pred.bimode.taken_bank",
+                                       takenBank_, 2));
     v.visit(robust::packedCounterField("pred.bimode.not_taken_bank",
                                        notTakenBank_));
     v.visit(robust::packedCounterField("pred.bimode.choice", choice_));

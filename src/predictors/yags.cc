@@ -49,30 +49,13 @@ YagsPredictor::visitState(robust::StateVisitor &v)
     const auto visitCache = [this, &v](const std::string &name,
                                        std::vector<CacheEntry> &cache,
                                        std::uint64_t counter_reset) {
-        const unsigned tag_bits = tagBits_;
-        v.visit({name + ".tag", cache.size(), tag_bits,
-                 [&cache](std::size_t i) {
-                     return std::uint64_t{cache[i].tag};
-                 },
-                 [&cache, tag_bits](std::size_t i, std::uint64_t x) {
-                     cache[i].tag =
-                         static_cast<std::uint16_t>(x & loMask(tag_bits));
-                 }});
-        v.visit({name + ".counter", cache.size(), 2,
-                 [&cache](std::size_t i) {
-                     return std::uint64_t{cache[i].counter.value()};
-                 },
-                 [&cache](std::size_t i, std::uint64_t x) {
-                     cache[i].counter.set(static_cast<std::uint8_t>(x));
-                 },
-                 counter_reset});
-        v.visit({name + ".valid", cache.size(), 1,
-                 [&cache](std::size_t i) {
-                     return std::uint64_t{cache[i].valid};
-                 },
-                 [&cache](std::size_t i, std::uint64_t x) {
-                     cache[i].valid = (x & 1) != 0;
-                 }});
+        v.visit(robust::memberField(name + ".tag", cache,
+                                    &CacheEntry::tag, tagBits_));
+        v.visit(robust::memberField(name + ".counter", cache,
+                                    &CacheEntry::counter, 2,
+                                    counter_reset));
+        v.visit(robust::memberField(name + ".valid", cache,
+                                    &CacheEntry::valid, 1));
     };
     visitCache("pred.yags.taken_cache", takenCache_, 1);
     visitCache("pred.yags.not_taken_cache", notTakenCache_, 2);

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "robust/protection.hh"
+
 namespace bpsim::robust {
 
 namespace {
@@ -51,8 +53,9 @@ FaultPlan::matches(const std::string &field_name) const
     return false;
 }
 
-FaultInjector::FaultInjector(const FaultPlan &plan)
-    : plan_(plan), rng_(plan.seed)
+FaultInjector::FaultInjector(const FaultPlan &plan,
+                             ProtectionLayer *layer)
+    : plan_(plan), rng_(plan.seed), layer_(layer)
 {
 }
 
@@ -113,10 +116,10 @@ FaultInjector::visit(const StateField &field)
         const std::size_t elem =
             static_cast<std::size_t>(pos / field.bits);
         const unsigned bit = static_cast<unsigned>(pos % field.bits);
-        const std::uint64_t before = field.load(elem);
-        if (observer_)
-            observer_(ordinal, field, elem, bit, before);
-        field.store(elem, before ^ (std::uint64_t{1} << bit));
+        const std::uint64_t before = load(field, elem);
+        if (layer_)
+            layer_->recordFlip(ordinal, field, elem, bit, before);
+        store(field, elem, before ^ (std::uint64_t{1} << bit));
     }
     flips_ += n;
     if (n)

@@ -60,21 +60,20 @@ struct FaultPlan
     bool matches(const std::string &field_name) const;
 };
 
+class ProtectionLayer;
+
 /** Walks visitState() fields and flips bits per a FaultPlan. */
 class FaultInjector : public StateVisitor
 {
   public:
-    /** Called for every flip as it lands: the field's ordinal in the
-     *  event's visitState() walk (stable from event to event, and
-     *  distinct for same-named fields), the field, the element
-     *  index, the bit within it, and the element's value *before*
-     *  the flip. Protection policies record flips through this so
-     *  detection/repair replays the exact injection stream. */
-    using FlipObserver = std::function<void(
-        std::size_t field_ordinal, const StateField &field,
-        std::size_t elem, unsigned bit, std::uint64_t before)>;
-
-    explicit FaultInjector(const FaultPlan &plan);
+    /** @p layer, when given, records every flip as it lands — the
+     *  field's ordinal in the event's visitState() walk (stable from
+     *  event to event, and distinct for same-named fields), the
+     *  field, the element, the bit and the element's value *before*
+     *  the flip — so detection/repair replays the exact injection
+     *  stream. Recording does not perturb sampling. */
+    explicit FaultInjector(const FaultPlan &plan,
+                           ProtectionLayer *layer = nullptr);
 
     /**
      * Run one injection event: walk @p target's visitState() and
@@ -98,12 +97,6 @@ class FaultInjector : public StateVisitor
     /** Called by inject()'s walk, once per field. */
     void visit(const StateField &field) override;
 
-    /** Install @p obs (empty = none); does not perturb sampling. */
-    void setFlipObserver(FlipObserver obs)
-    {
-        observer_ = std::move(obs);
-    }
-
     /** Total bits flipped so far. */
     Counter flips() const { return flips_; }
     /** Total SRAM bits visited (eligible fields, all events). */
@@ -124,7 +117,7 @@ class FaultInjector : public StateVisitor
 
     FaultPlan plan_;
     Rng rng_;
-    FlipObserver observer_;
+    ProtectionLayer *layer_;
     Counter flips_ = 0;
     Counter bitsVisited_ = 0;
     Counter events_ = 0;

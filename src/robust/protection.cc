@@ -183,12 +183,7 @@ ProtectionLayer::invalidateWord(const FieldSlot &slot,
     const std::size_t first = word * slot.elemsPerWord;
     const std::size_t last =
         std::min(first + slot.elemsPerWord, slot.state.count);
-    if (slot.state.fill) {
-        slot.state.fill(first, last, slot.state.resetValue);
-    } else {
-        for (std::size_t e = first; e < last; ++e)
-            slot.state.store(e, slot.state.resetValue);
-    }
+    fill(slot.state, first, last, slot.state.resetValue);
     ++stats_.invalidatedWords;
     stats_.invalidatedElements += last - first;
 }
@@ -254,7 +249,7 @@ ProtectionLayer::repair(bool as_scrub)
             }
             // An element the predictor overwrote since the flip was
             // re-encoded by that write: its corruption is gone.
-            if (mask != 0 && slot.state.load(elem) == (orig ^ mask)) {
+            if (mask != 0 && load(slot.state, elem) == (orig ^ mask)) {
                 carry_.push_back({field, word, elem, orig, mask});
                 corrupted += popcount64(mask);
             } else {
@@ -285,8 +280,8 @@ ProtectionLayer::repair(bool as_scrub)
           case ProtectionPolicy::Scrub:
             if (corrupted == 1) {
                 // One live element with one flipped bit.
-                slot.state.store(carry_[start].elem,
-                                 carry_[start].before);
+                store(slot.state, carry_[start].elem,
+                      carry_[start].before);
                 ++stats_.correctedBits;
                 resolved = true;
             } else if (corrupted == 2) {
@@ -312,19 +307,13 @@ ProtectedPredictor::ProtectedPredictor(
     const ProtectionConfig &cfg)
     : inner_(std::move(inner)),
       layer_(cfg),
-      injector_(plan),
+      injector_(plan,
+                cfg.policy == ProtectionPolicy::None ? nullptr : &layer_),
       toInject_(plan.intervalBranches),
       toScrub_(cfg.policy == ProtectionPolicy::Scrub
                    ? cfg.scrubIntervalBranches
                    : 0)
 {
-    if (cfg.policy != ProtectionPolicy::None) {
-        injector_.setFlipObserver(
-            [this](std::size_t field, const StateField &state,
-                   std::size_t elem, unsigned bit, std::uint64_t before) {
-                layer_.recordFlip(field, state, elem, bit, before);
-            });
-    }
 }
 
 void

@@ -19,7 +19,7 @@
  *
  * Detection and repair are *modeled*, not bit-accurately encoded: the
  * ProtectionLayer records every flip the FaultInjector lands (same
- * seeded stream, via the flip observer) into a flat flip ledger and,
+ * seeded stream; the injector holds a pointer to the layer) into a flat flip ledger and,
  * at check time, groups it by word and resolves each word the way
  * the real circuit would — parity detects an odd number of flipped
  * bits and can only invalidate; SEC-DED corrects one flipped bit,
@@ -116,8 +116,8 @@ struct ProtectionStats
 
 /**
  * The detect/repair engine shared by the protected decorators.
- * Flips stream in through recordFlip() (wired to the FaultInjector's
- * observer); repair() then resolves every touched word per the
+ * Flips stream in through recordFlip() (called by the FaultInjector
+ * that points at the layer); repair() then resolves every touched word per the
  * policy. Public so tests can drive exact flip patterns without RNG.
  *
  * The ledger is a flat list of fixed-size flip records. A field is
@@ -143,7 +143,7 @@ class ProtectionLayer
     /** Record one injected flip in element @p elem of @p state, the
      *  field at ordinal @p field of the walk (element value @p before
      *  the flip). The first flip at an ordinal keeps its StateField,
-     *  whose accessors alias the predictor's storage. */
+     *  which points into the predictor's storage. */
     void recordFlip(std::size_t field, const StateField &state,
                     std::size_t elem, unsigned bit, std::uint64_t before);
 
@@ -168,7 +168,7 @@ class ProtectionLayer
                               ///< before the element's first flip)
         std::uint64_t mask;   ///< bits this record flips
     };
-    /** A field's accessors, kept once, and its elements per word. */
+    /** A field's descriptor, kept once, and its elements per word. */
     struct FieldSlot
     {
         StateField state;

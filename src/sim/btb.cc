@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "common/bitutil.hh"
-#include "robust/state_visitor.hh"
 
 namespace bpsim {
 
@@ -65,35 +64,6 @@ Btb::update(Addr pc, Addr target)
     victim->tag = tag;
     victim->target = target;
     victim->lastUse = useClock_;
-}
-
-void
-Btb::visitState(robust::StateVisitor &v)
-{
-    // Tag SRAM width: the PC bits left after dropping the 4 slot-
-    // alignment bits and the set-index bits (capped at 48, a
-    // realistic VA width). LRU bookkeeping is replacement metadata,
-    // not content SRAM, and stays out of the fault model.
-    const unsigned tagBits = std::min(
-        48u, 64u - 4u - floorLog2(std::uint64_t{numSets_}));
-    auto &entries = entries_;
-    v.visit({"btb.tags", entries.size(), tagBits,
-             [&entries](std::size_t i) { return entries[i].tag; },
-             [&entries, tagBits](std::size_t i, std::uint64_t x) {
-                 entries[i].tag = x & loMask(tagBits);
-             }});
-    v.visit({"btb.targets", entries.size(), 48,
-             [&entries](std::size_t i) { return entries[i].target; },
-             [&entries](std::size_t i, std::uint64_t x) {
-                 entries[i].target = x & loMask(48);
-             }});
-    v.visit({"btb.valid", entries.size(), 1,
-             [&entries](std::size_t i) {
-                 return std::uint64_t{entries[i].valid ? 1u : 0u};
-             },
-             [&entries](std::size_t i, std::uint64_t x) {
-                 entries[i].valid = (x & 1) != 0;
-             }});
 }
 
 } // namespace bpsim

@@ -19,10 +19,6 @@
 
 namespace bpsim {
 
-namespace robust {
-class StateVisitor;
-} // namespace robust
-
 /** Set-associative branch target buffer. */
 class Btb
 {
@@ -38,14 +34,6 @@ class Btb
 
     /** Install or refresh the mapping pc -> target. */
     void update(Addr pc, Addr target);
-
-    /**
-     * Expose tag/target/valid SRAM for fault injection
-     * (robust/state_visitor.hh). A flipped valid or tag bit turns
-     * into a miss or a wrong-target fetch the misprediction path
-     * already recovers from — the BTB degrades, never breaks.
-     */
-    void visitState(robust::StateVisitor &v);
 
     Counter lookups() const { return lookups_; }
     Counter hits() const { return hits_; }

@@ -743,11 +743,15 @@ writeTraceV3(const TraceBuffer &trace, const std::string &path)
     }
     putU64(file.data() + v3DirOffset + v3DirPayloadBytes,
            fnv1a64(file.data() + v3DirOffset, v3DirPayloadBytes));
+    // An empty section's vector may hold no buffer at all, and
+    // memcpy's source must not be null even for zero bytes.
     for (std::size_t i = 0; i < 5; ++i)
-        std::memcpy(file.data() + offsets[i], data[i]->data(),
-                    sizes[i]);
-    std::memcpy(file.data() + offsets[5], blockSums.data(),
-                sizes[5]);
+        if (sizes[i] != 0)
+            std::memcpy(file.data() + offsets[i], data[i]->data(),
+                        sizes[i]);
+    if (sizes[5] != 0)
+        std::memcpy(file.data() + offsets[5], blockSums.data(),
+                    sizes[5]);
 
     FilePtr f(std::fopen(path.c_str(), "wb"));
     if (!f)

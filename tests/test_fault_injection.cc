@@ -18,7 +18,6 @@
 #include "core/runner.hh"
 #include "predictors/static_pred.hh"
 #include "robust/trace_fault.hh"
-#include "sim/btb.hh"
 #include "workloads/registry.hh"
 #include "workloads/workload.hh"
 
@@ -37,9 +36,9 @@ class CountingVisitor : public robust::StateVisitor
         // Exercise the accessors on the first element so a broken
         // load/store pair fails here, not only under bombardment.
         if (field.count > 0) {
-            const std::uint64_t v = field.load(0);
-            field.store(0, v);
-            EXPECT_EQ(field.load(0), v) << field.name;
+            const std::uint64_t v = robust::load(field, 0);
+            robust::store(field, 0, v);
+            EXPECT_EQ(robust::load(field, 0), v) << field.name;
         }
     }
 
@@ -97,20 +96,184 @@ TEST(StateVisitor, FetchWrappersForwardToComponents)
 
 TEST(StateVisitor, WeightFieldSignExtendsRoundTrip)
 {
-    std::vector<SignedWeight> weights(3, SignedWeight(8));
-    weights[0].set(-128);
-    weights[1].set(-1);
-    weights[2].set(127);
-    const robust::StateField f =
-        robust::weightField("w", weights, 8);
+    // The perceptron's storage: 8-bit weights held as int16.
+    std::vector<std::int16_t> weights = {-128, -1, 127};
+    const robust::StateField f = robust::weightField("w", weights, 8);
     for (std::size_t i = 0; i < weights.size(); ++i) {
-        const std::int16_t before = weights[i].value();
-        f.store(i, f.load(i));
-        EXPECT_EQ(weights[i].value(), before) << "weight " << i;
+        const std::int16_t before = weights[i];
+        robust::store(f, i, robust::load(f, i));
+        EXPECT_EQ(weights[i], before) << "weight " << i;
     }
     // Flipping the sign bit of -1 (0xff) gives 0x7f == +127.
-    f.store(1, f.load(1) ^ 0x80);
-    EXPECT_EQ(weights[1].value(), 127);
+    robust::store(f, 1, robust::load(f, 1) ^ 0x80);
+    EXPECT_EQ(weights[1], 127);
+}
+
+/**
+ * One field of every FieldKind, each element read back through its
+ * storage's own API (host()), so a descriptor that addresses the
+ * wrong bytes fails even when load() and store() agree with each
+ * other. Built with no element equal to @p avoid, so a store or
+ * fill that misses an element shows.
+ */
+struct EveryKind
+{
+    struct Entry
+    {
+        std::uint16_t tag = 0;
+        TwoBitCounter counter;
+        bool valid = false;
+    };
+
+    EveryKind(std::uint64_t seed, std::uint64_t avoid)
+    {
+        Rng rng(seed);
+        for (const robust::StateField &f : fields)
+            for (std::size_t i = 0; i < f.count; ++i) {
+                std::uint64_t v = rng.next() & loMask(f.bits);
+                robust::store(f, i, v == (avoid & loMask(f.bits))
+                                        ? v ^ 1
+                                        : v);
+            }
+    }
+    EveryKind(const EveryKind &) = delete;
+
+    /** Element @p i of field @p f as its storage holds it (weights
+     *  sign-extended to 64 bits). */
+    std::uint64_t
+    host(std::size_t f, std::size_t i) const
+    {
+        switch (fields[f].kind) {
+          case robust::FieldKind::PackedTwoBit:
+            return pht.value(i);
+          case robust::FieldKind::PackedSat:
+            return sat.value(i);
+          case robust::FieldKind::SatCounters:
+            return counters[i].value();
+          case robust::FieldKind::Int16:
+            return static_cast<std::uint64_t>(
+                std::int64_t{weights[i]});
+          case robust::FieldKind::History:
+            return history.bit(static_cast<unsigned>(i));
+          case robust::FieldKind::Uint8:
+            return fields[f].name == "valid" ? entries[i].valid
+                                             : entries[i].counter.value();
+          case robust::FieldKind::Uint16:
+            return entries[i].tag;
+          case robust::FieldKind::Uint64:
+            return fields[f].name == "word" ? word : words[i];
+        }
+        return ~std::uint64_t{0};
+    }
+
+    /** What host() reads after store(f, i, @p v). */
+    std::uint64_t
+    expectedHost(std::size_t f, std::uint64_t v) const
+    {
+        const unsigned bits = fields[f].bits;
+        v &= loMask(bits);
+        if (fields[f].kind == robust::FieldKind::Int16 &&
+            (v >> (bits - 1)) != 0)
+            v |= ~loMask(bits);
+        return v;
+    }
+
+    /** Every element of every field, as its storage holds it. */
+    std::vector<std::uint64_t>
+    image() const
+    {
+        std::vector<std::uint64_t> out;
+        for (std::size_t f = 0; f < fields.size(); ++f)
+            for (std::size_t i = 0; i < fields[f].count; ++i)
+                out.push_back(host(f, i));
+        return out;
+    }
+
+    PackedPhtStorage pht{13};
+    PackedSatStorage sat{23, 3}; // element 21 straddles two words
+    std::vector<SatCounter> counters =
+        std::vector<SatCounter>(9, SatCounter(3));
+    std::vector<std::int16_t> weights = std::vector<std::int16_t>(7);
+    HistoryRegister history{130};
+    std::vector<std::uint64_t> words = std::vector<std::uint64_t>(5);
+    std::uint64_t word = 0;
+    std::vector<Entry> entries = std::vector<Entry>(11);
+    std::vector<robust::StateField> fields = {
+        robust::packedCounterField("pht", pht),
+        robust::packedSatField("sat", sat),
+        robust::satCounterField("counters", counters, 3),
+        robust::weightField("weights", weights, 8),
+        robust::historyField("history", history),
+        robust::wordArrayField("words", words, 12),
+        robust::wordField("word", word, 64),
+        robust::memberField("tag", entries, &Entry::tag, 11),
+        robust::memberField("counter", entries, &Entry::counter, 2),
+        robust::memberField("valid", entries, &Entry::valid, 1),
+    };
+};
+
+TEST(StateFieldKinds, EveryKindRoundTripsEveryPattern)
+{
+    EveryKind s(1, 0);
+    for (std::size_t f = 0; f < s.fields.size(); ++f) {
+        const robust::StateField &field = s.fields[f];
+        SCOPED_TRACE(field.name);
+        // Every pattern at the width; the 64-bit word gets its edges.
+        std::vector<std::uint64_t> patterns;
+        if (field.bits < 64)
+            for (std::uint64_t v = 0; v <= loMask(field.bits); ++v)
+                patterns.push_back(v);
+        else
+            patterns = {0, 1, 0x8000000000000000, 0x7fffffffffffffff,
+                        ~std::uint64_t{0}, 0x0123456789abcdef};
+        for (std::size_t i = 0; i < field.count; ++i)
+            for (const std::uint64_t v : patterns) {
+                std::vector<std::uint64_t> want = s.image();
+                // Bits above the width are dropped.
+                robust::store(field, i, v | ~loMask(field.bits));
+                ASSERT_EQ(robust::load(field, i), v) << "element " << i;
+                std::size_t at = i;
+                for (std::size_t g = 0; g < f; ++g)
+                    at += s.fields[g].count;
+                want[at] = s.expectedHost(f, v);
+                // Only that element changed, in its own field and
+                // in the struct members around it.
+                ASSERT_EQ(s.image(), want) << "element " << i;
+            }
+    }
+}
+
+TEST(StateFieldKinds, FillEqualsAStoreLoop)
+{
+    // Unaligned ranges: partial bytes of packed two-bit counters,
+    // three-bit counters across bytes and a word boundary, history
+    // bits across a 64-bit boundary, and strided struct members.
+    const std::pair<std::size_t, std::size_t> ranges[] = {
+        {0, 1},   {1, 3},   {3, 9},   {5, 6},    {4, 8},
+        {2, 11},  {0, 13},  {19, 23}, {60, 70},  {63, 65},
+        {127, 130}};
+    EveryKind probe(0, 0);
+    for (std::size_t f = 0; f < probe.fields.size(); ++f) {
+        const std::size_t count = probe.fields[f].count;
+        for (const auto &[first, last] : ranges) {
+            if (last > count)
+                continue;
+            for (const std::uint64_t v :
+                 {std::uint64_t{1}, ~std::uint64_t{0}}) {
+                SCOPED_TRACE(probe.fields[f].name + " [" +
+                             std::to_string(first) + ", " +
+                             std::to_string(last) + ") <- " +
+                             std::to_string(v));
+                EveryKind filled(f, v), looped(f, v);
+                const std::vector<std::uint64_t> before = filled.image();
+                robust::fill(filled.fields[f], first, last, v);
+                for (std::size_t i = first; i < last; ++i)
+                    robust::store(looped.fields[f], i, v);
+                EXPECT_EQ(filled.image(), looped.image());
+                EXPECT_NE(filled.image(), before);
+            }
+        }
+    }
 }
 
 TEST(FaultInjector, RateZeroIsTransparent)
@@ -314,34 +477,6 @@ TEST(FaultInjector, EventMatchingNoFieldThrows)
     StaticPredictor stateless(true);
     robust::FaultInjector injector(robust::FaultPlan{});
     EXPECT_THROW(injector.inject(stateless), std::invalid_argument);
-}
-
-TEST(FaultInjector, BombardsTheBtb)
-{
-    Btb btb(512, 2);
-    for (Addr pc = 0; pc < 512 * 16; pc += 16)
-        btb.update(pc, pc + 64);
-
-    CountingVisitor counter;
-    btb.visitState(counter);
-    // 512 entries x (48 tag + 48 target + 1 valid) bits.
-    EXPECT_EQ(counter.totalBits(), 512u * 97u);
-
-    robust::FaultPlan plan;
-    plan.upsetRatePerBit = 0.05;
-    robust::FaultInjector injector(plan);
-    injector.inject(btb);
-    EXPECT_GT(injector.flips(), 0u);
-
-    // A flipped valid/tag bit shows up as misses or wrong targets —
-    // the misprediction machinery's problem, never a crash.
-    std::size_t changed = 0;
-    for (Addr pc = 0; pc < 512 * 16; pc += 16) {
-        const auto t = btb.lookup(pc);
-        if (!t || *t != pc + 64)
-            ++changed;
-    }
-    EXPECT_GT(changed, 0u);
 }
 
 TEST(TraceFault, CorruptTraceIsDeterministicAndKeepsClasses)

@@ -51,7 +51,7 @@ struct StateDump : robust::StateVisitor
         Field out{f.name, f.count, f.bits, {}};
         out.values.reserve(f.count);
         for (std::size_t i = 0; i < f.count; ++i)
-            out.values.push_back(f.load(i));
+            out.values.push_back(robust::load(f, i));
         fields.push_back(std::move(out));
     }
 };

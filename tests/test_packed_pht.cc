@@ -170,24 +170,26 @@ TEST(PackedSatStorage, ChargesExactlyBitsPerCounter)
     EXPECT_EQ(PackedSatStorage(7, 5).storageBits(), 35u);
 }
 
-/** The packed field builders must present the exact shape of their
- *  byte-per-counter counterparts so fault-plan bit addressing is
+/** The packed field builders must present the exact shape of the
+ *  byte-per-counter SatCounter fields (the multicomponent selector's
+ *  storage) so fault-plan bit addressing is
  *  representation-independent. */
 TEST(PackedFields, SameShapeAndBitsAsReferenceFields)
 {
     const std::size_t n = 129;
     PackedPhtStorage packed(n, 1);
-    std::vector<TwoBitCounter> ref(n);
+    std::vector<SatCounter> ref(n, SatCounter(2, 1));
     auto pf = robust::packedCounterField("pht", packed);
-    auto rf = robust::counterField("pht", ref);
+    auto rf = robust::satCounterField("pht", ref, 2);
     EXPECT_EQ(pf.count, rf.count);
     EXPECT_EQ(pf.bits, rf.bits);
     EXPECT_EQ(pf.totalBits(), rf.totalBits());
+    EXPECT_EQ(pf.resetValue, rf.resetValue);
     // Raw patterns round-trip identically through either store/load.
     for (std::uint64_t v = 0; v < 4; ++v) {
-        pf.store(5, v);
-        rf.store(5, v);
-        EXPECT_EQ(pf.load(5), rf.load(5));
+        robust::store(pf, 5, v);
+        robust::store(rf, 5, v);
+        EXPECT_EQ(robust::load(pf, 5), robust::load(rf, 5));
     }
 
     PackedSatStorage packedSat(n, 3, 3);
@@ -197,9 +199,9 @@ TEST(PackedFields, SameShapeAndBitsAsReferenceFields)
     EXPECT_EQ(psf.count, rsf.count);
     EXPECT_EQ(psf.bits, rsf.bits);
     for (std::uint64_t v = 0; v < 8; ++v) {
-        psf.store(128, v);
-        rsf.store(128, v);
-        EXPECT_EQ(psf.load(128), rsf.load(128));
+        robust::store(psf, 128, v);
+        robust::store(rsf, 128, v);
+        EXPECT_EQ(robust::load(psf, 128), robust::load(rsf, 128));
     }
 }
 

@@ -315,7 +315,7 @@ class FieldBits : public robust::StateVisitor
     {
         if (field.name == name_)
             for (std::size_t i = 0; i < field.count; ++i)
-                bits.push_back(field.load(i));
+                bits.push_back(robust::load(field, i));
     }
 
     std::vector<std::uint64_t> bits;

@@ -10,10 +10,10 @@
 #include "robust/protection.hh"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -142,9 +142,9 @@ struct LayerTest
     flipIn(std::size_t ordinal, const robust::StateField &f,
            std::size_t elem, unsigned bit)
     {
-        const std::uint64_t before = f.load(elem);
+        const std::uint64_t before = robust::load(f, elem);
         layer.recordFlip(ordinal, f, elem, bit, before);
-        f.store(elem, before ^ (std::uint64_t{1} << bit));
+        robust::store(f, elem, before ^ (std::uint64_t{1} << bit));
     }
 
     std::vector<std::uint64_t> values{0x55, 0x55, 0x55, 0x55};
@@ -226,7 +226,7 @@ TEST(ProtectionLayer, OverwrittenElementsAreLaundered)
     // The predictor trains over the flipped element before the check
     // runs: the write re-encoded the word, so there is nothing left
     // to repair.
-    t.field.store(0, 0x33);
+    robust::store(t.field, 0, 0x33);
     t.layer.repair();
     EXPECT_EQ(t.values[0], 0x33u);
     EXPECT_EQ(t.layer.stats().launderedElements, 1u);
@@ -262,7 +262,7 @@ TEST(ProtectionLayer, FlipAfterAWriteIsCheckedAgainstTheWrittenValue)
     EXPECT_EQ(t.values[2], 0x55u);
     // ...the predictor then writes the element, and a third flip
     // lands on the new value before the check.
-    t.field.store(2, 0x21);
+    robust::store(t.field, 2, 0x21);
     t.flip(2, 0);
     t.layer.repair();
     // Corrected back to the value before the third flip, not to the
@@ -281,7 +281,7 @@ TEST(ProtectionLayer, CarriedWordIsLaunderedByAWrite)
     t.layer.repair();
     ASSERT_EQ(t.layer.pendingWords(), 1u);
     // The predictor overwrites the corrupted element between checks.
-    t.field.store(0, 0x10);
+    robust::store(t.field, 0, 0x10);
     t.layer.repair();
     EXPECT_EQ(t.values[0], 0x10u);
     EXPECT_EQ(t.values[1], 0x55u);
@@ -315,10 +315,8 @@ TEST(ProtectionLayer, ThrowsWhenFieldsPassTwoToThe32Elements)
     // fields a layer sees may hold at most 2^32 - 1 elements in all.
     // The stubs hold no storage.
     const auto stub = [](std::string name, std::size_t count) {
-        return robust::StateField{
-            std::move(name), count, 2,
-            [](std::size_t) { return std::uint64_t{0}; },
-            [](std::size_t, std::uint64_t) {}};
+        return robust::StateField{std::move(name), robust::FieldKind::Uint8,
+                                  nullptr, count, 2};
     };
     const std::size_t half = std::size_t{1} << 31;
     ProtectionLayer layer(config(ProtectionPolicy::ParityInvalidate));
@@ -417,7 +415,7 @@ class SortEverythingLayer
                     mask ^= records_[i].mask;
                 }
                 if (mask != 0 &&
-                    slot.state.load(elem) == (orig ^ mask)) {
+                    robust::load(slot.state, elem) == (orig ^ mask)) {
                     records_[live++] = {field, 0, elem, orig, mask};
                     corrupted += popcount64(mask);
                 } else {
@@ -443,8 +441,8 @@ class SortEverythingLayer
               case ProtectionPolicy::SecdedCorrect:
               case ProtectionPolicy::Scrub:
                 if (corrupted == 1) {
-                    slot.state.store(records_[start].elem,
-                                     records_[start].before);
+                    robust::store(slot.state, records_[start].elem,
+                                  records_[start].before);
                     ++stats_.correctedBits;
                     resolved = true;
                 } else if (corrupted == 2) {
@@ -486,7 +484,7 @@ class SortEverythingLayer
         const std::size_t last =
             std::min(first + slot.elemsPerWord, slot.state.count);
         for (std::size_t e = first; e < last; ++e)
-            slot.state.store(e, slot.state.resetValue);
+            robust::store(slot.state, e, slot.state.resetValue);
         ++stats_.invalidatedWords;
         stats_.invalidatedElements += last - first;
     }
@@ -507,13 +505,18 @@ counters(const robust::ProtectionStats &s)
 }
 
 /** One copy of the differential test's state: a packed PHT (which
- *  resets a word with one fill), word arrays of widths 1, 2, 3, 10,
- *  16 and 64 (which reset element by element), and a sparse field
- *  near the 2^32-element limit. Small counts, and flips in a few
- *  clusters of the sparse field, so flips pile up in the same
+ *  fill() resets a byte at a time), word arrays of widths 1, 2, 3,
+ *  10, 16 and 64 (which it resets element by element), and a sparse
+ *  byte field near the 2^32-element limit. Small counts, and flips in
+ *  a few clusters of the sparse field, so flips pile up in the same
  *  words. */
 struct LedgerState
 {
+    static constexpr std::size_t kSparse = 0xf0000000;
+    static constexpr std::size_t kClusters[] = {0, 0x00ff0000,
+                                                0x3f000000, 0xefff0000};
+    static constexpr std::size_t kClusterSize = 24;
+
     explicit LedgerState(std::uint64_t seed)
     {
         static constexpr unsigned widths[] = {1, 2, 3, 10, 16, 64};
@@ -532,18 +535,19 @@ struct LedgerState
         }
         // Its element ids reach the top byte of the ledger's 32-bit
         // ids, so the sort keys use the whole of their upper half.
-        fields.push_back(
-            {"t.sparse", 0xf0000000, 8,
-             [this](std::size_t i) {
-                 const auto it = sparse.find(i);
-                 return it == sparse.end() ? std::uint64_t{0}
-                                           : it->second;
-             },
-             [this](std::size_t i, std::uint64_t v) {
-                 sparse[i] = v & 0xff;
-             }});
+        // The mapping only reserves address space: the clusters
+        // touch a few zero-filled pages of it.
+        void *p = mmap(nullptr, kSparse, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1,
+                       0);
+        if (p == MAP_FAILED)
+            throw std::runtime_error("cannot reserve the sparse field");
+        sparse = static_cast<std::uint8_t *>(p);
+        fields.push_back({"t.sparse", robust::FieldKind::Uint8, sparse,
+                          kSparse, 8, 1});
     }
     LedgerState(const LedgerState &) = delete;
+    ~LedgerState() { munmap(sparse, kSparse); }
 
     /** A random element of field @p f. */
     std::size_t
@@ -551,31 +555,28 @@ struct LedgerState
     {
         if (f + 1 < fields.size())
             return rng.nextRange(fields[f].count);
-        static constexpr std::size_t clusters[] = {0, 0x00ff0000,
-                                                   0x3f000000, 0xefff0000};
-        return clusters[rng.nextRange(std::size(clusters))] +
-               rng.nextRange(24);
+        return kClusters[rng.nextRange(std::size(kClusters))] +
+               rng.nextRange(kClusterSize);
     }
 
     /** Every element of every dense field, in walk order, then the
-     *  sparse field's stored (element, value) pairs. */
+     *  sparse field's clusters. */
     std::vector<std::uint64_t>
     contents() const
     {
         std::vector<std::uint64_t> out;
         for (std::size_t f = 0; f + 1 < fields.size(); ++f)
             for (std::size_t e = 0; e < fields[f].count; ++e)
-                out.push_back(fields[f].load(e));
-        for (const auto &[elem, value] : sparse) {
-            out.push_back(elem);
-            out.push_back(value);
-        }
+                out.push_back(robust::load(fields[f], e));
+        for (const std::size_t first : kClusters)
+            out.insert(out.end(), sparse + first,
+                       sparse + first + kClusterSize);
         return out;
     }
 
     PackedPhtStorage pht{45, 1};
     std::vector<std::uint64_t> arrays[6];
-    std::map<std::size_t, std::uint64_t> sparse;
+    std::uint8_t *sparse = nullptr;
     std::vector<robust::StateField> fields;
 };
 
@@ -596,12 +597,12 @@ runDifferential(ProtectionPolicy policy, unsigned word_bits,
     const auto flip = [&](std::size_t f, std::size_t e, unsigned bit) {
         const robust::StateField &a = mine.fields[f];
         const robust::StateField &b = ref.fields[f];
-        const std::uint64_t before = a.load(e);
-        ASSERT_EQ(before, b.load(e));
+        const std::uint64_t before = robust::load(a, e);
+        ASSERT_EQ(before, robust::load(b, e));
         layer.recordFlip(f, a, e, bit, before);
         oracle.recordFlip(f, b, e, bit, before);
-        a.store(e, before ^ (std::uint64_t{1} << bit));
-        b.store(e, before ^ (std::uint64_t{1} << bit));
+        robust::store(a, e, before ^ (std::uint64_t{1} << bit));
+        robust::store(b, e, before ^ (std::uint64_t{1} << bit));
         flipped.emplace_back(f, e, bit);
     };
 
@@ -632,8 +633,8 @@ runDifferential(ProtectionPolicy policy, unsigned word_bits,
                 const std::size_t e = mine.pick(f, rng);
                 const std::uint64_t v =
                     rng.next() & loMask(mine.fields[f].bits);
-                mine.fields[f].store(e, v);
-                ref.fields[f].store(e, v);
+                robust::store(mine.fields[f], e, v);
+                robust::store(ref.fields[f], e, v);
             }
         }
         if (flipped.size() > 64)

@@ -455,7 +455,7 @@ class StateDigest : public robust::StateVisitor
         os_ << field.name << ':' << field.count << 'x' << field.bits
             << '=';
         for (std::size_t e = 0; e < field.count; ++e)
-            os_ << field.load(e) << ',';
+            os_ << robust::load(field, e) << ',';
         os_ << '\n';
     }
 
