@@ -215,7 +215,9 @@ struct EveryKind
 TEST(StateFieldKinds, EveryKindRoundTripsEveryPattern)
 {
     EveryKind s(1, 0);
-    for (std::size_t f = 0; f < s.fields.size(); ++f) {
+    std::size_t offset = 0; // field f's first element in image()
+    for (std::size_t f = 0; f < s.fields.size();
+         offset += s.fields[f++].count) {
         const robust::StateField &field = s.fields[f];
         SCOPED_TRACE(field.name);
         // Every pattern at the width; the 64-bit word gets its edges.
@@ -232,10 +234,7 @@ TEST(StateFieldKinds, EveryKindRoundTripsEveryPattern)
                 // Bits above the width are dropped.
                 robust::store(field, i, v | ~loMask(field.bits));
                 ASSERT_EQ(robust::load(field, i), v) << "element " << i;
-                std::size_t at = i;
-                for (std::size_t g = 0; g < f; ++g)
-                    at += s.fields[g].count;
-                want[at] = s.expectedHost(f, v);
+                want[offset + i] = s.expectedHost(f, v);
                 // Only that element changed, in its own field and
                 // in the struct members around it.
                 ASSERT_EQ(s.image(), want) << "element " << i;
