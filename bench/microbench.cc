@@ -384,39 +384,12 @@ BM_TraceCacheWarm(benchmark::State &state)
 }
 
 /**
- * Compressed trace-cache codec: one store (delta+varint encode +
- * fwrite) plus one load (read + checksum + decode) of a 200k-op
- * trace per iteration. Isolates the v2 entry format from workload
- * generation; items processed counts trace ops through the codec
- * (encode + decode).
- */
-void
-BM_TraceCacheCompressed(benchmark::State &state)
-{
-    const std::string dir =
-        std::filesystem::temp_directory_path() /
-        "bpsim_microbench_cache_compressed";
-    std::filesystem::remove_all(dir);
-    const TraceCache cache(dir, 2); // pin the legacy v2 codec
-    const TraceBuffer &trace = sharedTrace();
-    Counter ops = 0;
-    for (auto _ : state) {
-        cache.store("176.gcc", trace.size(), 42, trace);
-        const auto loaded = cache.load("176.gcc", trace.size(), 42);
-        benchmark::DoNotOptimize(loaded->size());
-        ops += 2 * trace.size();
-    }
-    std::filesystem::remove_all(dir);
-    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-}
-
-/**
- * Columnar (v3) trace-cache codec, the BM_TraceCacheCompressed
- * analogue: one store (column split + delta encode + checksums)
- * plus one load of a 200k-op trace. The load side is the v3 cold
- * cost — mmap, header/dir/block-checksum validation, zero-copy
- * branch columns; op decoding stays lazy and unpaid, which is why
- * this runs far ahead of the v2 codec.
+ * Columnar (v3) trace-cache codec: one store (column split + delta
+ * encode + checksums) plus one load of a 200k-op trace. The load
+ * side is the v3 cold cost — reading the file into memory,
+ * header/dir/block-checksum validation, branch columns served from
+ * that image; op decoding stays lazy and unpaid. Items processed
+ * counts trace ops through the codec (store + load).
  */
 void
 BM_TraceCacheColumnar(benchmark::State &state)
@@ -425,7 +398,7 @@ BM_TraceCacheColumnar(benchmark::State &state)
         std::filesystem::temp_directory_path() /
         "bpsim_microbench_cache_columnar";
     std::filesystem::remove_all(dir);
-    const TraceCache cache(dir, 3);
+    const TraceCache cache(dir);
     const TraceBuffer &trace = sharedTrace();
     Counter ops = 0;
     for (auto _ : state) {
@@ -455,8 +428,6 @@ BENCHMARK(bpsim::BM_CellPoolSuiteAccuracy)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(bpsim::BM_TraceCacheCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(bpsim::BM_TraceCacheWarm)->Unit(benchmark::kMillisecond);
-BENCHMARK(bpsim::BM_TraceCacheCompressed)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(bpsim::BM_TraceCacheColumnar)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(bpsim::BM_PerceptronKernel)->Arg(32)->Arg(64)->Arg(256);

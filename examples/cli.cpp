@@ -143,7 +143,7 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(seed));
         }
         if (!save_trace.empty()) {
-            writeTrace(trace, save_trace);
+            writeTraceV3(trace, save_trace);
             std::printf("saved trace to %s\n", save_trace.c_str());
         }
     } catch (const TraceIoError &e) {

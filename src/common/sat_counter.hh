@@ -127,54 +127,6 @@ class TwoBitCounter
     std::uint8_t value_;
 };
 
-/**
- * A signed saturating weight for perceptron predictors.
- *
- * An @p bits wide two's-complement integer in
- * [-2^(bits-1), 2^(bits-1) - 1], trained with +/-1 steps.
- */
-class SignedWeight
-{
-  public:
-    explicit SignedWeight(unsigned bits = 8, std::int16_t value = 0)
-        : value_(value),
-          min_(static_cast<std::int16_t>(-(1 << (bits - 1)))),
-          max_(static_cast<std::int16_t>((1 << (bits - 1)) - 1))
-    {
-        assert(bits >= 2 && bits <= 16);
-    }
-
-    std::int16_t value() const { return value_; }
-    std::int16_t minValue() const { return min_; }
-    std::int16_t maxValue() const { return max_; }
-
-    /** Move one step toward @p up (true: +1, false: -1), saturating. */
-    void
-    train(bool up)
-    {
-        if (up) {
-            if (value_ < max_)
-                ++value_;
-        } else {
-            if (value_ > min_)
-                --value_;
-        }
-    }
-
-    /** Overwrite the raw value (fault injection / tests). */
-    void
-    set(std::int16_t value)
-    {
-        assert(value >= min_ && value <= max_);
-        value_ = value;
-    }
-
-  private:
-    std::int16_t value_;
-    std::int16_t min_;
-    std::int16_t max_;
-};
-
 } // namespace bpsim
 
 #endif // BPSIM_COMMON_SAT_COUNTER_HH

@@ -4,10 +4,8 @@
  *
  * The perceptron predict is a dot product of a signed weight row with
  * a ±1 input vector, and training is a saturating add of the scaled
- * input vector into the row. Stored as SignedWeight the row was an
- * array of 6-byte structs (value + per-element min/max), whose stride
- * defeats auto-vectorization; over contiguous int16 both loops below
- * compile to packed integer code at -O2 (GCC 12 enables the
+ * input vector into the row. Rows are contiguous int16, so both loops
+ * below compile to packed integer code at -O2 (GCC 12 enables the
  * vectorizer there), which bench/microbench pins with a dedicated
  * BM_PerceptronKernel benchmark.
  *
@@ -16,8 +14,9 @@
  * of testing each bit.
  *
  * Saturation note: inputs are ±1 and @p dir is ±1, so a single
- * clamped add per element is exactly SignedWeight::train()'s
- * increment/decrement-with-saturation.
+ * clamped add per element is a saturating step by one. The
+ * perceptron clamps to its weight width: lo = -2^(bits-1),
+ * hi = 2^(bits-1) - 1.
  *
  * Two flavors: the inline versions below, which the serial
  * perceptron calls once per branch (inlining into its predict/update

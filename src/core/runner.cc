@@ -227,8 +227,7 @@ SuiteTraces::SuiteTraces(Counter ops_per_workload, std::uint64_t seed,
                          bool shared_pool)
     : names_(specint2000Names()),
       opsPerWorkload_(ops_per_workload),
-      seed_(seed),
-      cache_(std::move(cache))
+      seed_(seed)
 {
     traces_.resize(names_.size());
     std::vector<char> hit(names_.size(), 0);
@@ -243,15 +242,15 @@ SuiteTraces::SuiteTraces(Counter ops_per_workload, std::uint64_t seed,
         if (shared_pool) {
             auto src = SharedTracePool::Source::Generated;
             traces_[i] = SharedTracePool::global().fetch(
-                names_[i], opsPerWorkload_, seed_, cache_, generate,
+                names_[i], opsPerWorkload_, seed_, cache, generate,
                 &src);
             hit[i] =
                 src != SharedTracePool::Source::Generated ? 1 : 0;
         } else {
             bool fromCache = false;
             traces_[i] = std::make_shared<const TraceBuffer>(
-                cache_.fetch(names_[i], opsPerWorkload_, seed_,
-                             generate, &fromCache));
+                cache.fetch(names_[i], opsPerWorkload_, seed_,
+                            generate, &fromCache));
             hit[i] = fromCache ? 1 : 0;
         }
     };
@@ -300,8 +299,6 @@ publishCacheStats(obs::MetricRegistry &reg, const SuiteTraces &suite)
         .set(static_cast<double>(suite.cacheHits()));
     reg.gauge("trace.cache.misses")
         .set(static_cast<double>(suite.cacheMisses()));
-    reg.gauge("trace.cache.format_version")
-        .set(static_cast<double>(suite.cacheFormatVersion()));
 }
 
 } // namespace

@@ -156,10 +156,6 @@ class SuiteTraces
     /** Workloads generated (and stored when a cache is enabled). */
     Counter cacheMisses() const { return cacheMisses_; }
 
-    /** On-disk entry format version of the suite's trace cache
-     *  (surfaced as trace.cache.format_version in RunReports). */
-    int cacheFormatVersion() const { return cache_.formatVersion(); }
-
     /** Stamp generation parameters into @p report 's header. */
     void describe(obs::RunReport &report) const;
 
@@ -172,7 +168,6 @@ class SuiteTraces
     std::vector<std::shared_ptr<const TraceBuffer>> traces_;
     Counter opsPerWorkload_;
     std::uint64_t seed_;
-    TraceCache cache_;
     Counter cacheHits_ = 0;
     Counter cacheMisses_ = 0;
 };

@@ -12,12 +12,11 @@
  * (pc, taken) rather than an array of structs, so the replay loop
  * streams 9 bytes per branch instead of 16 and the perceptron group
  * kernel (src/core/ensemble) reads the raw columns directly. A
- * buffer can also be *backed*: a
- * trace loaded from a v3 columnar file (trace_io) keeps the branch
- * columns pointing straight into the mapped file — zero copy, zero
- * decode — and materializes the full micro-op stream lazily, only
- * when a consumer (the timing simulator, trace rewriting, fault
- * injection) actually touches it.
+ * buffer can also be *backed*: a trace loaded from a v3 columnar file
+ * (trace_io) keeps the branch columns pointing straight into the
+ * file image it read into memory — zero decode — and materializes
+ * the full micro-op stream lazily, only when a consumer (the timing
+ * simulator, trace rewriting, fault injection) actually touches it.
  */
 
 #ifndef BPSIM_TRACE_TRACE_BUFFER_HH
@@ -109,10 +108,10 @@ class BranchSpan
 
 /**
  * Backing store for a trace loaded without decoding: the v3 columnar
- * reader (trace_io) implements this over a memory-mapped file. The
- * branch columns are served in place; the op stream is decoded only
- * on demand via decodeOps(). Implementations are immutable and
- * therefore safe to share across threads.
+ * reader (trace_io) implements this over the file's image on the
+ * heap. The branch columns are served in place; the op stream is
+ * decoded only on demand via decodeOps(). Implementations are
+ * immutable and therefore safe to share across threads.
  */
 class TraceBacking
 {
@@ -125,6 +124,8 @@ class TraceBacking
     virtual const std::uint8_t *branchTaken() const = 0;
     virtual std::size_t branchCount() const = 0;
     virtual std::size_t opCount() const = 0;
+    /** Heap bytes the backing holds (the file image). */
+    virtual std::size_t residentBytes() const = 0;
 
     /** Decode the full micro-op stream. Called at most once per
      *  buffer (lazily); throws TraceIoError on malformed columns. */
@@ -216,7 +217,7 @@ class TraceBuffer
      * lazy scheme was a data race the moment a corrupted trace
      * reached the parallel executor before its first serial view.
      * A backed buffer detaches: the rebuilt columns are owned, not
-     * the mapped file's.
+     * the file image's.
      */
     void rebuildBranchView();
 
@@ -224,7 +225,7 @@ class TraceBuffer
      * Dense conditional-branch columns: the {pc, taken} stream every
      * accuracy run replays, without skipping over non-branch ops.
      * Maintained incrementally by push(); served straight from the
-     * mapped file for a backed buffer.
+     * file image for a backed buffer.
      *
      * The view is frozen: requesting it on a buffer left stale by
      * mutableOp() is a bug (asserted), not a trigger for a hidden
@@ -258,10 +259,10 @@ class TraceBuffer
 
     /**
      * Resident heap footprint estimate in bytes: op-stream and
-     * owned branch-column capacities. A backed buffer whose ops are
-     * still encoded charges only what is actually materialized —
-     * the mapped file itself is page-cache, not heap, and is not
-     * counted. Used by SharedTracePool's memory budget.
+     * owned branch-column capacities, plus the backing's file image
+     * while the buffer holds one. A backed buffer whose ops are
+     * still encoded charges no op stream. Used by SharedTracePool's
+     * memory budget.
      */
     std::size_t
     memoryBytes() const
@@ -271,6 +272,8 @@ class TraceBuffer
             bytes += ops_.capacity() * sizeof(MicroOp);
         bytes += branchPcs_.capacity() * sizeof(Addr);
         bytes += branchTaken_.capacity() * sizeof(std::uint8_t);
+        if (backing_)
+            bytes += backing_->residentBytes();
         return bytes;
     }
 

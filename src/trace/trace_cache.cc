@@ -49,10 +49,7 @@ TraceCache::resetStoreFailuresForTest()
     storeFailureWarned.store(false, std::memory_order_relaxed);
 }
 
-TraceCache::TraceCache(std::string dir, int format_version)
-    : dir_(std::move(dir)), formatVersion_(format_version)
-{
-}
+TraceCache::TraceCache(std::string dir) : dir_(std::move(dir)) {}
 
 TraceCache
 TraceCache::fromEnv()
@@ -67,34 +64,23 @@ std::string
 TraceCache::entryPath(const std::string &workload, Counter ops,
                       std::uint64_t seed) const
 {
-    return entryPath(workload, ops, seed, formatVersion_);
-}
-
-std::string
-TraceCache::entryPath(const std::string &workload, Counter ops,
-                      std::uint64_t seed, int version) const
-{
     return dir_ + "/" + workload + "_ops" + std::to_string(ops) +
            "_seed" + std::to_string(seed) + "_v" +
-           std::to_string(version) + ".bptrace";
+           std::to_string(kFormatVersion) + ".bptrace";
 }
 
-namespace {
-
-/** readTrace + exact-length check, nullopt on any TraceIoError. */
 std::optional<TraceBuffer>
-loadEntry(const std::string &path, Counter ops)
+TraceCache::load(const std::string &workload, Counter ops,
+                 std::uint64_t seed) const
 {
+    if (!enabled())
+        return std::nullopt;
+    const std::string path = entryPath(workload, ops, seed);
     std::error_code ec;
     if (!fs::exists(path, ec))
         return std::nullopt;
     try {
-        // PrivateCopy, not the mmap fast path: the cache directory
-        // is shared with other processes, and an in-place stomp of a
-        // mapped entry would SIGBUS at first touch instead of
-        // failing validation. A short read through the copy path is
-        // just a TraceIoError, healed below by regeneration.
-        TraceBuffer trace = readTrace(path, TraceReadMode::PrivateCopy);
+        TraceBuffer trace = readTrace(path);
         // The header's count can validate while the payload was cut
         // short mid-record stream; demand the exact length too.
         if (trace.size() != ops)
@@ -112,32 +98,6 @@ loadEntry(const std::string &path, Counter ops)
                      e.what());
         return std::nullopt;
     }
-}
-
-} // namespace
-
-std::optional<TraceBuffer>
-TraceCache::load(const std::string &workload, Counter ops,
-                 std::uint64_t seed) const
-{
-    if (!enabled())
-        return std::nullopt;
-    if (auto trace = loadEntry(entryPath(workload, ops, seed), ops))
-        return trace;
-    // Migration: a v3 miss may be covered by a v2 entry from an older
-    // build. Decode it, re-store under the current version (atomic,
-    // self-healing like any store) and serve it as a hit; the v2 file
-    // stays for any older binaries sharing the cache dir. The
-    // re-store pays the decode exactly once — the next load maps the
-    // v3 entry zero-copy.
-    if (formatVersion_ >= 3) {
-        if (auto trace = loadEntry(
-                entryPath(workload, ops, seed, 2), ops)) {
-            store(workload, ops, seed, *trace);
-            return trace;
-        }
-    }
-    return std::nullopt;
 }
 
 bool
@@ -160,10 +120,7 @@ TraceCache::store(const std::string &workload, Counter ops,
             static_cast<unsigned long long>(
                 reinterpret_cast<std::uintptr_t>(&trace))));
     try {
-        if (formatVersion_ >= 3)
-            writeTraceV3(trace, tmp);
-        else
-            writeTraceCompressed(trace, tmp);
+        writeTraceV3(trace, tmp);
     } catch (const TraceIoError &e) {
         noteStoreFailure(std::string("store failed: ") + e.what());
         fs::remove(tmp, ec);

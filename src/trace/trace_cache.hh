@@ -9,27 +9,25 @@
  *
  *   <dir>/<workload>_ops<N>_seed<S>_v<version>.bptrace
  *
- * keyed by workload name, trace length, generation seed and the cache
- * format version (bumped whenever trace generation or the trace file
- * format changes meaning). Entries are columnar v3 trace_io files
- * (writeTraceV3), which load memory-mapped: branchView() is served
- * zero-copy from the file and micro-ops decode lazily, so a warm
- * accuracy run never pays a decode at all. Read-back reuses the
- * trace_io validation; a corrupt entry surfaces as TraceIoError and
- * is treated as a miss. A v2 (compressed) entry left by an older
- * build migrates transparently: the first v3 miss probes the v2
- * path, decodes it, re-stores it as v3 and serves it as a hit —
- * nothing is regenerated and the v2 file is left alone for any older
- * binaries still running. load()
- * never unlinks — deleting by path would race other processes that
- * may have already replaced the entry with a good one (classic
- * check-then-act). Instead the following regeneration store()
- * overwrites the corrupt file via its atomic rename; generation is
- * deterministic per key, so even two processes healing the same
- * entry concurrently rename identical bytes into place. Writes go to
- * a process-unique temp file followed by that rename, so concurrent
- * bench binaries can share one cache directory without ever
- * observing a partial entry.
+ * keyed by workload name, trace length, generation seed and the
+ * constant format stamp kFormatVersion. Entries are columnar v3
+ * trace_io files (writeTraceV3). A load reads the entry into memory
+ * the trace owns: branchView() is served from that image and
+ * micro-ops decode lazily, so a warm accuracy run never pays a decode
+ * at all. Reading into owned memory also means an entry stomped in
+ * place by another process fails validation or reads short — a
+ * TraceIoError — where a mapping would fault at first touch.
+ * Read-back reuses the trace_io validation; a corrupt entry, or one
+ * of another trace version, surfaces as TraceIoError and is treated
+ * as a miss. load() never unlinks — deleting by path would race
+ * other processes that may have already replaced the entry with a
+ * good one (classic check-then-act). Instead the following
+ * regeneration store() overwrites the corrupt file via its atomic
+ * rename; generation is deterministic per key, so even two processes
+ * healing the same entry concurrently rename identical bytes into
+ * place. Writes go to a process-unique temp file followed by that
+ * rename, so concurrent bench binaries can share one cache directory
+ * without ever observing a partial entry.
  *
  * The cache is opt-in: it is enabled only when constructed with a
  * directory, and fromEnv() reads BPSIM_TRACE_CACHE. A disabled cache
@@ -53,35 +51,27 @@ namespace bpsim {
 class TraceCache
 {
   public:
-    /** Layout/meaning version of cache entries. Bump to invalidate
-     *  every existing cache when generation semantics change.
-     *  v2: entries switched from raw to compressed trace files.
-     *  v3: columnar mmap-able entries (zero-copy branch replay);
-     *      v2 entries migrate in place on first load. */
+    /** Stamp in every entry's file name. Bump it to invalidate every
+     *  existing cache when trace generation or the entry format
+     *  changes meaning: entries under any other stamp are never
+     *  read. */
     static constexpr int kFormatVersion = 3;
 
     /** A disabled cache (all lookups miss, stores are no-ops). */
     TraceCache() = default;
 
     /** A cache rooted at @p dir (created on first store). */
-    explicit TraceCache(std::string dir, int format_version =
-                                             kFormatVersion);
+    explicit TraceCache(std::string dir);
 
     /** Cache at $BPSIM_TRACE_CACHE, or a disabled cache if unset. */
     static TraceCache fromEnv();
 
     bool enabled() const { return !dir_.empty(); }
     const std::string &dir() const { return dir_; }
-    int formatVersion() const { return formatVersion_; }
 
     /** Entry path for a key (valid even when disabled, for tests). */
     std::string entryPath(const std::string &workload, Counter ops,
                           std::uint64_t seed) const;
-
-    /** Entry path for a key under an explicit format version (the
-     *  migration probe and tests). */
-    std::string entryPath(const std::string &workload, Counter ops,
-                          std::uint64_t seed, int version) const;
 
     /**
      * Load the cached trace for a key. Returns nullopt on a miss or
@@ -124,7 +114,6 @@ class TraceCache
 
   private:
     std::string dir_;
-    int formatVersion_ = kFormatVersion;
 };
 
 } // namespace bpsim

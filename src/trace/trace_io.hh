@@ -4,65 +4,49 @@
  *
  * Traces can be expensive to generate at paper scale, and external
  * traces (e.g. converted ChampSim/SimpleScalar traces) are the other
- * way to feed this simulator. Three little-endian formats share one
- * header; readTrace() dispatches on the version field:
+ * way to feed this simulator. There is one little-endian format,
+ * version 3: the trace cache's entries and `cli --save-trace` both
+ * write it. It starts with a header:
  *
  *   offset  size  field
  *   0       8     magic "BPSTRACE"
- *   8       4     version (1 = raw, 2 = compressed, 3 = columnar)
+ *   8       4     version (3)
  *   12      4     reserved (0)
  *   16      8     record count
  *
- * Version 1 (writeTrace) is a fixed record stream, 20 bytes each:
- *   pc (8), extra (8), class (1),
- *   flags (1: bit0 = taken, bits1-6 = srcB low),
- *   dst (1), srcA low 6 bits + srcB bit6 (1)
- * Register ids are 6 bits (0..63), so the two sources pack into the
- * spare flag bits (srcB carries a 7th bit).
- *
- * Version 2 (writeTraceCompressed) delta+varint encodes the same
- * field domain — a compact archival/interchange format. Per record:
- *   4 packed bytes: class (3b), taken (1b), dst (8b), srcA (6b),
- *                   srcB (7b); the top 7 bits must be zero
- *   LEB128 varint:  zigzag(pc - previous pc)
- *   LEB128 varint:  zigzag(extra - previous extra *of this class*)
- * The per-class extra baseline keeps interleaved streams (branch
- * targets vs memory addresses vs constant-zero ALU extras) each
- * delta-small. The payload ends with a FNV-1a-64 checksum (8 bytes),
- * so truncation and bit flips surface as TraceIoError instead of a
- * silently wrong trace; decode also rejects non-canonical spare
- * bits, oversized varints and trailing garbage.
- *
- * Version 3 (writeTraceV3) is columnar and mmap-able — the trace
- * cache's on-disk format. After the common header, a directory
- * (branch count, section table, FNV-1a-64 directory checksum) names
- * six sections, each at a 64-byte-aligned offset, zero-padded
- * between:
+ * After the header, a directory (branch count, section table,
+ * FNV-1a-64 directory checksum) names six sections, each at a
+ * 64-byte-aligned offset, zero-padded between:
  *
  *   0  branchPc     raw u64 LE per conditional branch
  *   1  branchTaken  one byte (0/1) per conditional branch
- *   2  opMeta       4 packed bytes per op (v2's packing)
- *   3  opPcDelta    LEB128 zigzag(pc delta) stream
- *   4  opExtraDelta LEB128 zigzag(per-class extra delta) stream
+ *   2  opMeta       4 packed bytes per op: class (3b), taken (1b),
+ *                   dst (8b), srcA (6b), srcB (7b); the top 7 bits
+ *                   must be zero
+ *   3  opPcDelta    LEB128 zigzag(pc - previous pc) stream
+ *   4  opExtraDelta LEB128 zigzag(extra - previous extra *of this
+ *                   class*) stream
  *   5  blockSums    64-bit block hash per 64 KiB block of sections
  *                   0-4 (four-lane word-wise multiply-rotate — see
  *                   blockHash64 in trace_io.cc; FNV-1a would cost
  *                   one multiply per byte on every warm cache load)
  *
- * Sections 0-1 duplicate the conditional-branch columns of the op
- * stream so accuracy replay never decodes ops at all: readTrace()
- * memory-maps the file, validates structure, padding and every block
- * checksum, and returns a TraceBuffer whose branchView() points
- * straight into the mapping (zero copy, zero decode). The op stream
- * (sections 2-4) is decoded lazily, only when a consumer touches
- * micro-ops. The encoding is canonical: re-encoding a decoded trace
- * reproduces the file byte for byte.
+ * The per-class extra baseline keeps interleaved streams (branch
+ * targets vs memory addresses vs constant-zero ALU extras) each
+ * delta-small. Sections 0-1 duplicate the conditional-branch columns
+ * of the op stream so accuracy replay never decodes ops at all:
+ * readTrace() reads the file into memory, validates structure,
+ * padding and every block checksum, and returns a TraceBuffer whose
+ * branchView() points straight into that image (zero decode). The op
+ * stream (sections 2-4) is decoded lazily, only when a consumer
+ * touches micro-ops. Truncation and bit flips surface as TraceIoError
+ * instead of a silently wrong trace. The encoding is canonical:
+ * re-encoding a decoded trace reproduces the file byte for byte.
  */
 
 #ifndef BPSIM_TRACE_TRACE_IO_HH
 #define BPSIM_TRACE_TRACE_IO_HH
 
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -77,38 +61,18 @@ class TraceIoError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Write @p trace to @p path (raw v1); throws TraceIoError. */
-void writeTrace(const TraceBuffer &trace, const std::string &path);
-
-/** Write @p trace delta+varint compressed (v2) with a trailing
- *  checksum; throws TraceIoError on failure. Reading it back yields
- *  a bit-identical trace (same domain as the v1 format). */
-void writeTraceCompressed(const TraceBuffer &trace,
-                          const std::string &path);
-
-/** Write @p trace in the columnar mmap-able v3 layout (see file
- *  comment); throws TraceIoError on failure. Reading it back yields
- *  a bit-identical trace served zero-copy. */
+/** Write @p trace in the columnar v3 layout (see file comment);
+ *  throws TraceIoError on failure. Reading it back yields a
+ *  bit-identical trace. */
 void writeTraceV3(const TraceBuffer &trace, const std::string &path);
 
 /**
- * How readTrace may back the returned buffer.
- *
- * ZeroCopy memory-maps a v3 file: branchView() is served from the
- * file and the op stream decodes lazily on first use. That is only
- * safe for files the caller owns for the buffer's lifetime — a
- * mapping's pages track the inode, so an external in-place truncate
- * (a stomping writer in a shared cache directory) turns every later
- * access into SIGBUS, not an error return. PrivateCopy reads the
- * bytes into an owned buffer instead: a concurrent truncation
- * surfaces as a short read and throws TraceIoError, which shared
- * consumers (the trace cache) heal by regenerating.
+ * Read a v3 trace file into memory the returned buffer owns; throws
+ * TraceIoError on any malformed, truncated or other-version file. A
+ * concurrent in-place truncation of the file surfaces as a short read
+ * and throws too, which the trace cache heals by regenerating.
  */
-enum class TraceReadMode { ZeroCopy, PrivateCopy };
-
-/** Read a trace written by any writer; throws TraceIoError. */
-TraceBuffer readTrace(const std::string &path,
-                      TraceReadMode mode = TraceReadMode::ZeroCopy);
+TraceBuffer readTrace(const std::string &path);
 
 } // namespace bpsim
 

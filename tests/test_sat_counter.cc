@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "common/vec_kernels.hh"
+
 namespace bpsim {
 namespace {
 
@@ -80,32 +84,45 @@ TEST(TwoBitCounter, HysteresisNeedsTwoFlips)
     EXPECT_FALSE(c.taken());
 }
 
+/**
+ * The perceptron's weight clamp: a one-element row trained through
+ * trainSignedI16Wide with the bounds the perceptron derives from its
+ * weight width, lo = -2^(bits-1) and hi = 2^(bits-1) - 1.
+ */
 class SignedWeightWidthTest : public ::testing::TestWithParam<unsigned>
 {
+  protected:
+    int lo() const { return -(1 << (GetParam() - 1)); }
+    int hi() const { return (1 << (GetParam() - 1)) - 1; }
+
+    /** One ±1 training step of @p w toward @p up. */
+    void
+    train(std::int16_t &w, bool up) const
+    {
+        const std::int16_t x = 1;
+        trainSignedI16Wide(&w, &x, 1, up ? 1 : -1, lo(), hi());
+    }
 };
 
 TEST_P(SignedWeightWidthTest, SaturatesSymmetrically)
 {
-    const unsigned bits = GetParam();
-    SignedWeight w(bits, 0);
-    const int max = (1 << (bits - 1)) - 1;
-    const int min = -(1 << (bits - 1));
-    for (int i = 0; i < 3 * max; ++i)
-        w.train(true);
-    EXPECT_EQ(w.value(), max);
-    for (int i = 0; i < 6 * max; ++i)
-        w.train(false);
-    EXPECT_EQ(w.value(), min);
+    std::int16_t w = 0;
+    for (int i = 0; i < 3 * hi(); ++i)
+        train(w, true);
+    EXPECT_EQ(w, hi());
+    for (int i = 0; i < 6 * hi(); ++i)
+        train(w, false);
+    EXPECT_EQ(w, lo());
 }
 
 TEST_P(SignedWeightWidthTest, TrainStepsByOne)
 {
-    SignedWeight w(GetParam(), 0);
-    w.train(true);
-    EXPECT_EQ(w.value(), 1);
-    w.train(false);
-    w.train(false);
-    EXPECT_EQ(w.value(), -1);
+    std::int16_t w = 0;
+    train(w, true);
+    EXPECT_EQ(w, 1);
+    train(w, false);
+    train(w, false);
+    EXPECT_EQ(w, -1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, SignedWeightWidthTest,

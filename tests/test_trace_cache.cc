@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the on-disk trace cache: miss-then-hit, corruption
- * recovery, format-version invalidation, key separation, and the
- * SuiteTraces hit/miss accounting the benches surface as metrics.
+ * recovery, format-stamp invalidation, key separation, memory
+ * accounting of loaded entries, and the SuiteTraces hit/miss
+ * accounting the benches surface as metrics.
  */
 
 #include "trace/trace_cache.hh"
@@ -165,90 +166,62 @@ TEST(TraceCache, WrongLengthEntryIsRejected)
 
 TEST(TraceCache, FormatVersionBumpInvalidates)
 {
+    // Entries carry the format stamp in their name, so a valid trace
+    // file under any other _vN name is never read: bumping
+    // kFormatVersion invalidates every existing entry.
     const std::string dir = freshCacheDir("trace_cache_version");
-    TraceCache v1(dir, 1);
-    TraceCache v2(dir, 2);
-    EXPECT_NE(v1.entryPath("wl", 60, 2), v2.entryPath("wl", 60, 2));
+    TraceCache cache(dir);
+    const std::string path = cache.entryPath("wl", 60, 2);
+    const std::string stamp =
+        "_v" + std::to_string(TraceCache::kFormatVersion) + ".bptrace";
+    ASSERT_EQ(path.substr(path.size() - stamp.size()), stamp);
 
-    ASSERT_TRUE(v1.store("wl", 60, 2, syntheticTrace(60, 2)));
-    EXPECT_TRUE(v1.load("wl", 60, 2).has_value());
-    EXPECT_FALSE(v2.load("wl", 60, 2).has_value());
+    ASSERT_TRUE(cache.store("wl", 60, 2, syntheticTrace(60, 2)));
+    EXPECT_TRUE(cache.load("wl", 60, 2).has_value());
+    const std::string stem = path.substr(0, path.size() - stamp.size());
+    for (const char *other : {"_v2.bptrace", "_v4.bptrace"}) {
+        fs::copy_file(path, stem + other);
+        EXPECT_EQ(readTrace(stem + other).size(), 60u) << other;
+    }
+    fs::remove(path);
+    EXPECT_FALSE(cache.load("wl", 60, 2).has_value());
     fs::remove_all(dir);
 }
 
 TEST(TraceCache, UnsupportedVersionEntryIsIgnoredAndHealed)
 {
-    const std::string dir = freshCacheDir("trace_cache_futurever");
-    TraceCache cache(dir);
-    const std::string path = cache.entryPath("wl", 70, 5);
-
     // An entry whose trace header declares a version this build does
-    // not understand (e.g. written by a newer binary): must read as
-    // a miss, stay on disk, and be atomically replaced on store.
-    fs::create_directories(dir);
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const unsigned char header[24] = {'B', 'P', 'S', 'T', 'R', 'A',
-                                      'C', 'E', 99,  0,   0,   0};
-    ASSERT_EQ(sizeof(header),
-              std::fwrite(header, 1, sizeof(header), f));
-    std::fclose(f);
+    // not read — one of the retired raw (1) and compressed (2)
+    // formats, or one written by a newer binary: must read as a miss,
+    // stay on disk, and be atomically replaced on store.
+    for (const unsigned char ver : {1, 2, 99}) {
+        SCOPED_TRACE("version " + std::to_string(ver));
+        const std::string dir = freshCacheDir("trace_cache_otherver");
+        TraceCache cache(dir);
+        const std::string path = cache.entryPath("wl", 70, 5);
 
-    EXPECT_FALSE(cache.load("wl", 70, 5).has_value());
-    EXPECT_TRUE(fs::exists(path));
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        const unsigned char header[24] = {'B', 'P', 'S', 'T', 'R', 'A',
+                                          'C', 'E', ver, 0,   0,   0};
+        ASSERT_EQ(sizeof(header),
+                  std::fwrite(header, 1, sizeof(header), f));
+        std::fclose(f);
 
-    int generated = 0;
-    cache.fetch("wl", 70, 5, [&] {
-        ++generated;
-        return syntheticTrace(70, 5);
-    });
-    EXPECT_EQ(generated, 1);
-    const auto healed = cache.load("wl", 70, 5);
-    ASSERT_TRUE(healed.has_value());
-    EXPECT_EQ(healed->size(), 70u);
-    fs::remove_all(dir);
-}
+        EXPECT_FALSE(cache.load("wl", 70, 5).has_value());
+        EXPECT_TRUE(fs::exists(path));
 
-TEST(TraceCache, V2EntryMigratesToV3OnFirstLoad)
-{
-    // An entry left by an older (v2-format) build: the first load
-    // under the current version decodes it, re-stores it as v3 and
-    // serves it as a hit — no regeneration, and the v2 file stays
-    // for older binaries sharing the cache dir.
-    const std::string dir = freshCacheDir("trace_cache_migrate");
-    TraceCache old(dir, 2);
-    ASSERT_TRUE(old.store("wl", 90, 4, syntheticTrace(90, 4)));
-
-    TraceCache cache(dir);
-    ASSERT_GE(cache.formatVersion(), 3);
-    ASSERT_FALSE(fs::exists(cache.entryPath("wl", 90, 4)));
-
-    int generated = 0;
-    bool hit = false;
-    const TraceBuffer migrated = cache.fetch(
-        "wl", 90, 4,
-        [&] {
+        int generated = 0;
+        cache.fetch("wl", 70, 5, [&] {
             ++generated;
-            return syntheticTrace(90, 4);
-        },
-        &hit);
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(generated, 0);
-
-    const TraceBuffer expect = syntheticTrace(90, 4);
-    ASSERT_EQ(migrated.size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-        EXPECT_EQ(migrated[i].pc, expect[i].pc);
-        EXPECT_EQ(migrated[i].taken, expect[i].taken);
+            return syntheticTrace(70, 5);
+        });
+        EXPECT_EQ(generated, 1);
+        const auto healed = cache.load("wl", 70, 5);
+        ASSERT_TRUE(healed.has_value());
+        EXPECT_EQ(healed->size(), 70u);
+        fs::remove_all(dir);
     }
-
-    // Both entries exist now; the next load maps the v3 one.
-    EXPECT_TRUE(fs::exists(cache.entryPath("wl", 90, 4)));
-    EXPECT_TRUE(fs::exists(cache.entryPath("wl", 90, 4, 2)));
-    const auto warm = cache.load("wl", 90, 4);
-    ASSERT_TRUE(warm.has_value());
-    EXPECT_FALSE(warm->opsMaterialized()); // v3: mapped, not decoded
-    fs::remove_all(dir);
 }
 
 TEST(TraceCache, CacheEntriesShrinkSuiteAtLeast2x)
@@ -256,24 +229,47 @@ TEST(TraceCache, CacheEntriesShrinkSuiteAtLeast2x)
     // The compression claim, measured on the real 12-workload suite:
     // cache entries (columnar v3: delta+varint op stream plus the
     // raw branch columns) must be at least half the size of the same
-    // traces in the v1 fixed-record format.
+    // traces as fixed 20-byte records behind a 24-byte header, the
+    // size of the retired raw format.
     const std::string dir = freshCacheDir("trace_cache_shrink");
     const Counter ops = 20000;
     const SuiteTraces suite(ops, 42, nullptr, TraceCache(dir));
     TraceCache cache(dir);
 
     std::uintmax_t rawTotal = 0, packedTotal = 0;
-    const std::string rawPath = dir + "/raw_tmp.bpt";
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const std::string entry =
             cache.entryPath(suite.name(i), ops, 42);
         ASSERT_TRUE(fs::exists(entry)) << suite.name(i);
         packedTotal += fs::file_size(entry);
-        writeTrace(suite.trace(i), rawPath);
-        rawTotal += fs::file_size(rawPath);
+        rawTotal += 24 + 20 * suite.trace(i).size();
     }
     EXPECT_GE(rawTotal, 2 * packedTotal)
         << "raw " << rawTotal << " vs compressed " << packedTotal;
+    fs::remove_all(dir);
+}
+
+TEST(TraceCache, LoadedTraceChargesItsFileImage)
+{
+    // A cache-loaded trace holds its entry's file image on the heap;
+    // SharedTracePool's budget charges memoryBytes(), so the image
+    // must be in it, before and after the op stream materializes.
+    const std::string dir = freshCacheDir("trace_cache_memory");
+    TraceCache cache(dir);
+    const TraceBuffer generated = syntheticTrace(3000, 11);
+    ASSERT_TRUE(cache.store("wl", 3000, 11, generated));
+    const auto fileBytes =
+        fs::file_size(cache.entryPath("wl", 3000, 11));
+
+    const auto loaded = cache.load("wl", 3000, 11);
+    ASSERT_TRUE(loaded.has_value());
+    ASSERT_FALSE(loaded->opsMaterialized());
+    EXPECT_GE(loaded->memoryBytes(), fileBytes);
+
+    EXPECT_EQ((*loaded)[0].pc, generated[0].pc); // materializes ops
+    ASSERT_TRUE(loaded->opsMaterialized());
+    EXPECT_GE(loaded->memoryBytes(),
+              fileBytes + loaded->size() * sizeof(MicroOp));
     fs::remove_all(dir);
 }
 

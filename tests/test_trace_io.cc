@@ -1,5 +1,5 @@
-/** @file Tests for binary trace file round-tripping and reader
- *  hardening against truncated or corrupted files. */
+/** @file Tests for v3 trace file round-tripping and reader
+ *  hardening against truncated, corrupted or foreign files. */
 
 #include "trace/trace_io.hh"
 
@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <string>
 #include <unistd.h>
-
 
 #include "common/rng.hh"
 #include "robust/trace_fault.hh"
@@ -23,124 +22,6 @@ tempPath(const char *name)
 {
     return std::string(::testing::TempDir()) + "/" + name;
 }
-
-TEST(TraceIo, RoundTripsAWorkloadTrace)
-{
-    const auto w = makeWorkload("186.crafty");
-    const TraceBuffer original = generateTrace(*w, 40000, 7);
-    const std::string path = tempPath("crafty.bpt");
-
-    writeTrace(original, path);
-    const TraceBuffer loaded = readTrace(path);
-
-    ASSERT_EQ(loaded.size(), original.size());
-    EXPECT_EQ(loaded.condBranches(), original.condBranches());
-    for (std::size_t i = 0; i < original.size(); ++i) {
-        ASSERT_EQ(loaded[i].pc, original[i].pc) << "op " << i;
-        ASSERT_EQ(loaded[i].extra, original[i].extra) << "op " << i;
-        ASSERT_EQ(loaded[i].cls, original[i].cls) << "op " << i;
-        ASSERT_EQ(loaded[i].taken, original[i].taken) << "op " << i;
-        ASSERT_EQ(loaded[i].dst, original[i].dst) << "op " << i;
-        ASSERT_EQ(loaded[i].srcA, original[i].srcA) << "op " << i;
-        ASSERT_EQ(loaded[i].srcB, original[i].srcB) << "op " << i;
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, EmptyTraceRoundTrips)
-{
-    const std::string path = tempPath("empty.bpt");
-    writeTrace(TraceBuffer{}, path);
-    const TraceBuffer loaded = readTrace(path);
-    EXPECT_TRUE(loaded.empty());
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, MissingFileThrows)
-{
-    EXPECT_THROW(readTrace("/nonexistent/dir/trace.bpt"),
-                 TraceIoError);
-}
-
-TEST(TraceIo, RejectsForeignFiles)
-{
-    const std::string path = tempPath("garbage.bpt");
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("this is not a trace file at all, not even close",
-               f);
-    std::fclose(f);
-    EXPECT_THROW(readTrace(path), TraceIoError);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, RejectsTruncatedRecords)
-{
-    const auto w = makeWorkload("254.gap");
-    const TraceBuffer original = generateTrace(*w, 1000, 1);
-    const std::string path = tempPath("trunc.bpt");
-    writeTrace(original, path);
-
-    // Chop the file in half (keeping the header).
-    std::FILE *f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_EQ(0, truncate(path.c_str(), size / 2));
-
-    EXPECT_THROW(readTrace(path), TraceIoError);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, RejectsOversizedRecordCount)
-{
-    // A corrupt header count must be a clean TraceIoError, not a
-    // multi-gigabyte reserve.
-    const auto w = makeWorkload("254.gap");
-    const TraceBuffer original = generateTrace(*w, 200, 1);
-    const std::string path = tempPath("hugecount.bpt");
-    writeTrace(original, path);
-
-    std::FILE *f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(0, std::fseek(f, 16, SEEK_SET));
-    const std::uint8_t huge[8] = {0xff, 0xff, 0xff, 0xff,
-                                  0xff, 0xff, 0xff, 0x7f};
-    ASSERT_EQ(sizeof(huge), std::fwrite(huge, 1, sizeof(huge), f));
-    std::fclose(f);
-
-    EXPECT_THROW(readTrace(path), TraceIoError);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, FuzzTruncationAtEveryBoundary)
-{
-    // Any prefix of a valid trace file must produce TraceIoError —
-    // never a crash, hang or over-read.
-    const auto w = makeWorkload("164.gzip");
-    const TraceBuffer original = generateTrace(*w, 40, 11);
-    const std::string path = tempPath("fuzz_trunc.bpt");
-    writeTrace(original, path);
-
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_GT(size, 24);
-
-    for (long cut = 0; cut < size; ++cut) {
-        writeTrace(original, path);
-        ASSERT_EQ(0, truncate(path.c_str(), cut));
-        EXPECT_THROW(readTrace(path), TraceIoError)
-            << "truncated to " << cut << " of " << size << " bytes";
-    }
-    std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// v2 (compressed) format
 
 /** Field-by-field equality with gtest context on the failing op. */
 void
@@ -172,107 +53,32 @@ slurp(const std::string &path)
     return out;
 }
 
-TEST(TraceIoCompressed, RoundTripsBitIdentically)
+/** Overwrite @p n bytes of @p path at @p offset. */
+void
+patchFile(const std::string &path, long offset,
+          const std::uint8_t *bytes, std::size_t n)
 {
-    const auto w = makeWorkload("186.crafty");
-    const TraceBuffer original = generateTrace(*w, 40000, 7);
-    const std::string path = tempPath("crafty_v2.bpt");
-    const std::string path2 = tempPath("crafty_v2b.bpt");
-
-    writeTraceCompressed(original, path);
-    const TraceBuffer loaded = readTrace(path);
-    expectTracesEqual(original, loaded);
-
-    // Encoding is canonical: re-encoding the decoded trace must
-    // reproduce the file byte for byte (the racing-writers guarantee
-    // in trace_cache rests on this).
-    writeTraceCompressed(loaded, path2);
-    EXPECT_EQ(slurp(path), slurp(path2));
-    std::remove(path.c_str());
-    std::remove(path2.c_str());
+    std::FILE *f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(0, std::fseek(f, offset, SEEK_SET));
+    ASSERT_EQ(n, std::fwrite(bytes, 1, n, f));
+    std::fclose(f);
 }
 
-TEST(TraceIoCompressed, EmptyTraceRoundTrips)
+/** The TraceIoError message readTrace(@p path) throws, or "" if it
+ *  returns. */
+std::string
+readError(const std::string &path)
 {
-    const std::string path = tempPath("empty_v2.bpt");
-    writeTraceCompressed(TraceBuffer{}, path);
-    const TraceBuffer loaded = readTrace(path);
-    EXPECT_TRUE(loaded.empty());
-    std::remove(path.c_str());
-}
-
-TEST(TraceIoCompressed, ShrinksWorkloadTraceAtLeast2x)
-{
-    const auto w = makeWorkload("176.gcc");
-    const TraceBuffer t = generateTrace(*w, 50000, 42);
-    const std::string raw = tempPath("gcc_v1.bpt");
-    const std::string packed = tempPath("gcc_v2.bpt");
-    writeTrace(t, raw);
-    writeTraceCompressed(t, packed);
-    const auto rawSize = slurp(raw).size();
-    const auto packedSize = slurp(packed).size();
-    EXPECT_GE(rawSize, 2 * packedSize)
-        << "raw " << rawSize << " vs compressed " << packedSize;
-    std::remove(raw.c_str());
-    std::remove(packed.c_str());
-}
-
-TEST(TraceIoCompressed, FuzzTruncationAtEveryBoundary)
-{
-    // Any prefix of a valid compressed file must produce
-    // TraceIoError — the checksum trailer or a structural check
-    // catches every cut.
-    const auto w = makeWorkload("164.gzip");
-    const TraceBuffer original = generateTrace(*w, 40, 11);
-    const std::string path = tempPath("fuzz_trunc_v2.bpt");
-    writeTraceCompressed(original, path);
-
-    const long size = static_cast<long>(slurp(path).size());
-    ASSERT_GT(size, 32);
-    for (long cut = 0; cut < size; ++cut) {
-        writeTraceCompressed(original, path);
-        ASSERT_EQ(0, truncate(path.c_str(), cut));
-        EXPECT_THROW(readTrace(path), TraceIoError)
-            << "truncated to " << cut << " of " << size << " bytes";
+    try {
+        readTrace(path);
+    } catch (const TraceIoError &e) {
+        return e.what();
     }
-    std::remove(path.c_str());
+    return "";
 }
 
-TEST(TraceIoCompressed, FuzzSeededBitFlipsNeverCorruptData)
-{
-    // Stronger property than v1: the payload is checksummed, so a
-    // flipped bit either throws TraceIoError or (flips in the
-    // header's ignored reserved field) decodes the *exact* original
-    // trace. Silently returning different data is the one forbidden
-    // outcome.
-    const auto w = makeWorkload("164.gzip");
-    const TraceBuffer original = generateTrace(*w, 300, 13);
-    const std::string path = tempPath("fuzz_flip_v2.bpt");
-
-    Rng rng(0xf1b2);
-    std::size_t parsed = 0, rejected = 0;
-    for (int round = 0; round < 200; ++round) {
-        writeTraceCompressed(original, path);
-        ASSERT_EQ(1u, robust::corruptFileBytes(path, 1, rng));
-        try {
-            const TraceBuffer t = readTrace(path);
-            expectTracesEqual(original, t);
-            ++parsed;
-        } catch (const TraceIoError &) {
-            ++rejected;
-        }
-    }
-    // Nearly every flip lands in checksummed payload or a validated
-    // header field; rejection must dominate.
-    EXPECT_GT(rejected, 150u);
-    EXPECT_EQ(parsed + rejected, 200u);
-    std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// v3 (columnar, mmap-able) format
-
-TEST(TraceIoColumnar, RoundTripsBitIdentically)
+TEST(TraceIo, RoundTripsBitIdentically)
 {
     const auto w = makeWorkload("186.crafty");
     const TraceBuffer original = generateTrace(*w, 40000, 7);
@@ -284,15 +90,16 @@ TEST(TraceIoColumnar, RoundTripsBitIdentically)
     expectTracesEqual(original, loaded);
     EXPECT_EQ(loaded.condBranches(), original.condBranches());
 
-    // Canonical encoding, same contract as v2: re-encoding the
-    // decoded trace reproduces the file byte for byte.
+    // Canonical encoding: re-encoding the decoded trace reproduces
+    // the file byte for byte (the racing-writers guarantee in
+    // trace_cache rests on this).
     writeTraceV3(loaded, path2);
     EXPECT_EQ(slurp(path), slurp(path2));
     std::remove(path.c_str());
     std::remove(path2.c_str());
 }
 
-TEST(TraceIoColumnar, EmptyTraceRoundTrips)
+TEST(TraceIo, EmptyTraceRoundTrips)
 {
     const std::string path = tempPath("empty_v3.bpt");
     writeTraceV3(TraceBuffer{}, path);
@@ -302,10 +109,89 @@ TEST(TraceIoColumnar, EmptyTraceRoundTrips)
     std::remove(path.c_str());
 }
 
-TEST(TraceIoColumnar, ServesBranchViewWithoutDecodingOps)
+TEST(TraceIo, MissingFileThrows)
+{
+    EXPECT_THROW(readTrace("/nonexistent/dir/trace.bpt"),
+                 TraceIoError);
+}
+
+TEST(TraceIo, RejectsForeignFiles)
+{
+    const std::string path = tempPath("garbage.bpt");
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("this is not a trace file at all, not even close",
+               f);
+    std::fclose(f);
+    EXPECT_NE(readError(path).find("is not a bpsim trace"),
+              std::string::npos);
+
+    // A v3 file with its magic broken is foreign too.
+    const auto w = makeWorkload("254.gap");
+    writeTraceV3(generateTrace(*w, 200, 1), path);
+    const std::uint8_t notMagic[1] = {'X'};
+    patchFile(path, 0, notMagic, 1);
+    EXPECT_NE(readError(path).find("is not a bpsim trace"),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, RejectsOtherVersions)
+{
+    // Only v3 is read. Files of the retired raw (1) and compressed
+    // (2) formats, or of a future version, fail cleanly.
+    const auto w = makeWorkload("254.gap");
+    const TraceBuffer original = generateTrace(*w, 200, 1);
+    const std::string path = tempPath("otherver.bpt");
+    for (const std::uint8_t ver : {1, 2, 4, 99}) {
+        writeTraceV3(original, path);
+        const std::uint8_t field[4] = {ver, 0, 0, 0};
+        patchFile(path, 8, field, sizeof(field));
+        EXPECT_NE(readError(path).find("unsupported trace version"),
+                  std::string::npos)
+            << "version " << int(ver);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, RejectsTruncatedRecords)
+{
+    const auto w = makeWorkload("254.gap");
+    const TraceBuffer original = generateTrace(*w, 1000, 1);
+    const std::string path = tempPath("trunc.bpt");
+    writeTraceV3(original, path);
+
+    // Chop the file in half (keeping header and directory).
+    const long size = static_cast<long>(slurp(path).size());
+    ASSERT_GT(size / 2, 192);
+    ASSERT_EQ(0, truncate(path.c_str(), size / 2));
+
+    EXPECT_THROW(readTrace(path), TraceIoError);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, RejectsOversizedRecordCount)
+{
+    // A corrupt header count (outside the directory checksum) must be
+    // a clean TraceIoError from the count > fileSize/4 check, not a
+    // multi-gigabyte reserve.
+    const auto w = makeWorkload("254.gap");
+    const TraceBuffer original = generateTrace(*w, 200, 1);
+    const std::string path = tempPath("hugecount.bpt");
+    writeTraceV3(original, path);
+
+    const std::uint8_t huge[8] = {0xff, 0xff, 0xff, 0xff,
+                                  0xff, 0xff, 0xff, 0x7f};
+    patchFile(path, 16, huge, sizeof(huge));
+    EXPECT_NE(readError(path).find("exceeds file size"),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, ServesBranchViewWithoutDecodingOps)
 {
     // The whole point of v3: accuracy replay walks branchView()
-    // straight out of the mapped file, never decoding the op stream.
+    // straight out of the file image, never decoding the op stream.
     const auto w = makeWorkload("164.gzip");
     const TraceBuffer original = generateTrace(*w, 20000, 3);
     const std::string path = tempPath("zerocopy_v3.bpt");
@@ -332,10 +218,10 @@ TEST(TraceIoColumnar, ServesBranchViewWithoutDecodingOps)
     std::remove(path.c_str());
 }
 
-TEST(TraceIoColumnar, MutationDetachesFromMapping)
+TEST(TraceIo, MutationDetachesFromFileImage)
 {
-    // Fault injection rewrites ops in place; on a mapped buffer that
-    // must copy out of the file, not write through it.
+    // Fault injection rewrites ops in place; on a backed buffer that
+    // must copy out of the file image, not write through it.
     const auto w = makeWorkload("164.gzip");
     const TraceBuffer original = generateTrace(*w, 2000, 5);
     const std::string path = tempPath("mutate_v3.bpt");
@@ -356,7 +242,7 @@ TEST(TraceIoColumnar, MutationDetachesFromMapping)
     std::remove(path.c_str());
 }
 
-TEST(TraceIoColumnar, FuzzTruncationAtEveryBoundary)
+TEST(TraceIo, FuzzTruncationAtEveryBoundary)
 {
     // Any prefix of a valid columnar file must produce TraceIoError:
     // the directory checksum, recomputed section layout, exact
@@ -377,13 +263,13 @@ TEST(TraceIoColumnar, FuzzTruncationAtEveryBoundary)
     std::remove(path.c_str());
 }
 
-TEST(TraceIoColumnar, FuzzSeededBitFlipsNeverCorruptData)
+TEST(TraceIo, FuzzSeededBitFlipsNeverCorruptData)
 {
-    // Same contract as v2: a flipped bit either throws TraceIoError
-    // or decodes the exact original trace — silently different data
-    // is the one forbidden outcome. v3 checksums every region
-    // (directory FNV, per-block payload sums, zero-checked padding),
-    // so rejection should be near-total.
+    // A flipped bit either throws TraceIoError or decodes the exact
+    // original trace — silently different data is the one forbidden
+    // outcome. v3 checksums every region (directory FNV, per-block
+    // payload sums, zero-checked padding), so rejection should be
+    // near-total.
     const auto w = makeWorkload("164.gzip");
     const TraceBuffer original = generateTrace(*w, 300, 13);
     const std::string path = tempPath("fuzz_flip_v3.bpt");
@@ -411,36 +297,6 @@ TEST(TraceIoColumnar, FuzzSeededBitFlipsNeverCorruptData)
     }
     EXPECT_GT(rejected, 150u);
     EXPECT_EQ(parsed + rejected, 200u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, FuzzSeededBitFlips)
-{
-    // Seeded single-bit corruption anywhere in the file: the reader
-    // must either return a (possibly different) trace or throw
-    // TraceIoError. Undefined behaviour — crashes, over-reads — is
-    // what ASan/UBSan CI runs of this test would catch.
-    const auto w = makeWorkload("164.gzip");
-    const TraceBuffer original = generateTrace(*w, 300, 13);
-    const std::string path = tempPath("fuzz_flip.bpt");
-
-    Rng rng(0xf1b);
-    std::size_t parsed = 0, rejected = 0;
-    for (int round = 0; round < 200; ++round) {
-        writeTrace(original, path);
-        ASSERT_EQ(1u, robust::corruptFileBytes(path, 1, rng));
-        try {
-            const TraceBuffer t = readTrace(path);
-            EXPECT_LE(t.size(), original.size());
-            ++parsed;
-        } catch (const TraceIoError &) {
-            ++rejected;
-        }
-    }
-    // Both outcomes must occur: flips in payload usually parse,
-    // flips in the header/count/class bytes must be rejected.
-    EXPECT_GT(parsed, 0u);
-    EXPECT_GT(rejected, 0u);
     std::remove(path.c_str());
 }
 
