@@ -182,9 +182,9 @@ BM_SpanOverhead(benchmark::State &state, SpanMode mode)
  * The perceptron group kernel: one pass over the shared trace
  * stepping one member per standard budget (the group a figure sweep
  * forms). Items processed counts member-branches, so items/s divides
- * directly against BM_PredictUpdate/perceptron's serial per-cell
- * rate — the ratio is the per-member saving from sharing the input
- * vector.
+ * directly against BM_PerceptronSerialGroup's, which replays the
+ * same members one at a time — the ratio is the per-member saving
+ * from sharing the input vector.
  */
 void
 BM_EnsembleReplay(benchmark::State &state)
@@ -209,6 +209,38 @@ BM_EnsembleReplay(benchmark::State &state)
         }
         for (const auto &r : *results)
             memberBranches += r.branches;
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(memberBranches));
+    state.SetLabel("width=" +
+                   std::to_string(standardBudgets().size()));
+}
+
+/**
+ * The serial baseline BM_EnsembleReplay is gated against: the same
+ * standardBudgets() perceptron members, replayed one at a time
+ * through runAccuracy() on the same trace. Items processed count
+ * member-branches, so the two rates divide for the same work and
+ * the ratio is what the group kernel saves. Registered without the
+ * namespace prefix so the gate's NUM:DEN pair can name it.
+ */
+void
+BM_PerceptronSerialGroup(benchmark::State &state)
+{
+    const auto &trace = sharedTrace();
+    Counter memberBranches = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::vector<std::unique_ptr<DirectionPredictor>> members;
+        for (const std::size_t budget : standardBudgets())
+            members.push_back(
+                makePredictor(PredictorKind::Perceptron, budget));
+        state.ResumeTiming();
+        for (const auto &member : members) {
+            const auto r = runAccuracy(*member, trace);
+            benchmark::DoNotOptimize(r.mispredictions);
+            memberBranches += r.branches;
+        }
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(memberBranches));
@@ -245,9 +277,9 @@ BM_OooCoreRobScaling(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(insts));
 }
 
-/** Register the per-kind replay-kernel, perceptron group-kernel,
- *  span and ROB-scaling benchmarks. Called from main (name/closure
- *  registration needs runtime values). */
+/** Register the per-kind replay-kernel, perceptron group-kernel and
+ *  its serial baseline, span and ROB-scaling benchmarks. Called from
+ *  main (name/closure registration needs runtime values). */
 void
 registerKernelBenchmarks()
 {
@@ -265,6 +297,9 @@ registerKernelBenchmarks()
     }
     benchmark::RegisterBenchmark("BM_EnsembleReplay/perceptron",
                                  BM_EnsembleReplay)
+        ->Unit(benchmark::kMillisecond);
+    benchmark::RegisterBenchmark("BM_PerceptronSerialGroup",
+                                 BM_PerceptronSerialGroup)
         ->Unit(benchmark::kMillisecond);
     const std::pair<const char *, SpanMode> spanModes[] = {
         {"BM_SpanOverhead/none", SpanMode::None},

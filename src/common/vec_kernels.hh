@@ -5,9 +5,11 @@
  * The perceptron predict is a dot product of a signed weight row with
  * a ±1 input vector, and training is a saturating add of the scaled
  * input vector into the row. Rows are contiguous int16, so both loops
- * below compile to packed integer code at -O2 (GCC 12 enables the
- * vectorizer there), which bench/microbench pins with a dedicated
- * BM_PerceptronKernel benchmark.
+ * below compile to packed integer code at -O3, which bench/microbench
+ * pins with a dedicated BM_PerceptronKernel benchmark. At -O2 GCC 12's
+ * very-cheap vectorizer cost model leaves these run-time-length loops
+ * scalar, so vec_kernels.cc is built with the -O3 cost model in every
+ * build type (src/common/CMakeLists.txt).
  *
  * The ±1 input vector itself comes from expandSignsI16, which copies
  * one 16-byte row of a 256-entry table per eight history bits instead

@@ -5,36 +5,36 @@
 
 namespace bpsim::robust {
 
-TraceCorruption
-corruptTrace(TraceBuffer &trace, double rate, Rng &rng)
+TraceBuffer
+corruptTrace(const TraceBuffer &trace, double rate, Rng &rng,
+             TraceCorruption *stats)
 {
     TraceCorruption c;
-    if (rate <= 0.0)
-        return c;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        if (!rng.nextBool(rate))
-            continue;
-        MicroOp &op = trace.mutableOp(i);
-        ++c.recordsHit;
-        switch (rng.nextRange(3)) {
-        case 0:
-            op.taken = !op.taken;
-            ++c.takenFlips;
-            break;
-        case 1:
-            op.pc ^= std::uint64_t{1} << rng.nextRange(64);
-            ++c.pcBitFlips;
-            break;
-        default:
-            op.extra ^= std::uint64_t{1} << rng.nextRange(64);
-            ++c.extraBitFlips;
-            break;
+    TraceBuffer out;
+    out.reserve(trace.size());
+    for (MicroOp op : trace) {
+        if (rate > 0.0 && rng.nextBool(rate)) {
+            ++c.recordsHit;
+            switch (rng.nextRange(3)) {
+            case 0:
+                op.taken = !op.taken;
+                ++c.takenFlips;
+                break;
+            case 1:
+                op.pc ^= std::uint64_t{1} << rng.nextRange(64);
+                ++c.pcBitFlips;
+                break;
+            default:
+                op.extra ^= std::uint64_t{1} << rng.nextRange(64);
+                ++c.extraBitFlips;
+                break;
+            }
         }
+        out.push(op);
     }
-    // Publish: regenerate the dense branch view once, here, so the
-    // corrupted trace is immediately safe for concurrent replay.
-    trace.rebuildBranchView();
-    return c;
+    if (stats)
+        *stats = c;
+    return out;
 }
 
 Counter

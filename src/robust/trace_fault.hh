@@ -3,11 +3,12 @@
  * Fault models for the data feeding the simulator, as opposed to the
  * predictor SRAM itself:
  *
- *  - corruptTrace() flips bits in in-memory trace records ("in
- *    flight" corruption): branch outcomes invert, PCs and effective
- *    addresses get single-bit upsets. Instruction *classes* are left
- *    alone so the corrupted trace stays structurally valid — the
- *    model is memory upsets in a trace buffer, not a broken decoder.
+ *  - corruptTrace() copies a trace with bits flipped in its records
+ *    ("in flight" corruption): branch outcomes invert, PCs and
+ *    effective addresses get single-bit upsets. Instruction
+ *    *classes* are left alone so the corrupted trace stays
+ *    structurally valid — the model is memory upsets in a trace
+ *    buffer, not a broken decoder.
  *  - corruptFileBytes() flips bits in a serialized file, for
  *    exercising reader hardening (trace + report parsers must throw
  *    their typed errors, never crash or over-read).
@@ -40,13 +41,14 @@ struct TraceCorruption
 };
 
 /**
- * Corrupt ~@p rate of @p trace's records in place (Bernoulli per
- * record, deterministic under @p rng's seed). A hit record gets one
- * of: its taken bit inverted, one pc bit flipped, or one extra
- * (address/target) bit flipped, chosen uniformly.
+ * A copy of @p trace, built with push(), with ~@p rate of its records
+ * corrupted (Bernoulli per record, deterministic under @p rng's
+ * seed). A hit record gets one of: its taken bit inverted, one pc
+ * bit flipped, or one extra (address/target) bit flipped, chosen
+ * uniformly. @p stats (when non-null) reports what was done.
  */
-TraceCorruption corruptTrace(TraceBuffer &trace, double rate,
-                             Rng &rng);
+TraceBuffer corruptTrace(const TraceBuffer &trace, double rate,
+                         Rng &rng, TraceCorruption *stats = nullptr);
 
 /**
  * Flip @p flips random bits of the file at @p path in place.

@@ -1,5 +1,6 @@
 #include "trace/shared_trace_pool.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/env.hh"
@@ -60,8 +61,17 @@ SharedTracePool::setBudgetBytes(std::size_t bytes)
 {
     std::lock_guard<std::mutex> lock(mu_);
     budgetBytes_ = bytes;
+    evictLocked();
+}
+
+void
+SharedTracePool::evictLocked()
+{
     while (budgetBytes_ != 0 && lruBytes_ > budgetBytes_ &&
            !lru_.empty()) {
+        // Least-recently-fetched first; the weak entry stays, so
+        // suites still replaying the trace keep it alive and a
+        // re-fetch before the last ref drops is still a memory hit.
         lruBytes_ -= lru_.back().bytes;
         lru_.pop_back();
         ++stats_.evictions;
@@ -74,23 +84,21 @@ SharedTracePool::touchLocked(const std::string &key,
 {
     if (budgetBytes_ == 0)
         return;
-    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-        if (it->key == key) {
-            lru_.splice(lru_.begin(), lru_, it);
-            return;
-        }
-    }
+    // Re-read the size on every touch: a cache-loaded trace grows by
+    // its decoded op stream the first time a consumer reads an op.
     const std::size_t bytes = sp->memoryBytes();
-    lru_.push_front({key, sp, bytes});
-    lruBytes_ += bytes;
-    while (lruBytes_ > budgetBytes_ && !lru_.empty()) {
-        // Least-recently-fetched first; the weak entry stays, so
-        // suites still replaying the trace keep it alive and a
-        // re-fetch before the last ref drops is still a memory hit.
-        lruBytes_ -= lru_.back().bytes;
-        lru_.pop_back();
-        ++stats_.evictions;
+    auto it = std::find_if(
+        lru_.begin(), lru_.end(),
+        [&](const LruEntry &e) { return e.key == key; });
+    if (it == lru_.end()) {
+        lru_.push_front({key, sp, bytes});
+    } else {
+        lruBytes_ -= it->bytes;
+        it->bytes = bytes;
+        lru_.splice(lru_.begin(), lru_, it);
     }
+    lruBytes_ += bytes;
+    evictLocked();
 }
 
 std::shared_ptr<const TraceBuffer>

@@ -29,8 +29,10 @@
  * server process keeps its resident set capped. Over-budget traces
  * are evicted least-recently-fetched first (the weak entry remains,
  * so suites still holding the buffer are unaffected) and counted in
- * stats().evictions. Unset or 0 means unlimited (no pinning —
- * today's behavior).
+ * stats().evictions. A trace is charged its memoryBytes() again at
+ * every fetch, so a cache-loaded trace whose ops were decoded since
+ * is charged for them from its next fetch on. Unset or 0 means
+ * unlimited (no pinning — today's behavior).
  *
  * Sharing is opt-in per SuiteTraces (see runner.hh): suites that are
  * byte-compared against a private-copy baseline keep private copies.
@@ -131,9 +133,13 @@ class SharedTracePool
         std::size_t bytes = 0;
     };
 
-    /** Pin @p sp at the LRU front and evict over-budget tails.
-     *  Caller holds mu_. No-op when the budget is unlimited. */
+    /** Pin @p sp at the LRU front, charging its current
+     *  memoryBytes(), and evict over-budget tails. Caller holds mu_.
+     *  No-op when the budget is unlimited. */
     void touchLocked(const std::string &key, const TracePtr &sp);
+    /** Drop least-recently-fetched pins until the charge fits the
+     *  budget. Caller holds mu_. */
+    void evictLocked();
 
     mutable std::mutex mu_;
     std::map<std::string, Entry> entries_;

@@ -12,11 +12,12 @@
  * keyed by workload name, trace length, generation seed and the
  * constant format stamp kFormatVersion. Entries are columnar v3
  * trace_io files (writeTraceV3). A load reads the entry into memory
- * the trace owns: branchView() is served from that image and
- * micro-ops decode lazily, so a warm accuracy run never pays a decode
- * at all. Reading into owned memory also means an entry stomped in
- * place by another process fails validation or reads short — a
- * TraceIoError — where a mapping would fault at first touch.
+ * the trace's backing owns: branchView() is served from that image
+ * and the backing decodes micro-ops once, on first use, so a warm
+ * accuracy run never pays a decode at all. Reading into owned memory
+ * also means an entry stomped in place by another process fails
+ * validation or reads short — a TraceIoError — where a mapping would
+ * fault at first touch.
  * Read-back reuses the trace_io validation; a corrupt entry, or one
  * of another trace version, surfaces as TraceIoError and is treated
  * as a miss. load() never unlinks — deleting by path would race

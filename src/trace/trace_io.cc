@@ -1,10 +1,13 @@
 #include "trace/trace_io.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 namespace bpsim {
@@ -258,8 +261,7 @@ struct V3Section
 };
 
 /** v3 backing: serves branch columns in place from the file image
- *  and decodes the op stream on demand (TraceBuffer
- *  materialization). */
+ *  and decodes the op stream once, on the first ops() call. */
 class V3Backing final : public TraceBacking
 {
   public:
@@ -288,14 +290,42 @@ class V3Backing final : public TraceBacking
     }
     std::size_t branchCount() const override { return branchCount_; }
     std::size_t opCount() const override { return opCount_; }
+
+    const std::vector<MicroOp> &
+    ops() const override
+    {
+        // The image never changes, so a failed decode would fail
+        // again: keep its error rather than decoding per call.
+        std::call_once(decodeOnce_, [this] {
+            try {
+                ops_ = decode();
+                decoded_.store(true, std::memory_order_release);
+            } catch (...) {
+                decodeError_ = std::current_exception();
+            }
+        });
+        if (decodeError_)
+            std::rethrow_exception(decodeError_);
+        return ops_;
+    }
+    bool
+    opsDecoded() const override
+    {
+        return decoded_.load(std::memory_order_acquire);
+    }
     std::size_t
     residentBytes() const override
     {
-        return image_.words.capacity() * sizeof(std::uint64_t);
+        std::size_t bytes =
+            image_.words.capacity() * sizeof(std::uint64_t);
+        if (opsDecoded())
+            bytes += ops_.capacity() * sizeof(MicroOp);
+        return bytes;
     }
 
+  private:
     std::vector<MicroOp>
-    decodeOps() const override
+    decode() const
     {
         std::vector<MicroOp> ops;
         ops.reserve(opCount_);
@@ -324,12 +354,15 @@ class V3Backing final : public TraceBacking
         return ops;
     }
 
-  private:
     FileImage image_;
     std::string path_;
     std::size_t opCount_;
     std::size_t branchCount_;
     V3Section sec_[v3NumSections];
+    mutable std::once_flag decodeOnce_;
+    mutable std::atomic<bool> decoded_{false};
+    mutable std::vector<MicroOp> ops_;
+    mutable std::exception_ptr decodeError_;
 };
 
 } // namespace
@@ -520,17 +553,17 @@ readTrace(const std::string &path)
 
     auto backing = std::make_shared<const V3Backing>(
         std::move(image), path, count, branchCount, sec);
-    TraceBuffer trace;
     if constexpr (std::endian::native == std::endian::little) {
-        trace.adoptBacking(std::move(backing));
+        return TraceBuffer(std::move(backing));
     } else {
         // Big-endian host: the raw u64 pc column cannot be served in
         // place; decode everything eagerly instead.
+        TraceBuffer trace;
         trace.reserve(count);
-        for (const MicroOp &op : backing->decodeOps())
+        for (const MicroOp &op : backing->ops())
             trace.push(op);
+        return trace;
     }
-    return trace;
 }
 
 } // namespace bpsim

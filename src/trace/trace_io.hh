@@ -36,10 +36,11 @@
  * delta-small. Sections 0-1 duplicate the conditional-branch columns
  * of the op stream so accuracy replay never decodes ops at all:
  * readTrace() reads the file into memory, validates structure,
- * padding and every block checksum, and returns a TraceBuffer whose
- * branchView() points straight into that image (zero decode). The op
- * stream (sections 2-4) is decoded lazily, only when a consumer
- * touches micro-ops. Truncation and bit flips surface as TraceIoError
+ * padding and every block checksum, and returns a TraceBuffer built
+ * on a backing that holds that image: branchView() points straight
+ * into it (zero decode), and the backing decodes the op stream
+ * (sections 2-4) once, the first time any copy of the trace touches
+ * a micro-op. Truncation and bit flips surface as TraceIoError
  * instead of a silently wrong trace. The encoding is canonical:
  * re-encoding a decoded trace reproduces the file byte for byte.
  */
@@ -67,10 +68,13 @@ class TraceIoError : public std::runtime_error
 void writeTraceV3(const TraceBuffer &trace, const std::string &path);
 
 /**
- * Read a v3 trace file into memory the returned buffer owns; throws
- * TraceIoError on any malformed, truncated or other-version file. A
- * concurrent in-place truncation of the file surfaces as a short read
- * and throws too, which the trace cache heals by regenerating.
+ * Read a v3 trace file into memory the returned buffer's backing
+ * owns; throws TraceIoError on any malformed, truncated or
+ * other-version file. A concurrent in-place truncation of the file
+ * surfaces as a short read and throws too, which the trace cache
+ * heals by regenerating. Ops are decoded on first use, and a
+ * malformed op stream throws TraceIoError there. On a big-endian
+ * host the ops are decoded here and the buffer is a pushed one.
  */
 TraceBuffer readTrace(const std::string &path);
 

@@ -481,13 +481,14 @@ TEST(FaultInjector, EventMatchingNoFieldThrows)
 TEST(TraceFault, CorruptTraceIsDeterministicAndKeepsClasses)
 {
     const auto w = makeWorkload("254.gap");
-    TraceBuffer a = generateTrace(*w, 30000, 9);
-    TraceBuffer b = generateTrace(*w, 30000, 9);
     const TraceBuffer original = generateTrace(*w, 30000, 9);
 
     Rng rngA(77), rngB(77);
-    const auto statsA = robust::corruptTrace(a, 0.01, rngA);
-    const auto statsB = robust::corruptTrace(b, 0.01, rngB);
+    robust::TraceCorruption statsA, statsB;
+    const TraceBuffer a =
+        robust::corruptTrace(original, 0.01, rngA, &statsA);
+    const TraceBuffer b =
+        robust::corruptTrace(original, 0.01, rngB, &statsB);
 
     EXPECT_GT(statsA.recordsHit, 0u);
     EXPECT_EQ(statsA.recordsHit, statsB.recordsHit);
@@ -504,6 +505,19 @@ TEST(TraceFault, CorruptTraceIsDeterministicAndKeepsClasses)
             ++diffs;
     }
     EXPECT_GT(diffs, 0u);
+
+    // The copy's branch columns are built from its corrupted ops.
+    const BranchSpan view = a.branchView();
+    std::size_t k = 0;
+    for (const MicroOp &op : a) {
+        if (op.cls != InstClass::CondBranch)
+            continue;
+        ASSERT_LT(k, view.size());
+        ASSERT_EQ(view.pc(k), op.pc) << "branch " << k;
+        ASSERT_EQ(view.taken(k), op.taken) << "branch " << k;
+        ++k;
+    }
+    EXPECT_EQ(k, view.size());
 
     // The corrupted trace still drives a full accuracy run.
     auto pred = makePredictor(PredictorKind::Gshare, 16 * 1024);

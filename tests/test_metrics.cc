@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the obs metric primitives: counter/gauge semantics,
  * log2-histogram bucket math, registry find-or-create and lookup,
- * disabled-mode sink behaviour, JSON snapshots and ScopedTimer.
+ * disabled-mode sink behaviour and JSON snapshots.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "obs/metrics.hh"
-#include "obs/timer.hh"
 
 using namespace bpsim::obs;
 
@@ -167,29 +166,4 @@ TEST(MetricRegistry, ClearDropsMetrics)
     reg.clear();
     EXPECT_EQ(reg.size(), 0u);
     EXPECT_EQ(reg.findCounter("x"), nullptr);
-}
-
-TEST(ScopedTimer, RecordsIntoProfileZone)
-{
-    MetricRegistry reg;
-    {
-        ScopedTimer t(reg, "fetch");
-        (void)t;
-    }
-    const auto *h = reg.findHistogram("profile.fetch.ns");
-    const auto *c = reg.findCounter("profile.fetch.total_ns");
-    ASSERT_NE(h, nullptr);
-    ASSERT_NE(c, nullptr);
-    EXPECT_EQ(h->total(), 1u);
-    EXPECT_EQ(c->value(), h->sum());
-}
-
-TEST(ScopedTimer, DisabledRegistryStaysEmpty)
-{
-    MetricRegistry reg(false);
-    {
-        ScopedTimer t(reg, "fetch");
-        (void)t;
-    }
-    EXPECT_EQ(reg.size(), 0u);
 }

@@ -2,8 +2,9 @@
  * @file
  * Tests for the on-disk trace cache: miss-then-hit, corruption
  * recovery, format-stamp invalidation, key separation, memory
- * accounting of loaded entries, and the SuiteTraces hit/miss
- * accounting the benches surface as metrics.
+ * accounting of loaded entries, one shared op decode under
+ * concurrent readers, the SuiteTraces hit/miss accounting the
+ * benches surface as metrics, and SharedTracePool's budget.
  */
 
 #include "trace/trace_cache.hh"
@@ -25,6 +26,7 @@
 #include "trace/shared_trace_pool.hh"
 #include "trace/trace_buffer.hh"
 #include "trace/trace_io.hh"
+#include "workloads/registry.hh"
 
 namespace bpsim {
 namespace {
@@ -273,6 +275,68 @@ TEST(TraceCache, LoadedTraceChargesItsFileImage)
     fs::remove_all(dir);
 }
 
+TEST(TraceCache, ConcurrentReadersShareOneDecode)
+{
+    // Eight threads touch the ops of one undecoded cache-loaded
+    // trace at once, first by index and then through the timing
+    // core. The backing decodes once under them; every thread must
+    // read the generated trace's ops and time it identically.
+    const auto w = makeWorkload("181.mcf");
+    const TraceBuffer generated = generateTrace(*w, 20000, 3);
+    const std::string dir = freshCacheDir("trace_cache_shared_decode");
+    const TraceCache cache(dir);
+    ASSERT_TRUE(cache.store("181.mcf", 20000, 3, generated));
+    auto loaded = cache.load("181.mcf", 20000, 3);
+    ASSERT_TRUE(loaded.has_value());
+    const auto shared =
+        std::make_shared<const TraceBuffer>(std::move(*loaded));
+    ASSERT_FALSE(shared->opsMaterialized());
+
+    const CoreConfig cfg;
+    const auto timing = [&cfg](const TraceBuffer &t) {
+        auto fp = makeFetchPredictor(PredictorKind::Gshare, 16 * 1024,
+                                     DelayMode::Overriding);
+        return runTiming(cfg, *fp, t);
+    };
+    const SimResult want = timing(generated);
+
+    constexpr int kThreads = 8;
+    std::atomic<int> arrived{0};
+    std::vector<std::size_t> mismatches(kThreads, 0);
+    std::vector<SimResult> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            arrived.fetch_add(1);
+            while (arrived.load() < kThreads)
+                std::this_thread::yield();
+            for (std::size_t i = 0; i < generated.size(); ++i) {
+                const MicroOp &a = (*shared)[i];
+                const MicroOp &b = generated[i];
+                if (a.pc != b.pc || a.extra != b.extra ||
+                    a.cls != b.cls || a.taken != b.taken ||
+                    a.dst != b.dst || a.srcA != b.srcA ||
+                    a.srcB != b.srcB)
+                    ++mismatches[t];
+            }
+            got[t] = timing(*shared);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    EXPECT_TRUE(shared->opsMaterialized());
+    for (int t = 0; t < kThreads; ++t) {
+        SCOPED_TRACE("thread " + std::to_string(t));
+        EXPECT_EQ(mismatches[t], 0u);
+        EXPECT_EQ(got[t].cycles, want.cycles);
+        EXPECT_EQ(got[t].instructions, generated.size());
+        EXPECT_EQ(got[t].mispredictions, want.mispredictions);
+        EXPECT_EQ(got[t].flushes, want.flushes);
+    }
+    fs::remove_all(dir);
+}
+
 TEST(TraceCache, RacingWritersAndACorruptorConverge)
 {
     // Many processes sharing one cache directory are modeled by many
@@ -503,6 +567,52 @@ TEST(SharedTracePool, BudgetedLruPinsAndEvicts)
     pool.setBudgetBytes(1);
     EXPECT_EQ(pool.pinnedBytes(), 0u);
     EXPECT_EQ(pool.stats().evictions, 3u);
+}
+
+TEST(SharedTracePool, RefetchChargesALoadedTraceItsDecodedOps)
+{
+    // A cache-loaded trace grows by its op stream the first time a
+    // consumer reads an op. The next fetch must charge the budget
+    // the new size, and evict when that no longer fits.
+    const std::string dir = freshCacheDir("pool_charge");
+    const TraceCache cache(dir);
+    ASSERT_TRUE(cache.store("wl-a", 3000, 7, syntheticTrace(3000, 7)));
+    const auto fetchKey = [&](SharedTracePool &pool) {
+        SharedTracePool::Source source = SharedTracePool::Source::Memory;
+        auto sp = pool.fetch("wl-a", 3000, 7, cache,
+                             [] { return syntheticTrace(3000, 7); },
+                             &source);
+        return std::make_pair(sp, source);
+    };
+
+    SharedTracePool pool;
+    pool.setBudgetBytes(std::size_t{64} << 20);
+    const auto [sp, source] = fetchKey(pool);
+    ASSERT_EQ(source, SharedTracePool::Source::Disk);
+    ASSERT_FALSE(sp->opsMaterialized());
+    const std::size_t encoded = sp->memoryBytes();
+    EXPECT_EQ(pool.pinnedBytes(), encoded);
+
+    EXPECT_EQ((*sp)[0].pc, syntheticTrace(3000, 7)[0].pc); // decodes
+    const std::size_t decoded = sp->memoryBytes();
+    ASSERT_GE(decoded, encoded + 3000 * sizeof(MicroOp));
+    EXPECT_EQ(fetchKey(pool).second, SharedTracePool::Source::Memory);
+    EXPECT_EQ(pool.pinnedBytes(), decoded);
+    EXPECT_EQ(pool.stats().evictions, 0u);
+
+    // A budget that holds the encoded trace but not the decoded one
+    // pins it at load and evicts it at the first fetch after the
+    // decode.
+    SharedTracePool tight;
+    tight.setBudgetBytes((encoded + decoded) / 2);
+    const auto [tsp, tsource] = fetchKey(tight);
+    ASSERT_EQ(tsource, SharedTracePool::Source::Disk);
+    EXPECT_EQ(tight.pinnedBytes(), encoded);
+    EXPECT_EQ((*tsp)[0].pc, (*sp)[0].pc);
+    fetchKey(tight);
+    EXPECT_EQ(tight.pinnedBytes(), 0u);
+    EXPECT_EQ(tight.stats().evictions, 1u);
+    fs::remove_all(dir);
 }
 
 TEST(SharedTracePool, BudgetFromEnvironmentMustBeWholeNumber)

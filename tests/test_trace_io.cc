@@ -218,27 +218,26 @@ TEST(TraceIo, ServesBranchViewWithoutDecodingOps)
     std::remove(path.c_str());
 }
 
-TEST(TraceIo, MutationDetachesFromFileImage)
+TEST(TraceIo, CopiesOfALoadedTraceShareOneDecode)
 {
-    // Fault injection rewrites ops in place; on a backed buffer that
-    // must copy out of the file image, not write through it.
+    // The op stream is decoded inside the backing every copy shares:
+    // decoding through a copy decodes the original too, and both
+    // then read the same ops.
     const auto w = makeWorkload("164.gzip");
     const TraceBuffer original = generateTrace(*w, 2000, 5);
-    const std::string path = tempPath("mutate_v3.bpt");
+    const std::string path = tempPath("shared_decode_v3.bpt");
     writeTraceV3(original, path);
 
-    TraceBuffer loaded = readTrace(path);
-    std::size_t firstBranch = 0;
-    while (loaded[firstBranch].cls != InstClass::CondBranch)
-        ++firstBranch;
-    MicroOp &op = loaded.mutableOp(firstBranch);
-    op.taken = !op.taken;
-    loaded.rebuildBranchView();
+    const TraceBuffer loaded = readTrace(path);
+    const TraceBuffer copy = loaded;
+    ASSERT_FALSE(loaded.opsMaterialized());
+    ASSERT_FALSE(copy.opsMaterialized());
 
-    EXPECT_EQ(loaded.branchView().taken(0), op.taken);
-    // The file itself is untouched.
-    const TraceBuffer reloaded = readTrace(path);
-    expectTracesEqual(original, reloaded);
+    expectTracesEqual(original, copy);
+    EXPECT_TRUE(copy.opsMaterialized());
+    EXPECT_TRUE(loaded.opsMaterialized());
+    EXPECT_EQ(&loaded[0], &copy[0]);
+    EXPECT_EQ(loaded.memoryBytes(), copy.memoryBytes());
     std::remove(path.c_str());
 }
 

@@ -16,10 +16,11 @@ current[NUM] / current[DEN] < R (R defaults to --min-ratio). That
 makes it machine-independent — the standing uses are holding the
 flight recorder's disabled path to "a branch on a null sink"
 (BM_SpanOverhead/disabled vs /none at 0.5x) and holding the batched
-ensemble perceptron kernel's per-member-branch throughput above the
-serial replay kernel's (BM_EnsembleReplay/perceptron vs
-BM_PredictUpdate/perceptron at 1.5x — measured ~7x; losing the
-shared-input batching shows up as ~1x).
+ensemble perceptron kernel's per-member-branch throughput above that
+of the same members replayed one at a time
+(BM_EnsembleReplay/perceptron vs BM_PerceptronSerialGroup at 1.5x —
+measured 2.2-2.8x; losing the shared-input batching shows up as
+~1.1x).
 
 Usage:
   check_kernel_bench.py BASELINE.json CURRENT.json \
