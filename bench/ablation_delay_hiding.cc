@@ -27,7 +27,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     benchHeader(ctx, "Section 2.6 ablation",
                 "delay-hiding schemes for the perceptron predictor",
                 ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
     CoreConfig cfg;
 
     const std::vector<DelayMode> modes = {

@@ -66,7 +66,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     const Counter ops = benchOpsPerWorkload(spec.defaultOps);
     benchHeader(ctx, "Pipeline ablation (Sections 3.1/3.3.1)",
                 "engine fidelity, buffer sizing, staleness cost", ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
 
     // --- E12 fidelity ------------------------------------------------
     // Per-workload cells run on the pool; totals accumulate in

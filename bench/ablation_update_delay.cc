@@ -29,7 +29,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     benchHeader(ctx, "Section 3.2 ablation",
                 "gshare.fast (256KB) accuracy/IPC vs PHT update delay",
                 ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
     CoreConfig cfg;
 
     const std::size_t budget = 256 * 1024;

@@ -1,12 +1,19 @@
 #include "artifact_registry.hh"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <vector>
 
-#include "trace/shared_trace_pool.hh"
-
 namespace bpsim {
+
+SuiteTraces
+SweepContext::suite(Counter ops)
+{
+    if (held_ && ops <= held_->opsPerWorkload())
+        return held_->prefix(ops);
+    return SuiteTraces(ops, kSuiteSeed, pool());
+}
 
 void
 SweepContext::printf(const char *fmt, ...)
@@ -50,12 +57,9 @@ StandaloneSweepContext::StandaloneSweepContext(
 StandaloneSweepContext::~StandaloneSweepContext()
 {
     // Before the session's finish() snapshots the registry: stamp
-    // the pool's execution stats and the process-wide trace-pool
-    // counters so --report runs carry utilization and sharing info.
-    if (session_.wantReport()) {
+    // the pool's execution stats so --report runs carry utilization.
+    if (session_.wantReport())
         pool_.stats().publish(session_.metrics());
-        SharedTracePool::global().stats().publish(session_.metrics());
-    }
 }
 
 void
@@ -67,12 +71,14 @@ StandaloneSweepContext::write(const char *data, std::size_t n)
 BufferedSweepContext::BufferedSweepContext(const ArtifactSpec &spec,
                                            parallel::CellPool *pool,
                                            bool want_report,
-                                           TimingMemo *memo)
+                                           TimingMemo *memo,
+                                           const SuiteTraces *suite)
     : metrics_(/*enabled=*/true),
       pool_(pool),
       wantReport_(want_report),
       memo_(memo ? memo : &ownMemo_)
 {
+    held_ = suite;
     report_.experiment = spec.name;
 }
 
@@ -94,6 +100,17 @@ void
 BufferedSweepContext::write(const char *data, std::size_t n)
 {
     out_.append(data, n);
+}
+
+Counter
+longestSuiteOps(const std::vector<const ArtifactDef *> &defs)
+{
+    Counter ops = 0;
+    for (const ArtifactDef *def : defs)
+        if (def->spec.defaultOps > 0)
+            ops = std::max(ops,
+                           benchOpsPerWorkload(def->spec.defaultOps));
+    return ops;
 }
 
 int

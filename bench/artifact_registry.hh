@@ -4,7 +4,7 @@
  *
  * Historically each figure/table/study was only an executable; the
  * sweep engine (tools/bpsweep) needs to run all of them inside one
- * process, against one shared worker pool and one shared trace pool.
+ * process, against one shared worker pool and one suite of traces.
  * So every bench body is a function
  *
  *     int run(const ArtifactSpec &, SweepContext &)
@@ -14,11 +14,12 @@
  * CellPool — exactly the old BenchSession behavior, byte for byte),
  * call the body. bpsweep instead builds a BufferedSweepContext per
  * artifact (in-memory output, own RunReport/MetricRegistry, a
- * SweepPool view onto the shared scheduler) and runs many bodies
- * concurrently. Because every body writes rows in commit order and
- * text through ctx.printf(), its RunReport and table text are
- * byte-identical either way — the contract test_artifact_registry
- * and the CI sweep-check job enforce.
+ * SweepPool view onto the shared scheduler, a prefix of the sweep's
+ * suite) and runs many bodies concurrently. Because every body
+ * writes rows in commit order and text through ctx.printf(), its
+ * RunReport and table text are byte-identical either way — the
+ * contract test_artifact_registry and the CI sweep-check job
+ * enforce.
  *
  * Artifacts are registered in artifact_registry.cc via the accessor
  * functions below (plain functions, so no static-initializer-order
@@ -42,6 +43,9 @@
 #include "parallel/cell_pool.hh"
 
 namespace bpsim {
+
+/** The seed every artifact's suite traces are generated at. */
+inline constexpr std::uint64_t kSuiteSeed = 42;
 
 /** Static description of one reproducible artifact. */
 struct ArtifactSpec
@@ -84,6 +88,12 @@ class SweepContext
         return wantReport() ? &metrics() : nullptr;
     }
 
+    /** The twelve stand-in traces at @p ops ops each, seed
+     *  kSuiteSeed: a prefix of the sweep's suite inside bpsweep,
+     *  generated (or loaded from BPSIM_TRACE_CACHE) for this body
+     *  otherwise, or when the sweep holds fewer ops. */
+    SuiteTraces suite(Counter ops);
+
     /** The artifact's table output (stdout standalone, an in-memory
      *  buffer inside bpsweep). */
     void printf(const char *fmt, ...)
@@ -92,6 +102,9 @@ class SweepContext
   protected:
     /** Sink for printf(); called from the artifact driver thread. */
     virtual void write(const char *data, std::size_t n) = 0;
+
+    /** The sweep's suite, which suite() cuts; nullptr standalone. */
+    const SuiteTraces *held_ = nullptr;
 };
 
 /** An artifact body. Returns the process exit code (0 success). */
@@ -108,6 +121,12 @@ const std::vector<ArtifactDef> &artifactRegistry();
 
 /** Lookup by spec name; nullptr when unknown. */
 const ArtifactDef *findArtifact(const std::string &name);
+
+/** The longest suite @p defs replay: the largest
+ *  benchOpsPerWorkload(defaultOps) among those with a nonzero
+ *  defaultOps, or 0 when none replays suite traces. A sweep holds
+ *  one suite of this length and serves every body a prefix. */
+Counter longestSuiteOps(const std::vector<const ArtifactDef *> &defs);
 
 /** Per-artifact accessors (each defined in its bench TU). */
 const ArtifactDef &fig1AccuracyBudgetArtifact();
@@ -129,10 +148,10 @@ const ArtifactDef &studyFieldVulnerabilityArtifact();
 
 /**
  * The standalone host: stdout output, a ReportSession for
- * --report/--trace, a private CellPool sized by --jobs. The
- * destructor stamps the pool's utilization stats and the process
- * trace-pool counters into the metrics before the session writes
- * the report (the old BenchSession behavior).
+ * --report/--trace, a private CellPool sized by --jobs, and a suite
+ * generated for the body. The destructor stamps the pool's
+ * utilization stats into the metrics before the session writes the
+ * report (the old BenchSession behavior).
  */
 class StandaloneSweepContext final : public SweepContext
 {
@@ -163,9 +182,10 @@ class StandaloneSweepContext final : public SweepContext
 /**
  * The in-process host bpsweep (and the registry test) uses: output
  * accumulates in a string, report/metrics live here, and cells run
- * on a caller-supplied pool and share a caller-supplied timing memo
- * (or a private one). finalize() attaches the metric snapshot to the
- * report the way ReportSession::finish() would.
+ * on a caller-supplied pool, share a caller-supplied timing memo
+ * (or a private one) and replay prefixes of a caller-supplied suite
+ * (or generate their own). finalize() attaches the metric snapshot
+ * to the report the way ReportSession::finish() would.
  */
 class BufferedSweepContext final : public SweepContext
 {
@@ -173,10 +193,13 @@ class BufferedSweepContext final : public SweepContext
     /** @param pool Cell executor; must outlive the context.
      *  @param want_report Enables metrics and report assembly.
      *  @param memo Timing memo shared with other artifacts (must
-     *  outlive the context); nullptr gives the context its own. */
+     *  outlive the context); nullptr gives the context its own.
+     *  @param suite The sweep's suite, at seed kSuiteSeed (must
+     *  outlive the context); nullptr makes suite() generate. */
     BufferedSweepContext(const ArtifactSpec &spec,
                          parallel::CellPool *pool, bool want_report,
-                         TimingMemo *memo = nullptr);
+                         TimingMemo *memo = nullptr,
+                         const SuiteTraces *suite = nullptr);
 
     obs::RunReport &report() override { return report_; }
     obs::MetricRegistry &metrics() override { return metrics_; }

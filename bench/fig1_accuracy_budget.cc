@@ -24,7 +24,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     benchHeader(ctx, "Figure 1",
                 "arithmetic-mean misprediction (%) vs hardware budget",
                 ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
 
     const std::vector<PredictorKind> kinds = {
         PredictorKind::Gshare,

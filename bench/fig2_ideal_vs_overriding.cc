@@ -25,7 +25,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     const Counter ops = benchOpsPerWorkload(spec.defaultOps);
     benchHeader(ctx, "Figure 2",
                 "harmonic-mean IPC: zero-delay vs overriding", ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
     CoreConfig cfg;
 
     const std::vector<PredictorKind> kinds = {

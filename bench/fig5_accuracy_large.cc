@@ -25,7 +25,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
                 "arithmetic-mean misprediction (%) of the four large "
                 "predictors",
                 ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
 
     ctx.printf("%-8s", "budget");
     for (auto k : largePredictorKinds())

@@ -22,7 +22,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     benchHeader(ctx, "Figure 6",
                 "per-benchmark misprediction (%) at the 64KB budget",
                 ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
 
     const std::vector<std::pair<PredictorKind, std::size_t>> configs = {
         {PredictorKind::MultiComponent, 53 * 1024},

@@ -24,7 +24,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     const Counter ops = benchOpsPerWorkload(spec.defaultOps);
     benchHeader(ctx, "Figure 7",
                 "harmonic-mean IPC vs hardware budget", ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
     CoreConfig cfg;
 
     // Both graphs' cells in report row order (mode-major, budget,

@@ -27,7 +27,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
                 "per-benchmark IPC at the 53KB/64KB budget "
                 "(overriding implementations)",
                 ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
     CoreConfig cfg;
 
     const std::vector<std::pair<PredictorKind, std::size_t>> configs = {

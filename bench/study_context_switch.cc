@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "artifact_registry.hh"
-#include "trace/shared_trace_pool.hh"
-#include "workloads/registry.hh"
 
 namespace bpsim {
 
@@ -49,30 +47,26 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
                "targets)\n");
     ctx.printf("==============================================================\n");
 
-    // The base traces go through the shared pool (and the on-disk
-    // cache): in a sweep they are the same buffers the suite benches
-    // replay, materialized once per process.
-    const TraceCache cache = TraceCache::fromEnv();
-    const auto fetchShared = [&](const std::string &name) {
-        return SharedTracePool::global().fetch(
-            name, ops, 42, cache, [&] {
-                const auto w = makeWorkload(name);
-                return generateTrace(*w, ops, 42);
-            });
+    // The base traces come from the artifact's suite: in a sweep,
+    // prefixes of the traces every other artifact replays.
+    const SuiteTraces suite = ctx.suite(ops);
+    const auto pick = [&](const std::string &name) -> const TraceBuffer & {
+        std::size_t i = 0;
+        while (suite.name(i) != name)
+            ++i;
+        return suite.trace(i);
     };
-    const auto ta = fetchShared("176.gcc");
-    const auto tb = fetchShared("186.crafty");
-    const TraceBuffer back_to_back =
-        interleave(*ta, *tb, ta->size());
-    ctx.report().opsPerWorkload = ops;
-    ctx.report().seed = 42;
+    const TraceBuffer &ta = pick("176.gcc");
+    const TraceBuffer &tb = pick("186.crafty");
+    const TraceBuffer back_to_back = interleave(ta, tb, ta.size());
+    suite.describe(ctx.report());
 
     const std::vector<std::size_t> quanta = {100000, 20000, 4000};
     // Interleavings are deterministic; build each once up front
     // instead of once per predictor kind.
     std::vector<TraceBuffer> mixed;
     for (std::size_t q : quanta)
-        mixed.push_back(interleave(*ta, *tb, q));
+        mixed.push_back(interleave(ta, tb, q));
 
     const std::vector<PredictorKind> kinds = {
         PredictorKind::Gshare,

@@ -28,7 +28,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     const Counter ops = benchOpsPerWorkload(spec.defaultOps);
     benchHeader(ctx, "Section 4.5 study",
                 "overriding disagreement rates at 64KB", ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
     CoreConfig cfg;
     suite.describe(ctx.report());
 

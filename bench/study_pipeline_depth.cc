@@ -28,7 +28,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     const Counter ops = benchOpsPerWorkload(spec.defaultOps);
     benchHeader(ctx, "Pipeline-depth study",
                 "512KB predictors vs front-end depth", ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
 
     // Cells in report row order (depth, then the three series);
     // TimingCellConfig carries the per-depth core config.

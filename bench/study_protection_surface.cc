@@ -86,7 +86,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     benchHeader(ctx, "Protection surface",
                 "misprediction vs budget x upset rate x ECC policy",
                 ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
     suite.describe(ctx.report());
     CoreConfig cfg;
 

@@ -62,7 +62,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     const Counter ops = benchOpsPerWorkload(spec.defaultOps);
     benchHeader(ctx, "Soft-error study",
                 "accuracy/IPC vs SRAM upset rate at 64KB", ops);
-    SuiteTraces suite(ops, 42, ctx.pool(), /*shared_pool=*/true);
+    const SuiteTraces suite = ctx.suite(ops);
     suite.describe(ctx.report());
     CoreConfig cfg;
 

@@ -8,8 +8,10 @@
  * below compile to packed integer code at -O3, which bench/microbench
  * pins with a dedicated BM_PerceptronKernel benchmark. At -O2 GCC 12's
  * very-cheap vectorizer cost model leaves these run-time-length loops
- * scalar, so vec_kernels.cc is built with the -O3 cost model in every
- * build type (src/common/CMakeLists.txt).
+ * scalar, so the files that compile them, vec_kernels.cc and the
+ * serial perceptron's src/predictors/perceptron.cc, are built with
+ * the -O3 cost model in every build type (bpsim_vectorize_loops in
+ * src/CMakeLists.txt).
  *
  * The ±1 input vector itself comes from expandSignsI16, which copies
  * one 16-byte row of a 256-entry table per eight history bits instead

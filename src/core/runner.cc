@@ -8,7 +8,6 @@
 #include "core/dispatch.hh"
 #include "core/ensemble.hh"
 #include "parallel/cell_pool.hh"
-#include "trace/shared_trace_pool.hh"
 #include "workloads/registry.hh"
 
 namespace bpsim {
@@ -203,28 +202,12 @@ reportRow(const std::string &workload, const std::string &predictor,
 
 SuiteTraces::SuiteTraces(Counter ops_per_workload, std::uint64_t seed,
                          parallel::CellPool *pool)
-    : SuiteTraces(ops_per_workload, seed, pool, TraceCache::fromEnv(),
-                  false)
-{
-}
-
-SuiteTraces::SuiteTraces(Counter ops_per_workload, std::uint64_t seed,
-                         parallel::CellPool *pool, bool shared_pool)
-    : SuiteTraces(ops_per_workload, seed, pool, TraceCache::fromEnv(),
-                  shared_pool)
+    : SuiteTraces(ops_per_workload, seed, pool, TraceCache::fromEnv())
 {
 }
 
 SuiteTraces::SuiteTraces(Counter ops_per_workload, std::uint64_t seed,
                          parallel::CellPool *pool, TraceCache cache)
-    : SuiteTraces(ops_per_workload, seed, pool, std::move(cache),
-                  false)
-{
-}
-
-SuiteTraces::SuiteTraces(Counter ops_per_workload, std::uint64_t seed,
-                         parallel::CellPool *pool, TraceCache cache,
-                         bool shared_pool)
     : names_(specint2000Names()),
       opsPerWorkload_(ops_per_workload),
       seed_(seed)
@@ -235,24 +218,15 @@ SuiteTraces::SuiteTraces(Counter ops_per_workload, std::uint64_t seed,
     // cell writes only its own trace slot, so parallel construction
     // produces the exact traces serial construction would.
     const auto compute = [&](std::size_t i) {
-        const auto generate = [&] {
-            const auto w = makeWorkload(names_[i]);
-            return generateTrace(*w, opsPerWorkload_, seed_);
-        };
-        if (shared_pool) {
-            auto src = SharedTracePool::Source::Generated;
-            traces_[i] = SharedTracePool::global().fetch(
-                names_[i], opsPerWorkload_, seed_, cache, generate,
-                &src);
-            hit[i] =
-                src != SharedTracePool::Source::Generated ? 1 : 0;
-        } else {
-            bool fromCache = false;
-            traces_[i] = std::make_shared<const TraceBuffer>(
-                cache.fetch(names_[i], opsPerWorkload_, seed_,
-                            generate, &fromCache));
-            hit[i] = fromCache ? 1 : 0;
-        }
+        bool fromCache = false;
+        traces_[i] = cache.fetch(
+            names_[i], opsPerWorkload_, seed_,
+            [&] {
+                const auto w = makeWorkload(names_[i]);
+                return generateTrace(*w, opsPerWorkload_, seed_);
+            },
+            &fromCache);
+        hit[i] = fromCache ? 1 : 0;
     };
     const auto commit = [&](std::size_t i) {
         if (hit[i])
@@ -261,6 +235,18 @@ SuiteTraces::SuiteTraces(Counter ops_per_workload, std::uint64_t seed,
             ++cacheMisses_;
     };
     forEachCell(pool, names_.size(), compute, commit);
+}
+
+SuiteTraces
+SuiteTraces::prefix(Counter ops) const
+{
+    SuiteTraces view = *this;
+    view.opsPerWorkload_ = ops;
+    for (TraceBuffer &t : view.traces_)
+        t = t.prefix(ops);
+    view.cacheHits_ = view.traces_.size();
+    view.cacheMisses_ = 0;
+    return view;
 }
 
 void

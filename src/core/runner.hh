@@ -111,13 +111,12 @@ obs::RunReport::Row reportRow(const std::string &workload,
  * so cached, parallel and serial construction all yield identical
  * traces.
  *
- * When constructed with shared_pool = true, the buffers come from
- * the process-wide SharedTracePool: suites with the same key share
- * one read-only copy instead of each holding a private gigabyte.
- * The benches opt in; suites whose metrics are byte-compared against
- * a private-copy baseline (tests) keep the default private copies.
- * Either way a suite's traces are bitwise identical — only memory
- * ownership differs.
+ * prefix(ops) serves a shorter suite from a longer one without
+ * generating: each trace is cut to its first @c ops ops, which are
+ * the trace that generation at that length gives. A sweep builds
+ * one suite at the longest length its artifacts ask for and hands
+ * each artifact a prefix (bench/artifact_registry.hh). Copies and
+ * prefixes share the traces' storage.
  */
 class SuiteTraces
 {
@@ -131,27 +130,24 @@ class SuiteTraces
                          std::uint64_t seed = 42,
                          parallel::CellPool *pool = nullptr);
 
-    /** As above, sharing buffers through SharedTracePool::global()
-     *  when @p shared_pool is true. A pool hit counts as a cache
-     *  hit; only actual generation counts as a miss. */
-    SuiteTraces(Counter ops_per_workload, std::uint64_t seed,
-                parallel::CellPool *pool, bool shared_pool);
-
     /** As above with an explicit cache instead of BPSIM_TRACE_CACHE. */
     SuiteTraces(Counter ops_per_workload, std::uint64_t seed,
                 parallel::CellPool *pool, TraceCache cache);
 
+    /** This suite cut to @p ops ops per workload (at most
+     *  opsPerWorkload()); see the class comment. Its cache counters
+     *  read every workload as a hit, since the view generated
+     *  nothing. */
+    SuiteTraces prefix(Counter ops) const;
+
     std::size_t size() const { return traces_.size(); }
     const std::string &name(std::size_t i) const { return names_[i]; }
-    const TraceBuffer &trace(std::size_t i) const
-    {
-        return *traces_[i];
-    }
+    const TraceBuffer &trace(std::size_t i) const { return traces_[i]; }
     Counter opsPerWorkload() const { return opsPerWorkload_; }
     std::uint64_t seed() const { return seed_; }
 
-    /** Workloads served without generating: from the on-disk cache
-     *  or (shared_pool mode) already materialized in-process. */
+    /** Workloads served without generating: from the on-disk cache,
+     *  or by a prefix view of a longer suite. */
     Counter cacheHits() const { return cacheHits_; }
     /** Workloads generated (and stored when a cache is enabled). */
     Counter cacheMisses() const { return cacheMisses_; }
@@ -160,12 +156,8 @@ class SuiteTraces
     void describe(obs::RunReport &report) const;
 
   private:
-    SuiteTraces(Counter ops_per_workload, std::uint64_t seed,
-                parallel::CellPool *pool, TraceCache cache,
-                bool shared_pool);
-
     std::vector<std::string> names_;
-    std::vector<std::shared_ptr<const TraceBuffer>> traces_;
+    std::vector<TraceBuffer> traces_;
     Counter opsPerWorkload_;
     std::uint64_t seed_;
     Counter cacheHits_ = 0;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <ostream>
 
+#include "obs/chrome_trace.hh"
 #include "obs/json.hh"
 
 namespace bpsim::obs {
@@ -54,43 +55,20 @@ EventTracer::exportJsonl(std::ostream &os) const
 void
 EventTracer::exportChromeTrace(std::ostream &os) const
 {
-    Json events = Json::array();
-    // One metadata row per event type so Perfetto shows a named
-    // track for each.
-    for (unsigned t = 0; t < kSimEventCount; ++t) {
-        Json meta = Json::object();
-        meta.set("name", Json("thread_name"));
-        meta.set("ph", Json("M"));
-        meta.set("pid", Json(1));
-        meta.set("tid", Json(t + 1));
-        Json args = Json::object();
-        args.set("name",
-                 Json(eventName(static_cast<SimEvent>(t))));
-        meta.set("args", std::move(args));
-        events.push(std::move(meta));
-    }
+    ChromeTraceWriter out(os);
+    // One named track per event type, so Perfetto shows a row each.
+    for (unsigned t = 0; t < kSimEventCount; ++t)
+        out.threadName(t + 1, eventName(static_cast<SimEvent>(t)));
     for (std::size_t i = 0; i < size_; ++i) {
         const TraceEvent &e = at(i);
-        Json ev = Json::object();
-        ev.set("name", Json(eventName(e.type)));
-        ev.set("cat", Json("sim"));
-        // Complete ("X") events need a duration; point events get
-        // one cycle, stall-style events carry theirs in arg.
-        ev.set("ph", Json("X"));
-        ev.set("ts", Json(e.cycle));         // 1 cycle -> 1 us
-        ev.set("dur", Json(e.arg ? e.arg : 1));
-        ev.set("pid", Json(1));
-        ev.set("tid", Json(static_cast<unsigned>(e.type) + 1));
-        Json args = Json::object();
-        args.set("pc", Json(e.pc));
-        args.set("arg", Json(e.arg));
-        ev.set("args", std::move(args));
-        events.push(std::move(ev));
+        const ChromeTraceWriter::Arg args[] = {{"pc", e.pc},
+                                               {"arg", e.arg}};
+        // 1 cycle -> 1 us. Point events get one cycle; stall-style
+        // events carry their length in arg.
+        out.span(static_cast<unsigned>(e.type) + 1, "sim",
+                 eventName(e.type), e.cycle * 1000,
+                 (e.arg ? e.arg : 1) * 1000, args);
     }
-    Json doc = Json::object();
-    doc.set("traceEvents", std::move(events));
-    doc.set("displayTimeUnit", Json("ms"));
-    os << doc.dump(2) << '\n';
 }
 
 bool

@@ -13,7 +13,8 @@
  * Export formats:
  *  - JSONL: one `{"cycle":..,"event":..,"pc":..,"arg":..}` per line,
  *    greppable and trivially loadable from Python;
- *  - Chrome trace_event JSON (`{"traceEvents":[...]}`), loadable in
+ *  - Chrome trace_event JSON (`{"traceEvents":[...]}`, written by
+ *    ChromeTraceWriter, obs/chrome_trace.hh), loadable in
  *    chrome://tracing and Perfetto: simulated cycles are mapped to
  *    microseconds, event rows are split per event type via the `tid`
  *    field, and duration events use `arg` as their cycle length.

@@ -1,12 +1,11 @@
 #include "obs/span_trace.hh"
 
 #include <atomic>
-#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 
-#include "obs/json.hh"
+#include "obs/chrome_trace.hh"
 
 namespace bpsim::obs {
 
@@ -30,23 +29,6 @@ struct ThreadCache
 };
 
 thread_local ThreadCache t_cache;
-
-/** Escaped, quoted JSON string (reuses the Json dumper). */
-std::string
-quoted(std::string_view s)
-{
-    return Json(std::string(s)).dump();
-}
-
-/** Microseconds with nanosecond precision, as Chrome's "ts" wants. */
-void
-appendUs(std::string &out, std::uint64_t ns)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03u", ns / 1000,
-                  static_cast<unsigned>(ns % 1000));
-    out += buf;
-}
 
 } // namespace
 
@@ -165,56 +147,23 @@ void
 SpanRecorder::exportChromeTrace(std::ostream &os) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::string out;
-    out += "{\"traceEvents\":[\n";
-    bool first = true;
-    const auto emit = [&](const std::string &line) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += line;
-    };
+    ChromeTraceWriter out(os);
+    for (const auto &log : logs_)
+        out.threadName(log->tid(), log->threadName());
     for (const auto &log : logs_) {
-        std::string meta = "{\"ph\":\"M\",\"pid\":1,\"tid\":";
-        meta += std::to_string(log->tid());
-        meta += ",\"name\":\"thread_name\",\"args\":{\"name\":";
-        meta += quoted(log->threadName());
-        meta += "}}";
-        emit(meta);
-    }
-    for (const auto &log : logs_) {
-        const std::string tid = std::to_string(log->tid());
         for (std::size_t i = 0; i < log->size(); ++i) {
             const SpanEvent &e = log->at(i);
-            std::string line = "{\"ph\":\"";
-            line += e.instant ? "i" : "X";
-            line += "\",\"pid\":1,\"tid\":";
-            line += tid;
-            line += ",\"cat\":";
-            line += quoted(e.cat ? e.cat : "span");
-            line += ",\"name\":";
-            line += quoted(e.name);
-            line += ",\"ts\":";
-            appendUs(line, e.startNs);
-            if (e.instant) {
-                line += ",\"s\":\"t\""; // thread-scoped instant
-            } else {
-                line += ",\"dur\":";
-                appendUs(line, e.durNs);
-            }
-            if (e.argName) {
-                line += ",\"args\":{";
-                line += quoted(e.argName);
-                line += ":";
-                line += std::to_string(e.arg);
-                line += "}";
-            }
-            line += "}";
-            emit(line);
+            const ChromeTraceWriter::Arg arg{e.argName, e.arg};
+            const std::span<const ChromeTraceWriter::Arg> args(
+                &arg, e.argName ? 1 : 0);
+            const char *cat = e.cat ? e.cat : "span";
+            if (e.instant)
+                out.instant(log->tid(), cat, e.name, e.startNs, args);
+            else
+                out.span(log->tid(), cat, e.name, e.startNs, e.durNs,
+                         args);
         }
     }
-    out += "\n]}\n";
-    os << out;
 }
 
 bool

@@ -2,10 +2,10 @@
  * @file
  * Flight recorder for the sweep harness: wall-clock span/instant
  * tracing of the machinery *around* the simulation — scheduler
- * workers, cell execution, steal decisions, trace-pool waits,
- * trace-cache I/O — exported as Chrome trace-event JSON loadable in
- * Perfetto / chrome://tracing and summarized offline by
- * `bpstat timeline`.
+ * workers, cell execution, steal decisions, trace generation,
+ * trace-cache I/O — exported as Chrome trace-event JSON (through
+ * ChromeTraceWriter, obs/chrome_trace.hh) loadable in Perfetto /
+ * chrome://tracing and summarized offline by `bpstat timeline`.
  *
  * This is the harness-side sibling of EventTracer (which records
  * *simulated* cycles). Design constraints, in order:

@@ -16,10 +16,16 @@
  *    the backing, at most once, when a consumer (the timing core,
  *    trace corruption, a test) first touches a micro-op.
  *
- * Copies of a backed buffer share the backing, and so share its one
- * decode; the compiler-generated copy and move are all a buffer
- * needs. Every const member is safe for any number of concurrent
- * readers.
+ * prefix(n) cuts a trace to its first n ops without copying them: a
+ * generated trace's op stream does not depend on its length, so the
+ * first n ops of a longer trace are the n-op trace at the same seed.
+ * A sweep holds each workload once, at the longest length it needs,
+ * and serves every shorter length as a prefix.
+ *
+ * Copies and prefix views share their storage (a backing shares its
+ * one decode too); each carries only its own op and branch counts.
+ * The compiler-generated copy and move are all a buffer needs. Every
+ * const member is safe for any number of concurrent readers.
  *
  * Storage is columnar where it matters: the dense conditional-branch
  * index every accuracy run replays is kept as two parallel columns
@@ -35,6 +41,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -103,9 +111,9 @@ class TraceBacking
     virtual const std::vector<MicroOp> &ops() const = 0;
     /** True once ops() has decoded the stream. */
     virtual bool opsDecoded() const = 0;
-    /** Heap bytes the backing holds: the file image, plus the
-     *  decoded op stream once there is one. */
-    virtual std::size_t residentBytes() const = 0;
+    /** Conditional branches among the first @p ops ops, counted
+     *  without decoding the stream. */
+    virtual std::size_t condBranchesIn(std::size_t ops) const = 0;
 };
 
 /** A replayable buffer of dynamic instructions; see file comment. */
@@ -118,12 +126,20 @@ class TraceBuffer
     /** A trace served from @p backing: branch columns in place, ops
      *  decoded by the backing on first use. */
     explicit TraceBuffer(std::shared_ptr<const TraceBacking> backing)
-        : backing_(std::move(backing))
+        : backing_(std::move(backing)),
+          opCount_(backing_->opCount()),
+          branchCount_(backing_->branchCount())
     {
     }
 
     /** Reserve capacity for @p ops instructions up front. */
-    void reserve(std::size_t ops) { ops_.reserve(ops); }
+    void
+    reserve(std::size_t ops)
+    {
+        if (!ownsStorage())
+            takeStorage();
+        own_->ops.reserve(ops);
+    }
 
     /** Append one instruction while building the trace. A backed
      *  trace has no pushed ops and takes none. */
@@ -131,23 +147,54 @@ class TraceBuffer
     push(const MicroOp &op)
     {
         assert(!backing_ && "a backed trace is immutable");
-        ops_.push_back(op);
+        if (!ownsStorage()) [[unlikely]]
+            takeStorage();
+        Columns &c = *own_;
+        c.ops.push_back(op);
+        ++opCount_;
         if (op.cls == InstClass::CondBranch) {
-            branchPcs_.push_back(op.pc);
-            branchTaken_.push_back(op.taken ? 1 : 0);
+            c.pc.push_back(op.pc);
+            c.taken.push_back(op.taken ? 1 : 0);
+            ++branchCount_;
         }
     }
 
-    /** Number of dynamic instructions. */
-    std::size_t
-    size() const
+    /**
+     * The first @p ops instructions as a trace of their own. The
+     * view shares this trace's storage (no op or branch is copied)
+     * and carries its own op and branch counts, so size(),
+     * branchView(), operator[] and begin()/end() all stop at the
+     * cut. A cut at size() is a plain copy, so it decodes nothing.
+     * Throws std::out_of_range past size().
+     */
+    TraceBuffer
+    prefix(std::size_t ops) const
     {
-        return backing_ ? backing_->opCount() : ops_.size();
+        if (ops > opCount_)
+            throw std::out_of_range("trace prefix of " +
+                                    std::to_string(ops) + " ops from " +
+                                    std::to_string(opCount_));
+        TraceBuffer view = *this;
+        if (ops == opCount_)
+            return view;
+        view.opCount_ = ops;
+        if (backing_) {
+            view.branchCount_ = backing_->condBranchesIn(ops);
+        } else {
+            view.branchCount_ = 0;
+            for (std::size_t i = 0; i < ops; ++i)
+                view.branchCount_ +=
+                    own_->ops[i].cls == InstClass::CondBranch;
+        }
+        return view;
     }
-    bool empty() const { return size() == 0; }
+
+    /** Number of dynamic instructions. */
+    std::size_t size() const { return opCount_; }
+    bool empty() const { return opCount_ == 0; }
 
     /** Number of dynamic conditional branches. */
-    Counter condBranches() const { return branchView().size(); }
+    Counter condBranches() const { return branchCount_; }
 
     /** Dynamic conditional-branch density (branches / instruction). */
     double
@@ -158,7 +205,12 @@ class TraceBuffer
                              static_cast<double>(size());
     }
 
-    const MicroOp &operator[](std::size_t i) const { return ops()[i]; }
+    const MicroOp &
+    operator[](std::size_t i) const
+    {
+        assert(i < opCount_);
+        return opData()[i];
+    }
 
     /**
      * Dense conditional-branch columns: the {pc, taken} stream every
@@ -171,9 +223,10 @@ class TraceBuffer
     {
         if (backing_)
             return {backing_->branchPc(), backing_->branchTaken(),
-                    backing_->branchCount()};
-        return {branchPcs_.data(), branchTaken_.data(),
-                branchPcs_.size()};
+                    branchCount_};
+        if (own_)
+            return {own_->pc.data(), own_->taken.data(), branchCount_};
+        return {};
     }
 
     /** True when the op stream is decoded and resident in memory;
@@ -185,37 +238,60 @@ class TraceBuffer
         return !backing_ || backing_->opsDecoded();
     }
 
-    auto begin() const { return ops().begin(); }
-    auto end() const { return ops().end(); }
-
-    /**
-     * Resident heap footprint estimate in bytes: the op stream and
-     * branch-column capacities of a pushed trace, or the backing's
-     * file image plus its op stream once decoded. Grows when a
-     * backed trace's ops are first touched. Used by
-     * SharedTracePool's memory budget.
-     */
-    std::size_t
-    memoryBytes() const
-    {
-        if (backing_)
-            return backing_->residentBytes();
-        return ops_.capacity() * sizeof(MicroOp) +
-               branchPcs_.capacity() * sizeof(Addr) +
-               branchTaken_.capacity() * sizeof(std::uint8_t);
-    }
+    const MicroOp *begin() const { return opData(); }
+    const MicroOp *end() const { return opData() + opCount_; }
 
   private:
-    const std::vector<MicroOp> &
-    ops() const
+    /** What push() builds: the op stream and the branch columns. */
+    struct Columns
     {
-        return backing_ ? backing_->ops() : ops_;
+        std::vector<MicroOp> ops;
+        std::vector<Addr> pc;
+        std::vector<std::uint8_t> taken;
+    };
+
+    const MicroOp *
+    opData() const
+    {
+        if (backing_)
+            return backing_->ops().data();
+        return own_ ? own_->ops.data() : nullptr;
     }
 
-    std::vector<MicroOp> ops_;
-    std::vector<Addr> branchPcs_;
-    std::vector<std::uint8_t> branchTaken_;
+    /** True when push() may append to the storage in place: no
+     *  other buffer shares it, and it ends where this buffer does. */
+    bool
+    ownsStorage() const
+    {
+        return own_.use_count() == 1 && own_->ops.size() == opCount_;
+    }
+
+    /** Give this buffer storage of its own, holding exactly its ops,
+     *  so appending never changes what another buffer reads. */
+    [[gnu::noinline]] void
+    takeStorage()
+    {
+        auto mine = std::make_shared<Columns>();
+        if (!own_) {
+            opCount_ = branchCount_ = 0; // new, or moved from
+        } else {
+            mine->ops.assign(own_->ops.begin(),
+                             own_->ops.begin() + opCount_);
+            mine->pc.assign(own_->pc.begin(),
+                            own_->pc.begin() + branchCount_);
+            mine->taken.assign(own_->taken.begin(),
+                               own_->taken.begin() + branchCount_);
+        }
+        own_ = std::move(mine);
+    }
+
+    /** Pushed storage, shared by copies and prefix views. */
+    std::shared_ptr<Columns> own_;
     std::shared_ptr<const TraceBacking> backing_;
+    /** This buffer's length, which a prefix view cuts short of its
+     *  storage. */
+    std::size_t opCount_ = 0;
+    std::size_t branchCount_ = 0;
 };
 
 } // namespace bpsim

@@ -314,13 +314,17 @@ class V3Backing final : public TraceBacking
         return decoded_.load(std::memory_order_acquire);
     }
     std::size_t
-    residentBytes() const override
+    condBranchesIn(std::size_t ops) const override
     {
-        std::size_t bytes =
-            image_.words.capacity() * sizeof(std::uint64_t);
-        if (opsDecoded())
-            bytes += ops_.capacity() * sizeof(MicroOp);
-        return bytes;
+        // The class is the low three bits of each op's first meta
+        // byte (packOpMeta).
+        const std::uint8_t *meta = image_.data() + sec_[2].offset;
+        const auto cond =
+            static_cast<std::uint8_t>(InstClass::CondBranch);
+        std::size_t n = 0;
+        for (std::size_t r = 0; r < ops; ++r)
+            n += (meta[4 * r] & 0x07) == cond;
+        return n;
     }
 
   private:

@@ -4,8 +4,9 @@
  * stable unique names, and the determinism guarantee the sweep
  * engine rests on — every artifact produces byte-identical RunReport
  * rows and table text whether its body runs against a private
- * CellPool (the standalone bench) or a SweepPool sharing one
- * SweepScheduler with the other thirteen artifacts (bpsweep).
+ * CellPool and its own suite (the standalone bench) or a SweepPool
+ * sharing one SweepScheduler with the other artifacts and replaying
+ * prefixes of the sweep's one suite (bpsweep).
  */
 
 #include "artifact_registry.hh"
@@ -26,7 +27,6 @@
 #include "obs/span_trace.hh"
 #include "parallel/cell_pool.hh"
 #include "parallel/sweep_scheduler.hh"
-#include "trace/shared_trace_pool.hh"
 
 namespace bpsim {
 namespace {
@@ -111,6 +111,45 @@ deterministicMetrics(const obs::MetricRegistry &reg)
     return os.str();
 }
 
+/**
+ * Every registered artifact body run concurrently, each on a
+ * SweepPool view of one shared 4-worker scheduler, sharing one timing
+ * memo and replaying prefixes of @p held (what bpsweep --all --jobs 4
+ * does, minus the CLI).
+ */
+std::vector<Capture>
+sweepAll(const SuiteTraces &held, TimingMemo &memo)
+{
+    const auto &defs = artifactRegistry();
+    std::vector<Capture> swept(defs.size());
+    parallel::SweepScheduler scheduler(4);
+    std::vector<std::unique_ptr<parallel::SweepPool>> pools;
+    std::vector<std::unique_ptr<BufferedSweepContext>> contexts;
+    for (const auto &def : defs) {
+        pools.push_back(std::make_unique<parallel::SweepPool>(
+            scheduler, def.spec.name));
+        contexts.push_back(std::make_unique<BufferedSweepContext>(
+            def.spec, pools.back().get(), /*want_report=*/true, &memo,
+            &held));
+    }
+    std::vector<std::thread> drivers;
+    for (std::size_t i = 0; i < defs.size(); ++i)
+        drivers.emplace_back([&, i] {
+            swept[i].exitCode = defs[i].fn(defs[i].spec, *contexts[i]);
+            contexts[i]->finalize();
+        });
+    for (auto &t : drivers)
+        t.join();
+    for (std::size_t i = 0; i < defs.size(); ++i) {
+        swept[i].output = contexts[i]->output();
+        swept[i].rowsJson = rowsOnlyJson(contexts[i]->report());
+        swept[i].metrics = deterministicMetrics(contexts[i]->metrics());
+    }
+    contexts.clear();
+    pools.clear(); // all SweepPools die before the scheduler
+    return swept;
+}
+
 TEST(ArtifactRegistry, SweepRunsAreByteIdenticalToStandaloneRuns)
 {
     // Small but non-trivial traces; enough cells that the sweep
@@ -118,13 +157,12 @@ TEST(ArtifactRegistry, SweepRunsAreByteIdenticalToStandaloneRuns)
     ASSERT_EQ(0, setenv("BPSIM_OPS_PER_WORKLOAD", "1000", 1));
     ASSERT_EQ(0, unsetenv("BPSIM_TRACE_CACHE"));
     ASSERT_EQ(0, unsetenv("BPSIM_JOBS"));
-    SharedTracePool::global().clear();
 
     const auto &defs = artifactRegistry();
 
     // Standalone shape: each body on its own private CellPool, one
-    // after another (what `bench/<name> --jobs 4 --report ...` does,
-    // minus the CLI).
+    // after another, generating its own suite (what
+    // `bench/<name> --jobs 4 --report ...` does, minus the CLI).
     std::vector<Capture> solo(defs.size());
     for (std::size_t i = 0; i < defs.size(); ++i) {
         parallel::CellPool pool(4);
@@ -138,41 +176,16 @@ TEST(ArtifactRegistry, SweepRunsAreByteIdenticalToStandaloneRuns)
         EXPECT_EQ(solo[i].exitCode, 0) << defs[i].spec.name;
     }
 
-    // Sweep shape: all registered artifact bodies concurrently, each on a
-    // SweepPool view of one shared 4-worker scheduler and sharing one
-    // timing memo (what bpsweep --all --jobs 4 does, minus the CLI).
-    std::vector<Capture> swept(defs.size());
+    // Sweep shape: the suite held at the length every body asks for,
+    // so each body replays a full-length view.
+    std::vector<const ArtifactDef *> all;
+    for (const auto &def : defs)
+        all.push_back(&def);
+    ASSERT_EQ(longestSuiteOps(all), 1000u);
+    parallel::CellPool generation(4);
+    const SuiteTraces held(1000, kSuiteSeed, &generation);
     TimingMemo sweepMemo;
-    {
-        parallel::SweepScheduler scheduler(4);
-        std::vector<std::unique_ptr<parallel::SweepPool>> pools;
-        std::vector<std::unique_ptr<BufferedSweepContext>> contexts;
-        for (const auto &def : defs) {
-            pools.push_back(std::make_unique<parallel::SweepPool>(
-                scheduler, def.spec.name));
-            contexts.push_back(
-                std::make_unique<BufferedSweepContext>(
-                    def.spec, pools.back().get(),
-                    /*want_report=*/true, &sweepMemo));
-        }
-        std::vector<std::thread> drivers;
-        for (std::size_t i = 0; i < defs.size(); ++i)
-            drivers.emplace_back([&, i] {
-                swept[i].exitCode =
-                    defs[i].fn(defs[i].spec, *contexts[i]);
-                contexts[i]->finalize();
-            });
-        for (auto &t : drivers)
-            t.join();
-        for (std::size_t i = 0; i < defs.size(); ++i) {
-            swept[i].output = contexts[i]->output();
-            swept[i].rowsJson = rowsOnlyJson(contexts[i]->report());
-            swept[i].metrics =
-                deterministicMetrics(contexts[i]->metrics());
-        }
-        contexts.clear();
-        pools.clear(); // all SweepPools die before the scheduler
-    }
+    const std::vector<Capture> swept = sweepAll(held, sweepMemo);
 
     for (std::size_t i = 0; i < defs.size(); ++i) {
         EXPECT_EQ(swept[i].exitCode, solo[i].exitCode)
@@ -185,6 +198,21 @@ TEST(ArtifactRegistry, SweepRunsAreByteIdenticalToStandaloneRuns)
             << defs[i].spec.name;
     }
     EXPECT_GT(sweepMemo.stats().hits + sweepMemo.stats().joins, 0u);
+
+    // The prefix path: a suite twice as long as any body asks for,
+    // so every body replays 1000-op views of 2000-op traces and
+    // generates nothing, yet reports exactly what it reports
+    // standalone.
+    const SuiteTraces longer(2000, kSuiteSeed, &generation);
+    TimingMemo longerMemo;
+    const std::vector<Capture> viewed = sweepAll(longer, longerMemo);
+    for (std::size_t i = 0; i < defs.size(); ++i) {
+        const std::string where = defs[i].spec.name + " (2000-op suite)";
+        EXPECT_EQ(viewed[i].exitCode, solo[i].exitCode) << where;
+        EXPECT_EQ(viewed[i].output, solo[i].output) << where;
+        EXPECT_EQ(viewed[i].rowsJson, solo[i].rowsJson) << where;
+        EXPECT_EQ(viewed[i].metrics, solo[i].metrics) << where;
+    }
 
     // One sweep running fig7 and then fig2: fig7 has already timed
     // every one of fig2's 288 cells (24 configs x 12 stand-ins), so
@@ -220,7 +248,6 @@ TEST(ArtifactRegistry,
     ASSERT_EQ(0, setenv("BPSIM_OPS_PER_WORKLOAD", "500", 1));
     ASSERT_EQ(0, unsetenv("BPSIM_TRACE_CACHE"));
     ASSERT_EQ(0, unsetenv("BPSIM_JOBS"));
-    SharedTracePool::global().clear();
 
     const auto &all = artifactRegistry();
     const std::vector<const ArtifactDef *> defs = {
@@ -317,12 +344,67 @@ orderedFailingBody(const ArtifactSpec &spec, SweepContext &ctx)
 }
 
 ArtifactSpec
-probeSpec(const std::string &name, const std::string &title)
+probeSpec(const std::string &name, const std::string &title,
+          Counter default_ops = 0)
 {
     ArtifactSpec spec;
     spec.name = name;
     spec.title = title;
+    spec.defaultOps = default_ops;
     return spec;
+}
+
+/** Prints the length of the suite its context serves and how many of
+ *  its traces were generated for it. */
+int
+suiteProbeBody(const ArtifactSpec &spec, SweepContext &ctx)
+{
+    const SuiteTraces suite =
+        ctx.suite(benchOpsPerWorkload(spec.defaultOps));
+    for (std::size_t i = 0; i < suite.size(); ++i)
+        if (suite.trace(i).size() != suite.opsPerWorkload())
+            return 1;
+    ctx.printf("%llu ops, %llu generated, %llu served\n",
+               static_cast<unsigned long long>(suite.opsPerWorkload()),
+               static_cast<unsigned long long>(suite.cacheMisses()),
+               static_cast<unsigned long long>(suite.cacheHits()));
+    return 0;
+}
+
+TEST(ArtifactRegistry, SweepGeneratesOneSuiteAtTheLongestLength)
+{
+    // Two bodies asking for different lengths, and one replaying no
+    // suite: the sweep generates the 12 traces once, at the longer
+    // length, and both bodies replay prefixes of them.
+    ASSERT_EQ(0, unsetenv("BPSIM_OPS_PER_WORKLOAD"));
+    ASSERT_EQ(0, unsetenv("BPSIM_TRACE_CACHE"));
+    const ArtifactDef longer{probeSpec("longer", "probe", 2000),
+                             &suiteProbeBody};
+    const ArtifactDef shorter{probeSpec("shorter", "probe", 1000),
+                              &suiteProbeBody};
+    const ArtifactDef none{probeSpec("none", "probe"), &orderedOkBody};
+    ASSERT_EQ(longestSuiteOps({&shorter, &none, &longer}), 2000u);
+    ASSERT_EQ(longestSuiteOps({&none}), 0u);
+
+    parallel::CellPool pool(2);
+    const SuiteTraces held(2000, kSuiteSeed, &pool);
+    EXPECT_EQ(held.cacheMisses(), 12u);
+    const auto output = [&](const ArtifactDef &def,
+                            const SuiteTraces *suite) {
+        BufferedSweepContext ctx(def.spec, &pool, false, nullptr, suite);
+        EXPECT_EQ(def.fn(def.spec, ctx), 0) << def.spec.name;
+        return ctx.output();
+    };
+    EXPECT_EQ(output(longer, &held), "2000 ops, 0 generated, 12 served\n");
+    EXPECT_EQ(output(shorter, &held), "1000 ops, 0 generated, 12 served\n");
+
+    // Standalone, or asking for more than the sweep holds, a body
+    // generates its own suite.
+    EXPECT_EQ(output(shorter, nullptr),
+              "1000 ops, 12 generated, 0 served\n");
+    const SuiteTraces small = held.prefix(500);
+    EXPECT_EQ(output(shorter, &small),
+              "1000 ops, 12 generated, 0 served\n");
 }
 
 TEST(ArtifactRegistry, BufferedOutputStaysOrderedWhenABodyFails)

@@ -73,7 +73,6 @@
 #include "parallel/cell_pool.hh"
 #include "robust/fault_injector.hh"
 #include "robust/protection.hh"
-#include "trace/shared_trace_pool.hh"
 
 namespace bpsim {
 namespace {
@@ -543,7 +542,6 @@ pinEnvironment()
                         std::to_string(kOps).c_str(), 1));
     ASSERT_EQ(0, unsetenv("BPSIM_TRACE_CACHE"));
     ASSERT_EQ(0, unsetenv("BPSIM_JOBS"));
-    SharedTracePool::global().clear();
 }
 
 /** Write @p actual to `<stem>.actual.tsv` and compare it line by line

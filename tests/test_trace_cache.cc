@@ -1,10 +1,9 @@
 /**
  * @file
  * Tests for the on-disk trace cache: miss-then-hit, corruption
- * recovery, format-stamp invalidation, key separation, memory
- * accounting of loaded entries, one shared op decode under
- * concurrent readers, the SuiteTraces hit/miss accounting the
- * benches surface as metrics, and SharedTracePool's budget.
+ * recovery, format-stamp invalidation, key separation, one shared
+ * op decode under concurrent readers, and the SuiteTraces hit/miss
+ * accounting the benches surface as metrics.
  */
 
 #include "trace/trace_cache.hh"
@@ -23,7 +22,6 @@
 
 #include "core/runner.hh"
 #include "parallel/cell_pool.hh"
-#include "trace/shared_trace_pool.hh"
 #include "trace/trace_buffer.hh"
 #include "trace/trace_io.hh"
 #include "workloads/registry.hh"
@@ -248,30 +246,6 @@ TEST(TraceCache, CacheEntriesShrinkSuiteAtLeast2x)
     }
     EXPECT_GE(rawTotal, 2 * packedTotal)
         << "raw " << rawTotal << " vs compressed " << packedTotal;
-    fs::remove_all(dir);
-}
-
-TEST(TraceCache, LoadedTraceChargesItsFileImage)
-{
-    // A cache-loaded trace holds its entry's file image on the heap;
-    // SharedTracePool's budget charges memoryBytes(), so the image
-    // must be in it, before and after the op stream materializes.
-    const std::string dir = freshCacheDir("trace_cache_memory");
-    TraceCache cache(dir);
-    const TraceBuffer generated = syntheticTrace(3000, 11);
-    ASSERT_TRUE(cache.store("wl", 3000, 11, generated));
-    const auto fileBytes =
-        fs::file_size(cache.entryPath("wl", 3000, 11));
-
-    const auto loaded = cache.load("wl", 3000, 11);
-    ASSERT_TRUE(loaded.has_value());
-    ASSERT_FALSE(loaded->opsMaterialized());
-    EXPECT_GE(loaded->memoryBytes(), fileBytes);
-
-    EXPECT_EQ((*loaded)[0].pc, generated[0].pc); // materializes ops
-    ASSERT_TRUE(loaded->opsMaterialized());
-    EXPECT_GE(loaded->memoryBytes(),
-              fileBytes + loaded->size() * sizeof(MicroOp));
     fs::remove_all(dir);
 }
 
@@ -523,115 +497,6 @@ TEST(TraceCacheSuite, SuiteTracesCountsHitsAndMisses)
     const SuiteTraces other(4000, 14, nullptr, TraceCache(dir));
     EXPECT_EQ(other.cacheMisses(), other.size());
     fs::remove_all(dir);
-}
-
-TEST(SharedTracePool, BudgetedLruPinsAndEvicts)
-{
-    SharedTracePool pool;
-    TraceCache cache; // disabled: every first fetch generates
-
-    const auto fetchKey = [&](const std::string &wl) {
-        return pool.fetch(wl, 3000, 7, cache,
-                          [] { return syntheticTrace(3000, 7); });
-    };
-
-    // Unlimited budget (default): nothing is pinned, so dropping
-    // the only ref forces re-materialization.
-    auto a = fetchKey("wl-a");
-    EXPECT_EQ(pool.pinnedBytes(), 0u);
-    a.reset();
-    fetchKey("wl-a").reset();
-    EXPECT_EQ(pool.stats().generated, 2u);
-    EXPECT_EQ(pool.stats().evictions, 0u);
-
-    // A budget wide enough for one trace pins the most recent fetch
-    // and evicts the older one.
-    pool.clear();
-    const std::size_t one = fetchKey("wl-a")->memoryBytes();
-    pool.clear();
-    pool.setBudgetBytes(one + one / 2);
-    fetchKey("wl-a").reset();
-    EXPECT_EQ(pool.pinnedBytes(), one);
-    fetchKey("wl-a").reset(); // pinned => memory hit, no regen
-    EXPECT_EQ(pool.stats().memoryHits, 1u);
-    EXPECT_EQ(pool.stats().generated, 1u);
-
-    fetchKey("wl-b").reset(); // over budget: wl-a evicted
-    EXPECT_EQ(pool.stats().evictions, 1u);
-    EXPECT_LE(pool.pinnedBytes(), one + one / 2);
-    fetchKey("wl-a").reset(); // re-materializes, evicting wl-b
-    EXPECT_EQ(pool.stats().generated, 3u);
-    EXPECT_EQ(pool.stats().evictions, 2u);
-
-    // Shrinking the budget evicts immediately.
-    pool.setBudgetBytes(1);
-    EXPECT_EQ(pool.pinnedBytes(), 0u);
-    EXPECT_EQ(pool.stats().evictions, 3u);
-}
-
-TEST(SharedTracePool, RefetchChargesALoadedTraceItsDecodedOps)
-{
-    // A cache-loaded trace grows by its op stream the first time a
-    // consumer reads an op. The next fetch must charge the budget
-    // the new size, and evict when that no longer fits.
-    const std::string dir = freshCacheDir("pool_charge");
-    const TraceCache cache(dir);
-    ASSERT_TRUE(cache.store("wl-a", 3000, 7, syntheticTrace(3000, 7)));
-    const auto fetchKey = [&](SharedTracePool &pool) {
-        SharedTracePool::Source source = SharedTracePool::Source::Memory;
-        auto sp = pool.fetch("wl-a", 3000, 7, cache,
-                             [] { return syntheticTrace(3000, 7); },
-                             &source);
-        return std::make_pair(sp, source);
-    };
-
-    SharedTracePool pool;
-    pool.setBudgetBytes(std::size_t{64} << 20);
-    const auto [sp, source] = fetchKey(pool);
-    ASSERT_EQ(source, SharedTracePool::Source::Disk);
-    ASSERT_FALSE(sp->opsMaterialized());
-    const std::size_t encoded = sp->memoryBytes();
-    EXPECT_EQ(pool.pinnedBytes(), encoded);
-
-    EXPECT_EQ((*sp)[0].pc, syntheticTrace(3000, 7)[0].pc); // decodes
-    const std::size_t decoded = sp->memoryBytes();
-    ASSERT_GE(decoded, encoded + 3000 * sizeof(MicroOp));
-    EXPECT_EQ(fetchKey(pool).second, SharedTracePool::Source::Memory);
-    EXPECT_EQ(pool.pinnedBytes(), decoded);
-    EXPECT_EQ(pool.stats().evictions, 0u);
-
-    // A budget that holds the encoded trace but not the decoded one
-    // pins it at load and evicts it at the first fetch after the
-    // decode.
-    SharedTracePool tight;
-    tight.setBudgetBytes((encoded + decoded) / 2);
-    const auto [tsp, tsource] = fetchKey(tight);
-    ASSERT_EQ(tsource, SharedTracePool::Source::Disk);
-    EXPECT_EQ(tight.pinnedBytes(), encoded);
-    EXPECT_EQ((*tsp)[0].pc, (*sp)[0].pc);
-    fetchKey(tight);
-    EXPECT_EQ(tight.pinnedBytes(), 0u);
-    EXPECT_EQ(tight.stats().evictions, 1u);
-    fs::remove_all(dir);
-}
-
-TEST(SharedTracePool, BudgetFromEnvironmentMustBeWholeNumber)
-{
-    TraceCache cache;
-    const auto pinsAfterOneFetch = [&cache](const char *mb) {
-        setenv("BPSIM_TRACE_POOL_MB", mb, 1);
-        SharedTracePool pool;
-        unsetenv("BPSIM_TRACE_POOL_MB");
-        pool.fetch("wl-a", 3000, 7, cache,
-                   [] { return syntheticTrace(3000, 7); });
-        return pool.pinnedBytes() > 0;
-    };
-    // A 1 MB budget pins the small trace...
-    EXPECT_TRUE(pinsAfterOneFetch("1"));
-    // ...but a partial number is rejected whole (unlimited budget,
-    // nothing pinned), not read as its 1 MB prefix.
-    for (const char *bad : {"1k", "1e6", "", "0"})
-        EXPECT_FALSE(pinsAfterOneFetch(bad)) << "'" << bad << "'";
 }
 
 } // namespace

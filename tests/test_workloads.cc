@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "trace/trace_io.hh"
 #include "workloads/workload.hh"
 
 namespace bpsim {
@@ -63,48 +66,99 @@ TEST_P(KernelTest, DeterministicForSameSeed)
     }
 }
 
+/** @p got's first @p n ops and first @p branches branch-column
+ *  entries equal @p want's. */
+void
+expectSameStart(const TraceBuffer &want, const TraceBuffer &got,
+                std::size_t n, std::size_t branches,
+                const std::string &where)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const MicroOp &a = want[i];
+        const MicroOp &b = got[i];
+        ASSERT_EQ(a.pc, b.pc) << where << ", op " << i;
+        ASSERT_EQ(a.extra, b.extra) << where << ", op " << i;
+        ASSERT_EQ(a.cls, b.cls) << where << ", op " << i;
+        ASSERT_EQ(a.taken, b.taken) << where << ", op " << i;
+        ASSERT_EQ(a.dst, b.dst) << where << ", op " << i;
+        ASSERT_EQ(a.srcA, b.srcA) << where << ", op " << i;
+        ASSERT_EQ(a.srcB, b.srcB) << where << ", op " << i;
+    }
+    const BranchSpan wv = want.branchView();
+    const BranchSpan gv = got.branchView();
+    for (std::size_t i = 0; i < branches; ++i) {
+        ASSERT_EQ(wv.pcData()[i], gv.pcData()[i])
+            << where << ", branch " << i;
+        ASSERT_EQ(wv.takenData()[i], gv.takenData()[i])
+            << where << ", branch " << i;
+    }
+}
+
+/** @p view is exactly @p want: length, every op, the ops a range-for
+ *  visits, branch count and branch columns. */
+void
+expectSameTrace(const TraceBuffer &want, const TraceBuffer &view,
+                const std::string &where)
+{
+    ASSERT_EQ(view.size(), want.size()) << where;
+    ASSERT_EQ(view.condBranches(), want.condBranches()) << where;
+    ASSERT_EQ(view.branchView().size(), want.condBranches()) << where;
+    std::size_t visited = 0;
+    for ([[maybe_unused]] const MicroOp &op : view)
+        ++visited;
+    ASSERT_EQ(visited, want.size()) << where;
+    expectSameStart(want, view, want.size(), want.condBranches(),
+                    where);
+}
+
 TEST_P(KernelTest, ShortTraceIsPrefixOfLongTrace)
 {
     // A kernel's op stream does not depend on the op budget: the
     // budget only decides where the tracer stops it. So a short
-    // trace is the exact prefix of a longer one at the same seed.
+    // trace is the exact prefix of a longer one at the same seed,
+    // and a prefix view of the longer one (generated, or read back
+    // from a v3 file) is the short trace.
     const Counter lengths[] = {1000, 20000, 60000};
     for (std::uint64_t seed : {1ull, 42ull, 6007ull}) {
         std::vector<TraceBuffer> traces;
         for (Counter ops : lengths)
             traces.push_back(gen(ops, seed));
+        const std::string path = std::string(::testing::TempDir()) +
+                                 "/prefix_" + GetParam() + ".bpt";
+        writeTraceV3(traces.back(), path);
+        const TraceBuffer loaded = readTrace(path);
+        std::remove(path.c_str());
+
+        // Cut at its own length, a loaded trace is still undecoded:
+        // full-length suites read from the cache replay branch
+        // columns only.
+        const TraceBuffer whole = loaded.prefix(loaded.size());
+        ASSERT_EQ(whole.size(), loaded.size());
+        ASSERT_EQ(whole.condBranches(), loaded.condBranches());
+        EXPECT_FALSE(whole.opsMaterialized());
+
         for (std::size_t s = 0; s < traces.size(); ++s) {
+            const TraceBuffer &shorter = traces[s];
+            ASSERT_EQ(shorter.size(), lengths[s]);
+            const std::string at = "seed " + std::to_string(seed) +
+                                   ", " + std::to_string(lengths[s]) +
+                                   " ops";
             for (std::size_t l = s + 1; l < traces.size(); ++l) {
-                const TraceBuffer &shorter = traces[s];
                 const TraceBuffer &longer = traces[l];
                 const std::string where =
-                    "seed " + std::to_string(seed) + ", " +
-                    std::to_string(lengths[s]) + " vs " +
-                    std::to_string(lengths[l]) + " ops";
-                ASSERT_EQ(shorter.size(), lengths[s]) << where;
-                for (std::size_t i = 0; i < shorter.size(); ++i) {
-                    const MicroOp &a = shorter[i];
-                    const MicroOp &b = longer[i];
-                    ASSERT_EQ(a.pc, b.pc) << where << ", op " << i;
-                    ASSERT_EQ(a.extra, b.extra) << where << ", op " << i;
-                    ASSERT_EQ(a.cls, b.cls) << where << ", op " << i;
-                    ASSERT_EQ(a.taken, b.taken) << where << ", op " << i;
-                    ASSERT_EQ(a.dst, b.dst) << where << ", op " << i;
-                    ASSERT_EQ(a.srcA, b.srcA) << where << ", op " << i;
-                    ASSERT_EQ(a.srcB, b.srcB) << where << ", op " << i;
-                }
-                const BranchSpan sv = shorter.branchView();
-                const BranchSpan lv = longer.branchView();
-                ASSERT_EQ(sv.size(), shorter.condBranches()) << where;
-                ASSERT_LE(sv.size(), lv.size()) << where;
-                for (std::size_t i = 0; i < sv.size(); ++i) {
-                    ASSERT_EQ(sv.pcData()[i], lv.pcData()[i])
-                        << where << ", branch " << i;
-                    ASSERT_EQ(sv.takenData()[i], lv.takenData()[i])
-                        << where << ", branch " << i;
-                }
+                    at + " vs " + std::to_string(lengths[l]);
+                ASSERT_LE(shorter.condBranches(), longer.condBranches())
+                    << where;
+                expectSameStart(shorter, longer, shorter.size(),
+                                shorter.condBranches(), where);
+                expectSameTrace(shorter, longer.prefix(lengths[s]),
+                                where + ", prefix view");
             }
+            expectSameTrace(shorter, loaded.prefix(lengths[s]),
+                            at + ", loaded prefix view");
         }
+        EXPECT_THROW(loaded.prefix(loaded.size() + 1),
+                     std::out_of_range);
     }
 }
 

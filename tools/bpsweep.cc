@@ -14,14 +14,16 @@
  * artifact body in one process: each gets a driver thread and a
  * SweepPool view onto one SweepScheduler, whose N workers drain all
  * artifacts' cell deques with work stealing — so the long-pole
- * artifact keeps every core busy while short ones finish. Traces are
- * materialized once process-wide through the SharedTracePool instead
- * of once per bench, and one TimingMemo serves every artifact, so a
- * core pass another artifact already ran (fig2's cells are fig7's)
- * runs once per invocation. The summary's "timing memo" line counts
- * its requests, hits and in-flight joins, and its "memory" line the
- * process's peak resident set; per-artifact reports carry neither,
- * so they match the standalone benches.
+ * artifact keeps every core busy while short ones finish. One suite
+ * of traces, generated before any body starts at the longest length
+ * the selected artifacts ask for, serves every body a prefix, and
+ * one TimingMemo serves every artifact, so a core pass another
+ * artifact already ran (fig2's cells are fig7's) runs once per
+ * invocation. The summary's "traces", "timing memo" and "memory"
+ * lines count the suite's generated and disk-hit traces, the memo's
+ * requests, hits and in-flight joins, and the peak resident set;
+ * per-artifact reports carry none of them, so they match the
+ * standalone benches.
  *
  * Determinism contract: each artifact's rows are computed on workers
  * but committed on its own driver thread in strict index order (the
@@ -37,7 +39,7 @@
  *  - --timeline FILE installs an obs::SpanRecorder for the whole
  *    sweep and writes a Chrome trace-event JSON flight recording
  *    (worker/driver tracks, per-cell spans, steal instants, idle
- *    gaps, trace-pool and trace-cache spans) for Perfetto or
+ *    gaps, trace generation and trace-cache spans) for Perfetto or
  *    `bpstat timeline`.
  *  - --progress refreshes a one-line live meter on stderr from a
  *    dedicated thread: artifacts and cells done, busy workers, ETA.
@@ -55,6 +57,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,7 +68,6 @@
 #include "obs/report_session.hh"
 #include "obs/span_trace.hh"
 #include "parallel/sweep_scheduler.hh"
-#include "trace/shared_trace_pool.hh"
 
 namespace {
 
@@ -272,6 +274,7 @@ main(int argc, char **argv)
 
     const auto sweepStart = std::chrono::steady_clock::now();
     bpsim::TimingMemo memo;
+    std::optional<bpsim::SuiteTraces> suite;
     std::vector<ArtifactResult> results(selected.size());
     std::vector<std::unique_ptr<bpsim::BufferedSweepContext>> contexts(
         selected.size());
@@ -279,6 +282,12 @@ main(int argc, char **argv)
     {
         bpsim::parallel::SweepScheduler scheduler(jobs);
         std::atomic<std::size_t> artifactsDone{0};
+
+        // Generated on the sweep's workers before the bodies start.
+        if (const bpsim::Counter ops = bpsim::longestSuiteOps(selected)) {
+            bpsim::parallel::SweepPool generation(scheduler, "suite");
+            suite.emplace(ops, bpsim::kSuiteSeed, &generation);
+        }
 
         // Pools must die before the scheduler; contexts outlive the
         // pools only because nothing touches ctx.pool() after join.
@@ -291,7 +300,8 @@ main(int argc, char **argv)
             pools[i] = std::make_unique<bpsim::parallel::SweepPool>(
                 scheduler, def->spec.name);
             contexts[i] = std::make_unique<bpsim::BufferedSweepContext>(
-                def->spec, pools[i].get(), wantReport, &memo);
+                def->spec, pools[i].get(), wantReport, &memo,
+                suite ? &*suite : nullptr);
             drivers.emplace_back([def, &ctx = *contexts[i],
                                   &res = results[i], &artifactsDone] {
                 bpsim::obs::SpanRecorder::nameThisThread(
@@ -376,7 +386,6 @@ main(int argc, char **argv)
         }
     }
 
-    const auto pool = bpsim::SharedTracePool::global().stats();
     std::printf("\n-- bpsweep summary --------------------------------"
                 "------------\n");
     std::printf("%-28s %8s %10s\n", "artifact", "exit", "wall ms");
@@ -397,12 +406,17 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(memoStats.requests),
                 static_cast<unsigned long long>(memoStats.hits),
                 static_cast<unsigned long long>(memoStats.joins));
-    std::printf("trace pool: %llu memory hit(s), %llu disk hit(s), "
-                "%llu generated, %llu evicted\n",
-                static_cast<unsigned long long>(pool.memoryHits),
-                static_cast<unsigned long long>(pool.diskHits),
-                static_cast<unsigned long long>(pool.generated),
-                static_cast<unsigned long long>(pool.evictions));
+    if (suite)
+        std::printf("traces: %zu held at %llu ops, %llu generated, "
+                    "%llu disk hit(s)\n",
+                    suite->size(),
+                    static_cast<unsigned long long>(
+                        suite->opsPerWorkload()),
+                    static_cast<unsigned long long>(
+                        suite->cacheMisses()),
+                    static_cast<unsigned long long>(suite->cacheHits()));
+    else
+        std::printf("traces: none held\n");
     // Linux reports ru_maxrss in KiB.
     rusage usage{};
     if (getrusage(RUSAGE_SELF, &usage) == 0)
