@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <unistd.h>
+#include <vector>
 
 #include "common/rng.hh"
 #include "robust/trace_fault.hh"
@@ -296,6 +299,47 @@ TEST(TraceIo, FuzzSeededBitFlipsNeverCorruptData)
     EXPECT_GT(rejected, 150u);
     EXPECT_EQ(parsed + rejected, 200u);
     std::remove(path.c_str());
+}
+
+TEST(TraceIo, V3FilesMatchGoldenDigests)
+{
+    // The bytes writeTraceV3 produces are what existing trace cache
+    // entries and saved `cli --save-trace` files hold: they must not
+    // move. 20 000 ops put 80 000 opMeta bytes in the file, so the
+    // section spans two 64 KiB checksum blocks. Each line is
+    // `<workload>\t<file bytes>\t<fnv1a-64 hex of the file>`; what
+    // was computed is written to trace_v3_digests.actual.tsv.
+    constexpr Counter kOps = 20000;
+    std::vector<std::string> actual;
+    const std::string path = tempPath("golden_v3.bpt");
+    for (const std::string &name : specint2000Names()) {
+        writeTraceV3(generateTrace(*makeWorkload(name), kOps, 42), path);
+        const std::string bytes = slurp(path);
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (unsigned char c : bytes) {
+            h ^= c;
+            h *= 0x100000001b3ull;
+        }
+        char hex[17];
+        std::snprintf(hex, sizeof hex, "%016llx",
+                      static_cast<unsigned long long>(h));
+        actual.push_back(name + "\t" + std::to_string(bytes.size()) +
+                         "\t" + hex);
+    }
+    std::remove(path.c_str());
+    {
+        std::ofstream out("trace_v3_digests.actual.tsv");
+        for (const std::string &l : actual)
+            out << l << '\n';
+    }
+
+    std::vector<std::string> golden;
+    std::ifstream in(BPSIM_GOLDEN_TRACE_V3);
+    for (std::string l; std::getline(in, l);)
+        golden.push_back(l);
+    ASSERT_FALSE(golden.empty())
+        << "missing golden file " << BPSIM_GOLDEN_TRACE_V3;
+    EXPECT_EQ(actual, golden);
 }
 
 } // namespace
