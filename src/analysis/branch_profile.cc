@@ -83,9 +83,9 @@ BranchProfile
 profileTrace(const TraceBuffer &trace)
 {
     BranchProfile p;
-    for (const MicroOp &op : trace)
-        if (op.cls == InstClass::CondBranch)
-            p.observe(op.pc, op.taken);
+    const BranchSpan view = trace.branchView();
+    for (std::size_t i = 0; i < view.size(); ++i)
+        p.observe(view.pc(i), view.taken(i));
     return p;
 }
 

@@ -28,46 +28,12 @@ Rng::Rng(std::uint64_t seed)
         s1_ = 1;
 }
 
-std::uint64_t
-Rng::next()
-{
-    std::uint64_t x = s0_;
-    const std::uint64_t y = s1_;
-    s0_ = y;
-    x ^= x << 23;
-    s1_ = x ^ y ^ (x >> 17) ^ (y >> 26);
-    return s1_ + y;
-}
-
-std::uint64_t
-Rng::nextRange(std::uint64_t bound)
-{
-    // Multiply-shift reduction: unbiased enough for workload
-    // synthesis and much faster than rejection sampling.
-    const std::uint64_t v = next();
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(v) * bound) >> 64);
-}
-
 std::int64_t
 Rng::nextBetween(std::int64_t lo, std::int64_t hi)
 {
     const std::uint64_t span =
         static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(nextRange(span));
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 high bits -> [0,1) double.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 unsigned

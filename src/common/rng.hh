@@ -29,23 +29,47 @@ namespace bpsim {
 class Rng
 {
   public:
+    // The per-draw members are inline: the Tracer and the workload
+    // kernels draw several times per generated op.
+
     /** Construct from a 64-bit seed; any seed (including 0) is valid. */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        std::uint64_t x = s0_;
+        const std::uint64_t y = s1_;
+        s0_ = y;
+        x ^= x << 23;
+        s1_ = x ^ y ^ (x >> 17) ^ (y >> 26);
+        return s1_ + y;
+    }
 
     /** Uniform integer in [0, bound). @p bound must be nonzero. */
-    std::uint64_t nextRange(std::uint64_t bound);
+    std::uint64_t
+    nextRange(std::uint64_t bound)
+    {
+        // Multiply-shift reduction: unbiased enough for workload
+        // synthesis and much faster than rejection sampling.
+        return static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(next()) * bound) >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t nextBetween(std::int64_t lo, std::int64_t hi);
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        // 53 high bits -> [0,1) double.
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli trial: true with probability @p p. */
-    bool nextBool(double p = 0.5);
+    bool nextBool(double p = 0.5) { return nextDouble() < p; }
 
     /**
      * Geometric-ish distribution: number of failures before the

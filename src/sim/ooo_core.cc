@@ -149,7 +149,12 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
             std::to_string(trace.condBranches()) +
             " conditional branches");
     const std::size_t numOps = trace.size();
-    const MicroOp *const ops = numOps ? &trace[0] : nullptr;
+    // The op stream as three columns: opmeta words (class, taken,
+    // registers) read in place, pc and extra decoded once per trace.
+    const OpColumns cols = numOps ? trace.opColumns() : OpColumns{};
+    const std::uint32_t *const meta = cols.meta;
+    const Addr *const pcs = cols.pc;
+    const Addr *const extras = cols.extra;
     const std::uint32_t *const predictions = column.data();
     obs::EventTracer *const tracer = tracer_;
     const unsigned width = cfg_.issueWidth;
@@ -172,7 +177,9 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
     RobEntry *const rob = robStore.data();
     const auto sentinel = static_cast<std::uint32_t>(robSize);
     rob[sentinel].done = true;
-    std::vector<Producer> regStore(64, Producer{sentinel, 0});
+    // Generated traces name registers 0-63; the opmeta fields reach
+    // 255 (dst), so a file's ops index inside the table too.
+    std::vector<Producer> regStore(256, Producer{sentinel, 0});
     Producer *const regs = regStore.data();
     std::vector<std::uint64_t> unissuedStore((robSize + 63) / 64);
     std::vector<std::uint64_t> readyStore(unissuedStore.size());
@@ -215,13 +222,14 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
         readyBits[slot / 64] &= ~bit;
         --readyCount;
         RobEntry &e = rob[slot];
-        const MicroOp &op = ops[e.traceIndex];
+        const InstClass cls = opmeta::cls(meta[e.traceIndex]);
+        const Addr extra = extras[e.traceIndex];
         unsigned latency = 1; // stores: address generation only
-        if (op.cls == InstClass::IntMul)
+        if (cls == InstClass::IntMul)
             latency = cfg_.mulCycles;
-        else if (op.cls == InstClass::Load)
-            latency = l1d_.access(op.extra) ? cfg_.l1dHitCycles
-                      : l2_.access(op.extra)
+        else if (cls == InstClass::Load)
+            latency = l1d_.access(extra) ? cfg_.l1dHitCycles
+                      : l2_.access(extra)
                           ? cfg_.l1dHitCycles + cfg_.l2HitCycles
                           : cfg_.l1dHitCycles + cfg_.l2HitCycles +
                                 cfg_.memoryCycles;
@@ -293,9 +301,9 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
             const RobEntry &e = rob[robHead];
             if (!e.done)
                 break;
-            const MicroOp &op = ops[e.traceIndex];
-            if (op.cls == InstClass::Store && !l1d_.access(op.extra))
-                l2_.access(op.extra); // stores write at commit
+            if (opmeta::cls(meta[e.traceIndex]) == InstClass::Store &&
+                !l1d_.access(extras[e.traceIndex]))
+                l2_.access(extras[e.traceIndex]); // stores write at commit
             ++r.instructions;
             robHead = robHead + 1 == robSize ? 0 : robHead + 1;
             --robCount;
@@ -323,7 +331,7 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
                 if (tracer)
                     tracer->record(cycle,
                                    obs::SimEvent::MispredictResolve,
-                                   ops[e.traceIndex].pc);
+                                   pcs[e.traceIndex]);
                 fetchBlocked = false;
                 fetchStallUntil = std::max(fetchStallUntil, cycle + 1);
                 stallReason = StallReason::Redirect;
@@ -342,7 +350,7 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
             ++r.robStallCycles;
             if (tracer)
                 tracer->record(cycle, obs::SimEvent::RobStall,
-                               ops[fetchBuffer[fbHead].traceIndex].pc,
+                               pcs[fetchBuffer[fbHead].traceIndex],
                                robCount);
         }
         for (unsigned n = 0; n < width && fbCount > 0 && robCount < robSize;
@@ -363,19 +371,19 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
             // writer of each source register. Each wait test ANDs
             // both comparisons, where `&&` would branch on data the
             // host cannot predict.
-            const MicroOp &op = ops[fi.traceIndex];
-            const Producer pa = regs[op.srcA];
+            const std::uint32_t m = meta[fi.traceIndex];
+            const Producer pa = regs[opmeta::srcA(m)];
             RobEntry &a = rob[pa.slot];
             const bool waitA = (a.seq == pa.seq) & !a.done;
             e.wakeNext[0] = a.wakeHead;
             a.wakeHead = waitA ? slot << 1 : a.wakeHead;
-            const Producer pb = regs[op.srcB];
+            const Producer pb = regs[opmeta::srcB(m)];
             RobEntry &b = rob[pb.slot];
             const bool waitB = (b.seq == pb.seq) & !b.done;
             e.wakeNext[1] = b.wakeHead;
             b.wakeHead = waitB ? slot << 1 | 1 : b.wakeHead;
             e.pending = static_cast<std::uint8_t>(waitA + waitB);
-            regs[op.dst] = {slot, e.seq};
+            regs[opmeta::dst(m)] = {slot, e.seq};
             regs[0] = {sentinel, 0};
 
             const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
@@ -422,22 +430,25 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
             for (unsigned n = 0; n < width && fetchIndex < numOps &&
                                  fbCount < fbSize;
                  ++n) {
-                const MicroOp &op = ops[fetchIndex];
+                const std::uint32_t m = meta[fetchIndex];
+                const InstClass cls = opmeta::cls(m);
+                const bool taken = opmeta::taken(m);
+                const Addr pc = pcs[fetchIndex];
 
                 // Instruction cache: one access per new line.
-                const Addr line = op.pc >> lineShift;
+                const Addr line = pc >> lineShift;
                 if (line != lastFetchLine) {
                     lastFetchLine = line;
-                    if (!l1i_.access(op.pc)) {
+                    if (!l1i_.access(pc)) {
                         const unsigned stall =
-                            l2_.access(op.pc) ? cfg_.ifetchL2Cycles
-                                              : cfg_.ifetchMemoryCycles;
+                            l2_.access(pc) ? cfg_.ifetchL2Cycles
+                                           : cfg_.ifetchMemoryCycles;
                         fetchStallUntil = cycle + stall;
                         stallReason = StallReason::Icache;
                         if (tracer)
                             tracer->record(cycle,
                                            obs::SimEvent::CacheMiss,
-                                           op.pc, stall);
+                                           pc, stall);
                         break; // refetch this op after the miss
                     }
                 }
@@ -445,8 +456,8 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
                 bool mispredicted = false;
                 bool endsFetchBlock = false;
                 // A taken branch needs its target from the BTB.
-                bool needsTarget = op.cls == InstClass::UncondBranch;
-                if (op.cls == InstClass::CondBranch) {
+                bool needsTarget = cls == InstClass::UncondBranch;
+                if (cls == InstClass::CondBranch) {
                     const std::uint32_t entry =
                         predictions[branchOrdinal++];
                     const bool predicted = entry >> 31;
@@ -455,8 +466,8 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
                     ++r.condBranches;
                     if (tracer)
                         tracer->record(cycle, obs::SimEvent::Predict,
-                                       op.pc,
-                                       predicted == op.taken ? 0 : 1);
+                                       pc,
+                                       predicted == taken ? 0 : 1);
                     if (bubbles > 0) {
                         // Overriding disagreement (or stall-style
                         // delay): the fetches behind this branch are
@@ -468,10 +479,10 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
                         if (tracer)
                             tracer->record(
                                 cycle, obs::SimEvent::OverrideDisagree,
-                                op.pc, bubbles);
+                                pc, bubbles);
                         endsFetchBlock = true;
                     }
-                    if (predicted != op.taken) {
+                    if (predicted != taken) {
                         ++r.mispredictions;
                         ++r.flushes;
                         mispredicted = true;
@@ -482,21 +493,21 @@ OooCore::run(const TraceBuffer &trace, const PredictionColumn &column)
                     }
                 }
                 if (needsTarget) {
-                    const auto target = btb_.lookup(op.pc);
-                    if (!target || *target != op.extra) {
+                    const auto target = btb_.lookup(pc);
+                    if (!target || *target != extras[fetchIndex]) {
                         fetchStallUntil = cycle + 1 + cfg_.btbMissPenalty;
                         stallReason = StallReason::BtbMiss;
                         r.btbMissPenaltyCycles += cfg_.btbMissPenalty;
                         if (tracer)
                             tracer->record(cycle, obs::SimEvent::BtbMiss,
-                                           op.pc, cfg_.btbMissPenalty);
+                                           pc, cfg_.btbMissPenalty);
                     }
-                    btb_.update(op.pc, op.extra);
+                    btb_.update(pc, extras[fetchIndex]);
                     endsFetchBlock = true; // discontinuous fetch
                 }
 
                 if (tracer && n == 0)
-                    tracer->record(cycle, obs::SimEvent::Fetch, op.pc);
+                    tracer->record(cycle, obs::SimEvent::Fetch, pc);
                 std::size_t fbTail = fbHead + fbCount;
                 fbTail -= fbTail >= fbSize ? fbSize : 0;
                 fetchBuffer[fbTail] = {

@@ -7,14 +7,26 @@
  * paper's methodology where every predictor sees the same SPECint
  * instruction stream.
  *
- * A TraceBuffer is built in one of two ways and never changes after:
+ * Every trace is held in one form: the five data sections of a v3
+ * trace file (trace_io.hh), byte for byte. push() encodes each op
+ * straight into them, and readTrace() reads a file's sections into
+ * them, so a generated trace and a loaded one are the same thing
+ * and writing a trace is a copy of its sections. The sections are:
  *
- *  - push(), while a generator (Tracer) or a test appends ops;
- *  - from a TraceBacking, which is how readTrace() returns a v3
- *    file: the branch columns are served straight from the file
- *    image the backing holds, and the op stream is decoded inside
- *    the backing, at most once, when a consumer (the timing core,
- *    trace corruption, a test) first touches a micro-op.
+ *  - the conditional-branch columns, pc and taken, which every
+ *    accuracy run replays through branchView() without touching any
+ *    other op (9 bytes per branch, read straight by the SoA kernels
+ *    in src/core);
+ *  - one opmeta word per op (micro_op.hh): class, taken, registers;
+ *  - the op pcs and the op extras as zigzag LEB128 delta streams
+ *    (extras against the previous op of the same class).
+ *
+ * No MicroOp array is ever built. The pc and extra columns are
+ * decoded once per trace, the first time a consumer asks for ops
+ * (the timing core through opColumns(), a cold reader through
+ * operator[] or iteration); the decode validates the op stream as
+ * the reader would have, and is shared by every copy and prefix
+ * view. Accuracy-only runs never trigger it.
  *
  * prefix(n) cuts a trace to its first n ops without copying them: a
  * generated trace's op stream does not depend on its length, so the
@@ -22,29 +34,28 @@
  * A sweep holds each workload once, at the longest length it needs,
  * and serves every shorter length as a prefix.
  *
- * Copies and prefix views share their storage (a backing shares its
- * one decode too); each carries only its own op and branch counts.
- * The compiler-generated copy and move are all a buffer needs. Every
- * const member is safe for any number of concurrent readers.
- *
- * Storage is columnar where it matters: the dense conditional-branch
- * index every accuracy run replays is kept as two parallel columns
- * (pc, taken) rather than an array of structs, so the replay loop
- * streams 9 bytes per branch instead of 16 and the perceptron group
- * kernel (src/core/ensemble) reads the raw columns directly.
+ * Copies and prefix views share their storage; each carries only its
+ * own op and branch counts. The compiler-generated copy and move are
+ * all a buffer needs. A trace is built by push() on a buffer no other
+ * buffer shares; a shared, cut or file-read trace never changes, and
+ * every const member is safe for any number of concurrent readers.
  */
 
 #ifndef BPSIM_TRACE_TRACE_BUFFER_HH
 #define BPSIM_TRACE_TRACE_BUFFER_HH
 
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <exception>
+#include <iterator>
 #include <memory>
-#include <stdexcept>
+#include <mutex>
+#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/types.hh"
 #include "trace/micro_op.hh"
@@ -83,37 +94,92 @@ class BranchSpan
 };
 
 /**
- * Backing store for a trace loaded without decoding: the v3 columnar
- * reader (trace_io) implements this over the file's image on the
- * heap. The branch columns are served in place; ops() decodes the op
- * stream once, on first call, and keeps it. Every member is safe to
- * call from any number of threads at once, so one backing can sit
- * under every copy of a loaded trace.
+ * One section of a trace in memory: a growable array like a
+ * std::vector of trivial values, except that growing it leaves the
+ * new elements unwritten (a read fills them, and pages reserved
+ * ahead are not faulted in) and that the encoder can append through
+ * a raw pointer once it has made room.
  */
-class TraceBacking
+template <typename T>
+class TraceColumn
 {
   public:
-    TraceBacking() = default;
-    TraceBacking(const TraceBacking &) = delete;
-    TraceBacking &operator=(const TraceBacking &) = delete;
-    virtual ~TraceBacking() = default;
+    const T *data() const { return data_.get(); }
+    T *data() { return data_.get(); }
+    std::size_t size() const { return size_; }
+    std::size_t capacity() const { return capacity_; }
+    std::span<const T> span() const { return {data(), size_}; }
 
-    /** Branch pc column, 64-byte aligned, branchCount() entries. */
-    virtual const Addr *branchPc() const = 0;
-    /** Branch taken column (bytes 0/1), branchCount() entries. */
-    virtual const std::uint8_t *branchTaken() const = 0;
-    virtual std::size_t branchCount() const = 0;
-    virtual std::size_t opCount() const = 0;
+    /** Room for @p n elements in all without reallocating. */
+    void
+    reserve(std::size_t n)
+    {
+        if (n <= capacity_)
+            return;
+        auto grown = std::make_unique_for_overwrite<T[]>(n);
+        if (size_ != 0)
+            std::memcpy(grown.get(), data_.get(), size_ * sizeof(T));
+        data_ = std::move(grown);
+        capacity_ = n;
+    }
+    /** Set the size to @p n; elements past the old size are
+     *  unwritten, for the caller to fill. */
+    void
+    resize(std::size_t n)
+    {
+        reserve(n);
+        size_ = n;
+    }
 
-    /** The op stream, opCount() entries, decoded on the first call
-     *  and shared by every later one; throws TraceIoError on
-     *  malformed columns, on every call. */
-    virtual const std::vector<MicroOp> &ops() const = 0;
-    /** True once ops() has decoded the stream. */
-    virtual bool opsDecoded() const = 0;
-    /** Conditional branches among the first @p ops ops, counted
-     *  without decoding the stream. */
-    virtual std::size_t condBranchesIn(std::size_t ops) const = 0;
+    /** Append @p v; the caller has made room. */
+    void put(T v) { data_[size_++] = v; }
+    /** The end, for appending in place after making room; extendTo()
+     *  then takes the elements up to @p end in. */
+    T *tail() { return data_.get() + size_; }
+    void extendTo(const T *end) { size_ = end - data_.get(); }
+
+  private:
+    std::unique_ptr<T[]> data_;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
+};
+
+/**
+ * The five data sections of a v3 trace (trace_io.hh's sections 0-4)
+ * in host byte order: on a little-endian host, the file's bytes.
+ */
+struct TraceSections
+{
+    TraceColumn<Addr> branchPc;
+    TraceColumn<std::uint8_t> branchTaken;
+    TraceColumn<std::uint32_t> opMeta;
+    TraceColumn<std::uint8_t> opPcDelta;
+    TraceColumn<std::uint8_t> opExtraDelta;
+};
+
+/** TraceSections cut at one buffer's length (see sections()). */
+struct TraceSectionView
+{
+    std::span<const Addr> branchPc;
+    std::span<const std::uint8_t> branchTaken;
+    std::span<const std::uint32_t> opMeta;
+    std::span<const std::uint8_t> opPcDelta;
+    std::span<const std::uint8_t> opExtraDelta;
+};
+
+/** What the timing core reads per op: the opmeta words in place and
+ *  the decoded pc and extra columns, one entry per op. */
+struct OpColumns
+{
+    const std::uint32_t *meta = nullptr;
+    const Addr *pc = nullptr;
+    const Addr *extra = nullptr;
+
+    MicroOp
+    op(std::size_t i) const
+    {
+        return opmeta::unpack(meta[i], pc[i], extra[i]);
+    }
 };
 
 /** A replayable buffer of dynamic instructions; see file comment. */
@@ -123,40 +189,40 @@ class TraceBuffer
     /** An empty trace, to be built with push(). */
     TraceBuffer() = default;
 
-    /** A trace served from @p backing: branch columns in place, ops
-     *  decoded by the backing on first use. */
-    explicit TraceBuffer(std::shared_ptr<const TraceBacking> backing)
-        : backing_(std::move(backing)),
-          opCount_(backing_->opCount()),
-          branchCount_(backing_->branchCount())
-    {
-    }
+    /**
+     * A trace over sections read from @p source (a file path, named
+     * in decode errors). The caller has checked that the sections
+     * agree in size: one opMeta word per op, one branchTaken byte
+     * per branchPc entry, taken bytes 0 or 1. The op stream is
+     * checked by the decode. Such a trace takes no push().
+     */
+    TraceBuffer(TraceSections sections, std::string source);
 
     /** Reserve capacity for @p ops instructions up front. */
-    void
-    reserve(std::size_t ops)
-    {
-        if (!ownsStorage())
-            takeStorage();
-        own_->ops.reserve(ops);
-    }
+    void reserve(std::size_t ops);
 
-    /** Append one instruction while building the trace. A backed
-     *  trace has no pushed ops and takes none. */
+    /** Append one instruction while building the trace. A decode
+     *  already made is dropped, so columns and iterators taken
+     *  before the push are invalid after it. Throws std::logic_error
+     *  on a buffer that shares its storage, is a prefix view or was
+     *  read from a file. */
     void
     push(const MicroOp &op)
     {
-        assert(!backing_ && "a backed trace is immutable");
-        if (!ownsStorage()) [[unlikely]]
-            takeStorage();
-        Columns &c = *own_;
-        c.ops.push_back(op);
-        ++opCount_;
-        if (op.cls == InstClass::CondBranch) {
-            c.pc.push_back(op.pc);
-            c.taken.push_back(op.taken ? 1 : 0);
-            ++branchCount_;
+        // One test for every reason to leave the fast path: no
+        // storage yet, storage shared, a cut view, a decode to drop,
+        // or the sections out of room (always, for a read trace).
+        Image *const im = image_.get();
+        if (!im || image_.use_count() != 1 ||
+            opCount_ != im->sections.opMeta.size() ||
+            im->decode.state.load(std::memory_order_relaxed) != 0 ||
+            im->room == 0) [[unlikely]] {
+            pushSlow(op);
+            return;
         }
+        im->append(op);
+        ++opCount_;
+        branchCount_ += op.cls == InstClass::CondBranch;
     }
 
     /**
@@ -164,30 +230,9 @@ class TraceBuffer
      * view shares this trace's storage (no op or branch is copied)
      * and carries its own op and branch counts, so size(),
      * branchView(), operator[] and begin()/end() all stop at the
-     * cut. A cut at size() is a plain copy, so it decodes nothing.
-     * Throws std::out_of_range past size().
+     * cut. Throws std::out_of_range past size().
      */
-    TraceBuffer
-    prefix(std::size_t ops) const
-    {
-        if (ops > opCount_)
-            throw std::out_of_range("trace prefix of " +
-                                    std::to_string(ops) + " ops from " +
-                                    std::to_string(opCount_));
-        TraceBuffer view = *this;
-        if (ops == opCount_)
-            return view;
-        view.opCount_ = ops;
-        if (backing_) {
-            view.branchCount_ = backing_->condBranchesIn(ops);
-        } else {
-            view.branchCount_ = 0;
-            for (std::size_t i = 0; i < ops; ++i)
-                view.branchCount_ +=
-                    own_->ops[i].cls == InstClass::CondBranch;
-        }
-        return view;
-    }
+    TraceBuffer prefix(std::size_t ops) const;
 
     /** Number of dynamic instructions. */
     std::size_t size() const { return opCount_; }
@@ -205,89 +250,185 @@ class TraceBuffer
                              static_cast<double>(size());
     }
 
-    const MicroOp &
-    operator[](std::size_t i) const
-    {
-        assert(i < opCount_);
-        return opData()[i];
-    }
-
     /**
      * Dense conditional-branch columns: the {pc, taken} stream every
      * accuracy run replays, without skipping over non-branch ops.
-     * Maintained by push(); served straight from the file image for
-     * a backed buffer, so reading it never decodes ops.
+     * Reading it never decodes ops.
      */
     BranchSpan
     branchView() const
     {
-        if (backing_)
-            return {backing_->branchPc(), backing_->branchTaken(),
-                    branchCount_};
-        if (own_)
-            return {own_->pc.data(), own_->taken.data(), branchCount_};
-        return {};
+        if (!image_)
+            return {};
+        return {image_->sections.branchPc.data(),
+                image_->sections.branchTaken.data(), branchCount_};
     }
 
-    /** True when the op stream is decoded and resident in memory;
-     *  false while a backed buffer still holds it encoded (nothing
-     *  has forced a decode yet). */
+    /**
+     * The per-op columns, size() entries, for the timing core. The
+     * first call on any copy or view decodes the pc and extra
+     * columns for all of them; throws TraceIoError, on every call,
+     * when the op stream is malformed.
+     */
+    OpColumns
+    opColumns() const
+    {
+        if (!image_)
+            return {};
+        Decode &d = image_->decode;
+        if (d.state.load(std::memory_order_acquire) != kDecoded)
+            [[unlikely]]
+            image_->runDecode();
+        return {image_->sections.opMeta.data(), d.pc.get(),
+                d.extra.get()};
+    }
+
+    /** Instruction @p i, by value; decodes as opColumns() does. */
+    MicroOp
+    operator[](std::size_t i) const
+    {
+        assert(i < opCount_);
+        return opColumns().op(i);
+    }
+
+    /** True once the pc and extra columns are decoded and resident;
+     *  false while the trace holds only its encoded sections. */
     bool
     opsMaterialized() const
     {
-        return !backing_ || backing_->opsDecoded();
+        return image_ && image_->decode.state.load(
+                             std::memory_order_acquire) == kDecoded;
     }
 
-    const MicroOp *begin() const { return opData(); }
-    const MicroOp *end() const { return opData() + opCount_; }
+    /** The sections cut at size(): the bytes writeTraceV3 writes. */
+    TraceSectionView sections() const;
 
-  private:
-    /** What push() builds: the op stream and the branch columns. */
-    struct Columns
+    /** Input iterator yielding each instruction by value. */
+    class Iterator
     {
-        std::vector<MicroOp> ops;
-        std::vector<Addr> pc;
-        std::vector<std::uint8_t> taken;
+      public:
+        using iterator_category = std::input_iterator_tag;
+        using value_type = MicroOp;
+        using difference_type = std::ptrdiff_t;
+        using pointer = void;
+        using reference = MicroOp;
+
+        Iterator() = default;
+        Iterator(OpColumns cols, std::size_t i) : cols_(cols), i_(i) {}
+
+        MicroOp operator*() const { return cols_.op(i_); }
+        Iterator &
+        operator++()
+        {
+            ++i_;
+            return *this;
+        }
+        Iterator
+        operator++(int)
+        {
+            Iterator old = *this;
+            ++i_;
+            return old;
+        }
+        bool operator==(const Iterator &o) const { return i_ == o.i_; }
+
+      private:
+        OpColumns cols_;
+        std::size_t i_ = 0;
     };
 
-    const MicroOp *
-    opData() const
+    /** Iteration decodes as opColumns() does; an empty trace
+     *  decodes nothing. */
+    Iterator
+    begin() const
     {
-        if (backing_)
-            return backing_->ops().data();
-        return own_ ? own_->ops.data() : nullptr;
+        return {empty() ? OpColumns{} : opColumns(), 0};
     }
+    Iterator end() const { return {OpColumns{}, opCount_}; }
 
-    /** True when push() may append to the storage in place: no
-     *  other buffer shares it, and it ends where this buffer does. */
-    bool
-    ownsStorage() const
-    {
-        return own_.use_count() == 1 && own_->ops.size() == opCount_;
-    }
+  private:
+    static constexpr int kDecoded = 1;
+    static constexpr int kFailed = 2;
 
-    /** Give this buffer storage of its own, holding exactly its ops,
-     *  so appending never changes what another buffer reads. */
-    [[gnu::noinline]] void
-    takeStorage()
+    /** The decoded pc and extra columns, made once. */
+    struct Decode
     {
-        auto mine = std::make_shared<Columns>();
-        if (!own_) {
-            opCount_ = branchCount_ = 0; // new, or moved from
-        } else {
-            mine->ops.assign(own_->ops.begin(),
-                             own_->ops.begin() + opCount_);
-            mine->pc.assign(own_->pc.begin(),
-                            own_->pc.begin() + branchCount_);
-            mine->taken.assign(own_->taken.begin(),
-                               own_->taken.begin() + branchCount_);
+        std::once_flag once;
+        /** 0 until the decode has run, then kDecoded or kFailed. */
+        std::atomic<int> state{0};
+        std::exception_ptr error;
+        std::unique_ptr<Addr[]> pc;
+        std::unique_ptr<Addr[]> extra;
+    };
+
+    /** The storage every copy and prefix view of a trace shares. */
+    struct Image
+    {
+        TraceSections sections;
+        /** Where the sections came from, for decode errors; empty
+         *  for a pushed trace. */
+        std::string source;
+        /** Read from a file: push() may not append. */
+        bool readOnly = false;
+
+        /** Encoder state: the last op's pc and, per class, the last
+         *  extra (the bases of the next deltas). */
+        Addr prevPc = 0;
+        Addr prevExtra[8] = {};
+
+        Decode decode;
+        /** Fill @c decode once; see opColumns(). */
+        void runDecode();
+
+        /** Ops every section has room for; 0 for a read trace. */
+        std::size_t room = 0;
+        /** Give the sections room for more ops. */
+        void makeRoom();
+
+        /** Encode @p op onto the end of the sections, which have
+         *  room for it. */
+        void
+        append(const MicroOp &op)
+        {
+            --room;
+            TraceSections &s = sections;
+            s.opMeta.put(opmeta::pack(op));
+            putDelta(s.opPcDelta, op.pc - prevPc);
+            Addr &lastExtra = prevExtra[static_cast<unsigned>(op.cls) & 7];
+            putDelta(s.opExtraDelta, op.extra - lastExtra);
+            prevPc = op.pc;
+            lastExtra = op.extra;
+            if (op.cls == InstClass::CondBranch) {
+                s.branchPc.put(op.pc);
+                s.branchTaken.put(op.taken ? 1 : 0);
+            }
         }
-        own_ = std::move(mine);
+    };
+
+    /** Append @p delta to @p out, zigzag LEB128 coded; @p out has
+     *  room for the longest varint. */
+    static void
+    putDelta(TraceColumn<std::uint8_t> &out, Addr delta)
+    {
+        const auto s = static_cast<std::int64_t>(delta);
+        std::uint64_t z = static_cast<std::uint64_t>(s) << 1 ^
+                          static_cast<std::uint64_t>(s >> 63);
+        std::uint8_t *p = out.tail();
+        while (z >= 0x80) {
+            *p++ = static_cast<std::uint8_t>(z) | 0x80;
+            z >>= 7;
+        }
+        *p++ = static_cast<std::uint8_t>(z);
+        out.extendTo(p);
     }
 
-    /** Pushed storage, shared by copies and prefix views. */
-    std::shared_ptr<Columns> own_;
-    std::shared_ptr<const TraceBacking> backing_;
+    /** push() off its fast path: start storage, refuse, drop a
+     *  decode or make room, then append. */
+    [[gnu::noinline, gnu::cold]] void pushSlow(const MicroOp &op);
+
+    /** Shared, so copies and views read one storage and one decode;
+     *  non-const because the decode fills pc and extra in place. */
+    std::shared_ptr<Image> image_;
     /** This buffer's length, which a prefix view cuts short of its
      *  storage. */
     std::size_t opCount_ = 0;

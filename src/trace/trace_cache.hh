@@ -11,13 +11,14 @@
  *
  * keyed by workload name, trace length, generation seed and the
  * constant format stamp kFormatVersion. Entries are columnar v3
- * trace_io files (writeTraceV3). A load reads the entry into memory
- * the trace's backing owns: branchView() is served from that image
- * and the backing decodes micro-ops once, on first use, so a warm
- * accuracy run never pays a decode at all. Reading into owned memory
- * also means an entry stomped in place by another process fails
- * validation or reads short — a TraceIoError — where a mapping would
- * fault at first touch.
+ * trace_io files (writeTraceV3), whose sections are the form every
+ * trace is held in (trace_buffer.hh): a store writes a generated
+ * trace's sections out as they are, and a load reads them back into
+ * a trace of the same kind. Neither encodes or decodes an op, so a
+ * warm accuracy run never pays a decode at all. Reading into owned
+ * memory also means an entry stomped in place by another process
+ * fails validation or reads short — a TraceIoError — where a mapping
+ * would fault at first touch.
  * Read-back reuses the trace_io validation; a corrupt entry, or one
  * of another trace version, surfaces as TraceIoError and is treated
  * as a miss. load() never unlinks — deleting by path would race

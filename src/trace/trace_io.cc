@@ -1,13 +1,11 @@
 #include "trace/trace_io.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <vector>
 
 namespace bpsim {
@@ -134,69 +132,132 @@ blockHash64(const std::uint8_t *p, std::size_t n)
     return r;
 }
 
-/** Signed delta -> small unsigned value (zigzag). */
-std::uint64_t
-zigzag(std::uint64_t delta)
-{
-    const std::int64_t s = static_cast<std::int64_t>(delta);
-    return (static_cast<std::uint64_t>(s) << 1) ^
-           static_cast<std::uint64_t>(s >> 63);
-}
-
-std::uint64_t
-unzigzag(std::uint64_t z)
-{
-    return (z >> 1) ^ (~(z & 1) + 1);
-}
-
-void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
-}
-
-/** Strict LEB128 decode: advances @p pos, throws on truncation or a
- *  varint running past the 10-byte limit of a 64-bit value. */
-std::uint64_t
-getVarint(const std::uint8_t *p, std::size_t size, std::size_t &pos,
-          const std::string &path)
-{
-    std::uint64_t v = 0;
-    for (unsigned shift = 0; shift < 70; shift += 7) {
-        if (pos >= size)
-            throw TraceIoError("truncated varint in '" + path + "'");
-        const std::uint8_t b = p[pos++];
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return v;
-    }
-    throw TraceIoError("oversized varint in '" + path + "'");
-}
-
-
 /**
- * A whole file read into a u64-backed heap buffer, so the branch pc
- * column stays aligned for in-place reads. Immutable once read, so a
- * backing holding it is shareable across threads.
+ * A section as the file holds it: little-endian bytes. On a
+ * little-endian host that is the column's own memory; elsewhere the
+ * values are byte-swapped into @p scratch.
  */
-struct FileImage
+template <typename T>
+std::span<const std::uint8_t>
+fileBytes(std::span<const T> column, std::vector<std::uint8_t> &scratch)
 {
-    std::vector<std::uint64_t> words;
-    std::size_t size = 0;
-
-    const std::uint8_t *
-    data() const
-    {
-        return reinterpret_cast<const std::uint8_t *>(words.data());
+    if constexpr (std::endian::native == std::endian::little) {
+        return {reinterpret_cast<const std::uint8_t *>(column.data()),
+                column.size_bytes()};
+    } else {
+        scratch.resize(column.size_bytes());
+        for (std::size_t i = 0; i < column.size(); ++i)
+            for (std::size_t b = 0; b < sizeof(T); ++b)
+                scratch[i * sizeof(T) + b] =
+                    static_cast<std::uint8_t>(column[i] >> (8 * b));
+        return scratch;
     }
+}
+
+/** Read @p n bytes of @p f into @p out; throws on a short read (a
+ *  file cut while it is being read). */
+void
+readBytes(std::FILE *f, void *out, std::size_t n, const std::string &path)
+{
+    if (n != 0 && std::fread(out, 1, n, f) != n)
+        throw TraceIoError("cannot read '" + path + "'");
+}
+
+/** Read a column of @p n values of @p T stored little-endian. */
+template <typename T>
+TraceColumn<T>
+readColumn(std::FILE *f, std::size_t n, const std::string &path)
+{
+    TraceColumn<T> out;
+    out.resize(n);
+    readBytes(f, out.data(), n * sizeof(T), path);
+    if constexpr (std::endian::native != std::endian::little) {
+        for (T &v : std::span<T>(out.data(), n)) {
+            const auto *b = reinterpret_cast<const std::uint8_t *>(&v);
+            T x = 0;
+            for (std::size_t i = 0; i < sizeof(T); ++i)
+                x |= static_cast<T>(b[i]) << (8 * i);
+            v = x;
+        }
+    }
+    return out;
+}
+
+/** One v3 section: resolved location inside the file. */
+struct V3Section
+{
+    std::size_t offset = 0;
+    std::size_t size = 0;
 };
 
-FileImage
-readFileImage(const std::string &path)
+} // namespace
+
+void
+writeTraceV3(const TraceBuffer &trace, const std::string &path)
+{
+    // The trace already holds the five data sections; add the
+    // block-sum table and the header, then write it all in one pass.
+    const TraceSectionView view = trace.sections();
+    std::vector<std::uint8_t> scratch[2];
+    const std::span<const std::uint8_t> data[5] = {
+        fileBytes(view.branchPc, scratch[0]), view.branchTaken,
+        fileBytes(view.opMeta, scratch[1]), view.opPcDelta,
+        view.opExtraDelta};
+    std::vector<std::uint8_t> blockSums;
+    for (const auto &d : data) {
+        for (std::size_t pos = 0; pos < d.size(); pos += v3BlockBytes) {
+            const std::size_t n = std::min(v3BlockBytes, d.size() - pos);
+            std::uint8_t sum[8];
+            putU64(sum, blockHash64(d.data() + pos, n));
+            blockSums.insert(blockSums.end(), sum, sum + 8);
+        }
+    }
+
+    std::span<const std::uint8_t> sections[v3NumSections];
+    std::size_t offsets[v3NumSections];
+    std::size_t cursor = v3DirEnd;
+    for (std::size_t i = 0; i < v3NumSections; ++i) {
+        sections[i] = i < 5 ? data[i] : std::span<const std::uint8_t>(
+                                            blockSums);
+        cursor = alignUp(cursor, v3Align);
+        offsets[i] = cursor;
+        cursor += sections[i].size();
+    }
+
+    std::uint8_t head[v3DirEnd] = {};
+    std::memcpy(head, magic, 8);
+    putU32(head + 8, versionColumnar);
+    putU32(head + 12, 0);
+    putU64(head + 16, trace.size());
+    putU64(head + v3DirOffset, view.branchTaken.size());
+    for (std::size_t i = 0; i < v3NumSections; ++i) {
+        putU64(head + v3DirOffset + 8 + 16 * i, offsets[i]);
+        putU64(head + v3DirOffset + 8 + 16 * i + 8, sections[i].size());
+    }
+    putU64(head + v3DirOffset + v3DirPayloadBytes,
+           fnv1a64(head + v3DirOffset, v3DirPayloadBytes));
+
+    FilePtr f(std::fopen(path.c_str(), "wb"));
+    if (!f)
+        throw TraceIoError("cannot open '" + path + "' for writing");
+    const auto put = [&](const std::uint8_t *p, std::size_t n) {
+        if (n != 0 && std::fwrite(p, 1, n, f.get()) != n)
+            throw TraceIoError("short write on records");
+    };
+    static constexpr std::uint8_t zeros[v3Align] = {};
+    put(head, v3DirEnd);
+    std::size_t written = v3DirEnd;
+    for (std::size_t i = 0; i < v3NumSections; ++i) {
+        put(zeros, offsets[i] - written);
+        put(sections[i].data(), sections[i].size());
+        written = offsets[i] + sections[i].size();
+    }
+    if (std::fflush(f.get()) != 0)
+        throw TraceIoError("short write on records");
+}
+
+TraceBuffer
+readTrace(const std::string &path)
 {
     FilePtr f(std::fopen(path.c_str(), "rb"));
     if (!f)
@@ -206,262 +267,12 @@ readFileImage(const std::string &path)
     const long end = std::ftell(f.get());
     if (end < 0 || std::fseek(f.get(), 0, SEEK_SET) != 0)
         throw TraceIoError("cannot seek in '" + path + "'");
-    FileImage image;
-    image.size = static_cast<std::size_t>(end);
-    image.words.resize((image.size + 7) / 8);
-    if (image.size != 0 &&
-        std::fread(image.words.data(), 1, image.size, f.get()) !=
-            image.size)
-        throw TraceIoError("cannot read '" + path + "'");
-    return image;
-}
+    const auto fileSize = static_cast<std::size_t>(end);
 
-/** Pack one op's non-delta fields into the 4 opMeta bytes. */
-void
-packOpMeta(const MicroOp &op, std::uint8_t out[4])
-{
-    const auto cls = static_cast<std::uint8_t>(op.cls);
-    const std::uint8_t srcA = op.srcA & 0x3f;
-    const std::uint8_t srcB = op.srcB & 0x7f;
-    out[0] = static_cast<std::uint8_t>((cls & 0x07) |
-                                       (op.taken ? 0x08 : 0) |
-                                       ((op.dst & 0x0f) << 4));
-    out[1] = static_cast<std::uint8_t>(((op.dst >> 4) & 0x0f) |
-                                       ((srcA & 0x0f) << 4));
-    out[2] = static_cast<std::uint8_t>(((srcA >> 4) & 0x03) |
-                                       ((srcB & 0x3f) << 2));
-    out[3] = static_cast<std::uint8_t>((srcB >> 6) & 0x01);
-}
-
-/** Unpack 4 meta bytes; throws on non-canonical spare bits. */
-MicroOp
-unpackOpMeta(const std::uint8_t *b, const std::string &path)
-{
-    MicroOp op;
-    const std::uint8_t cls = b[0] & 0x07;
-    if (cls > static_cast<std::uint8_t>(InstClass::UncondBranch) ||
-        (b[3] & 0xfe) != 0)
-        throw TraceIoError("corrupt record in '" + path + "'");
-    op.cls = static_cast<InstClass>(cls);
-    op.taken = (b[0] >> 3) & 1;
-    op.dst = static_cast<std::uint8_t>((b[0] >> 4) |
-                                       ((b[1] & 0x0f) << 4));
-    op.srcA =
-        static_cast<std::uint8_t>((b[1] >> 4) | ((b[2] & 0x03) << 4));
-    op.srcB = static_cast<std::uint8_t>(((b[2] >> 2) & 0x3f) |
-                                        ((b[3] & 0x01) << 6));
-    return op;
-}
-
-/** One v3 section: resolved location inside the file bytes. */
-struct V3Section
-{
-    std::size_t offset = 0;
-    std::size_t size = 0;
-};
-
-/** v3 backing: serves branch columns in place from the file image
- *  and decodes the op stream once, on the first ops() call. */
-class V3Backing final : public TraceBacking
-{
-  public:
-    V3Backing(FileImage image, std::string path, std::size_t op_count,
-              std::size_t branch_count,
-              const V3Section (&sec)[v3NumSections])
-        : image_(std::move(image)),
-          path_(std::move(path)),
-          opCount_(op_count),
-          branchCount_(branch_count)
-    {
-        for (std::size_t i = 0; i < v3NumSections; ++i)
-            sec_[i] = sec[i];
-    }
-
-    const Addr *
-    branchPc() const override
-    {
-        return reinterpret_cast<const Addr *>(image_.data() +
-                                              sec_[0].offset);
-    }
-    const std::uint8_t *
-    branchTaken() const override
-    {
-        return image_.data() + sec_[1].offset;
-    }
-    std::size_t branchCount() const override { return branchCount_; }
-    std::size_t opCount() const override { return opCount_; }
-
-    const std::vector<MicroOp> &
-    ops() const override
-    {
-        // The image never changes, so a failed decode would fail
-        // again: keep its error rather than decoding per call.
-        std::call_once(decodeOnce_, [this] {
-            try {
-                ops_ = decode();
-                decoded_.store(true, std::memory_order_release);
-            } catch (...) {
-                decodeError_ = std::current_exception();
-            }
-        });
-        if (decodeError_)
-            std::rethrow_exception(decodeError_);
-        return ops_;
-    }
-    bool
-    opsDecoded() const override
-    {
-        return decoded_.load(std::memory_order_acquire);
-    }
-    std::size_t
-    condBranchesIn(std::size_t ops) const override
-    {
-        // The class is the low three bits of each op's first meta
-        // byte (packOpMeta).
-        const std::uint8_t *meta = image_.data() + sec_[2].offset;
-        const auto cond =
-            static_cast<std::uint8_t>(InstClass::CondBranch);
-        std::size_t n = 0;
-        for (std::size_t r = 0; r < ops; ++r)
-            n += (meta[4 * r] & 0x07) == cond;
-        return n;
-    }
-
-  private:
-    std::vector<MicroOp>
-    decode() const
-    {
-        std::vector<MicroOp> ops;
-        ops.reserve(opCount_);
-        const std::uint8_t *meta = image_.data() + sec_[2].offset;
-        const std::uint8_t *pcs = image_.data() + sec_[3].offset;
-        const std::uint8_t *extras = image_.data() + sec_[4].offset;
-        std::size_t pcPos = 0, extraPos = 0;
-        std::uint64_t prevPc = 0;
-        std::uint64_t prevExtra[6] = {};
-        for (std::size_t r = 0; r < opCount_; ++r) {
-            MicroOp op = unpackOpMeta(meta + 4 * r, path_);
-            const auto cls = static_cast<std::uint8_t>(op.cls);
-            op.pc = prevPc + unzigzag(getVarint(pcs, sec_[3].size,
-                                                pcPos, path_));
-            op.extra =
-                prevExtra[cls] +
-                unzigzag(getVarint(extras, sec_[4].size, extraPos,
-                                   path_));
-            prevPc = op.pc;
-            prevExtra[cls] = op.extra;
-            ops.push_back(op);
-        }
-        if (pcPos != sec_[3].size || extraPos != sec_[4].size)
-            throw TraceIoError("trailing garbage in '" + path_ +
-                               "'");
-        return ops;
-    }
-
-    FileImage image_;
-    std::string path_;
-    std::size_t opCount_;
-    std::size_t branchCount_;
-    V3Section sec_[v3NumSections];
-    mutable std::once_flag decodeOnce_;
-    mutable std::atomic<bool> decoded_{false};
-    mutable std::vector<MicroOp> ops_;
-    mutable std::exception_ptr decodeError_;
-};
-
-} // namespace
-
-void
-writeTraceV3(const TraceBuffer &trace, const std::string &path)
-{
-    // Build the five data sections in memory, then the block-sum
-    // table, then assemble the (deterministic, canonical) file image
-    // and write it in one go.
-    std::vector<std::uint8_t> branchPc, branchTaken, opMeta, opPc,
-        opExtra;
-    opMeta.reserve(trace.size() * 4);
-    std::uint64_t prevPc = 0;
-    std::uint64_t prevExtra[6] = {};
-    for (const MicroOp &op : trace) {
-        std::uint8_t meta[4];
-        packOpMeta(op, meta);
-        opMeta.insert(opMeta.end(), meta, meta + 4);
-        putVarint(opPc, zigzag(op.pc - prevPc));
-        const auto cls = static_cast<std::uint8_t>(op.cls);
-        putVarint(opExtra, zigzag(op.extra - prevExtra[cls]));
-        prevPc = op.pc;
-        prevExtra[cls] = op.extra;
-        if (op.cls == InstClass::CondBranch) {
-            std::uint8_t pc[8];
-            putU64(pc, op.pc);
-            branchPc.insert(branchPc.end(), pc, pc + 8);
-            branchTaken.push_back(op.taken ? 1 : 0);
-        }
-    }
-
-    const std::vector<std::uint8_t> *data[5] = {
-        &branchPc, &branchTaken, &opMeta, &opPc, &opExtra};
-    std::vector<std::uint8_t> blockSums;
-    for (const auto *d : data) {
-        for (std::size_t pos = 0; pos < d->size();
-             pos += v3BlockBytes) {
-            const std::size_t n =
-                std::min(v3BlockBytes, d->size() - pos);
-            std::uint8_t sum[8];
-            putU64(sum, blockHash64(d->data() + pos, n));
-            blockSums.insert(blockSums.end(), sum, sum + 8);
-        }
-    }
-
-    std::size_t offsets[v3NumSections];
-    std::size_t sizes[v3NumSections];
-    std::size_t cursor = v3DirEnd;
-    for (std::size_t i = 0; i < v3NumSections; ++i) {
-        sizes[i] = i < 5 ? data[i]->size() : blockSums.size();
-        cursor = alignUp(cursor, v3Align);
-        offsets[i] = cursor;
-        cursor += sizes[i];
-    }
-
-    std::vector<std::uint8_t> file(cursor, 0);
-    std::memcpy(file.data(), magic, 8);
-    putU32(file.data() + 8, versionColumnar);
-    putU32(file.data() + 12, 0);
-    putU64(file.data() + 16, trace.size());
-    putU64(file.data() + v3DirOffset, branchTaken.size());
-    for (std::size_t i = 0; i < v3NumSections; ++i) {
-        putU64(file.data() + v3DirOffset + 8 + 16 * i, offsets[i]);
-        putU64(file.data() + v3DirOffset + 8 + 16 * i + 8, sizes[i]);
-    }
-    putU64(file.data() + v3DirOffset + v3DirPayloadBytes,
-           fnv1a64(file.data() + v3DirOffset, v3DirPayloadBytes));
-    // An empty section's vector may hold no buffer at all, and
-    // memcpy's source must not be null even for zero bytes.
-    for (std::size_t i = 0; i < 5; ++i)
-        if (sizes[i] != 0)
-            std::memcpy(file.data() + offsets[i], data[i]->data(),
-                        sizes[i]);
-    if (sizes[5] != 0)
-        std::memcpy(file.data() + offsets[5], blockSums.data(),
-                    sizes[5]);
-
-    FilePtr f(std::fopen(path.c_str(), "wb"));
-    if (!f)
-        throw TraceIoError("cannot open '" + path + "' for writing");
-    if (!file.empty() &&
-        std::fwrite(file.data(), 1, file.size(), f.get()) !=
-            file.size())
-        throw TraceIoError("short write on records");
-}
-
-TraceBuffer
-readTrace(const std::string &path)
-{
-    FileImage image = readFileImage(path);
-    const std::uint8_t *p = image.data();
-    const std::size_t fileSize = image.size;
+    std::uint8_t p[v3DirEnd];
     if (fileSize < headerBytes)
         throw TraceIoError("truncated header in '" + path + "'");
+    readBytes(f.get(), p, std::min(fileSize, v3DirEnd), path);
     if (std::memcmp(p, magic, 8) != 0)
         throw TraceIoError("'" + path + "' is not a bpsim trace");
     if (getU32(p + 8) != versionColumnar)
@@ -518,31 +329,56 @@ readTrace(const std::string &path)
     for (std::size_t i = 0; i < v3NumSections; ++i) {
         const std::size_t expect = alignUp(cursor, v3Align);
         // expect > fileSize first: a cut inside the padding must not
-        // wrap the subtraction and send the pad check past the end.
+        // wrap the subtraction.
         if (sec[i].offset != expect || expect > fileSize ||
             sec[i].size > fileSize - expect)
             throw TraceIoError("corrupt section table in '" + path +
                                "'");
-        // Canonical padding: the bytes between sections are zero.
-        for (std::size_t b = cursor; b < expect; ++b)
-            if (p[b] != 0)
-                throw TraceIoError("corrupt padding in '" + path +
-                                   "'");
         cursor = expect + sec[i].size;
     }
     if (cursor != fileSize)
         throw TraceIoError("truncated records in '" + path + "'");
 
-    // Per-block payload checksums.
-    const std::uint8_t *sums = p + sec[5].offset;
+    // The layout holds: read each section straight into its column,
+    // checking that the padding before it is zero (canonical).
+    // Reads the zero padding before the next section and returns
+    // that section's size in bytes.
+    std::size_t next = 0;
+    cursor = v3DirEnd;
+    const auto padTo = [&] {
+        std::uint8_t pad[v3Align];
+        const std::size_t padBytes = sec[next].offset - cursor;
+        readBytes(f.get(), pad, padBytes, path);
+        for (std::size_t b = 0; b < padBytes; ++b)
+            if (pad[b] != 0)
+                throw TraceIoError("corrupt padding in '" + path +
+                                   "'");
+        cursor = sec[next].offset + sec[next].size;
+        return sec[next++].size;
+    };
+    TraceSections s;
+    s.branchPc = readColumn<Addr>(f.get(), padTo() / 8, path);
+    s.branchTaken = readColumn<std::uint8_t>(f.get(), padTo(), path);
+    s.opMeta = readColumn<std::uint32_t>(f.get(), padTo() / 4, path);
+    s.opPcDelta = readColumn<std::uint8_t>(f.get(), padTo(), path);
+    s.opExtraDelta = readColumn<std::uint8_t>(f.get(), padTo(), path);
+    const TraceColumn<std::uint8_t> sums =
+        readColumn<std::uint8_t>(f.get(), padTo(), path);
+
+    // Per-block payload checksums, over the bytes as the file held
+    // them.
+    std::vector<std::uint8_t> scratch[2];
+    const std::span<const std::uint8_t> data[5] = {
+        fileBytes(s.branchPc.span(), scratch[0]), s.branchTaken.span(),
+        fileBytes(s.opMeta.span(), scratch[1]), s.opPcDelta.span(),
+        s.opExtraDelta.span()};
     std::size_t sumIdx = 0;
-    for (std::size_t i = 0; i < 5; ++i) {
-        for (std::size_t pos = 0; pos < sec[i].size;
+    for (const auto &d : data) {
+        for (std::size_t pos = 0; pos < d.size();
              pos += v3BlockBytes, ++sumIdx) {
-            const std::size_t n =
-                std::min(v3BlockBytes, sec[i].size - pos);
-            if (blockHash64(p + sec[i].offset + pos, n) !=
-                getU64(sums + 8 * sumIdx))
+            const std::size_t n = std::min(v3BlockBytes, d.size() - pos);
+            if (blockHash64(d.data() + pos, n) !=
+                getU64(sums.data() + 8 * sumIdx))
                 throw TraceIoError("checksum mismatch in '" + path +
                                    "'");
         }
@@ -550,24 +386,11 @@ readTrace(const std::string &path)
 
     // The taken column feeds bool comparisons; only 0/1 are
     // canonical.
-    const std::uint8_t *taken = p + sec[1].offset;
-    for (std::size_t i = 0; i < branchCount; ++i)
-        if (taken[i] > 1)
+    for (const std::uint8_t t : s.branchTaken.span())
+        if (t > 1)
             throw TraceIoError("corrupt record in '" + path + "'");
 
-    auto backing = std::make_shared<const V3Backing>(
-        std::move(image), path, count, branchCount, sec);
-    if constexpr (std::endian::native == std::endian::little) {
-        return TraceBuffer(std::move(backing));
-    } else {
-        // Big-endian host: the raw u64 pc column cannot be served in
-        // place; decode everything eagerly instead.
-        TraceBuffer trace;
-        trace.reserve(count);
-        for (const MicroOp &op : backing->ops())
-            trace.push(op);
-        return trace;
-    }
+    return TraceBuffer(std::move(s), path);
 }
 
 } // namespace bpsim

@@ -34,15 +34,18 @@
  * The per-class extra baseline keeps interleaved streams (branch
  * targets vs memory addresses vs constant-zero ALU extras) each
  * delta-small. Sections 0-1 duplicate the conditional-branch columns
- * of the op stream so accuracy replay never decodes ops at all:
- * readTrace() reads the file into memory, validates structure,
- * padding and every block checksum, and returns a TraceBuffer built
- * on a backing that holds that image: branchView() points straight
- * into it (zero decode), and the backing decodes the op stream
- * (sections 2-4) once, the first time any copy of the trace touches
- * a micro-op. Truncation and bit flips surface as TraceIoError
- * instead of a silently wrong trace. The encoding is canonical:
- * re-encoding a decoded trace reproduces the file byte for byte.
+ * of the op stream so accuracy replay never decodes ops at all.
+ *
+ * Sections 0-4 are also how every TraceBuffer holds its trace in
+ * memory (trace_buffer.hh), so writeTraceV3() encodes nothing: it
+ * hashes the sections into the block-sum table and writes them out.
+ * readTrace() validates structure, padding and every block checksum
+ * as it reads each section straight into its column, and returns a
+ * trace over them; the op stream (sections 2-4) is validated when
+ * the trace first decodes its pc and extra columns. Truncation and
+ * bit flips surface as TraceIoError instead of a silently wrong
+ * trace. The encoding is canonical: re-encoding a decoded trace
+ * reproduces the file byte for byte.
  */
 
 #ifndef BPSIM_TRACE_TRACE_IO_HH
@@ -62,19 +65,18 @@ class TraceIoError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Write @p trace in the columnar v3 layout (see file comment);
- *  throws TraceIoError on failure. Reading it back yields a
- *  bit-identical trace. */
+/** Write @p trace (a prefix view writes only its ops) in the
+ *  columnar v3 layout (see file comment); throws TraceIoError on
+ *  failure. Reading it back yields a bit-identical trace. */
 void writeTraceV3(const TraceBuffer &trace, const std::string &path);
 
 /**
- * Read a v3 trace file into memory the returned buffer's backing
- * owns; throws TraceIoError on any malformed, truncated or
- * other-version file. A concurrent in-place truncation of the file
- * surfaces as a short read and throws too, which the trace cache
- * heals by regenerating. Ops are decoded on first use, and a
- * malformed op stream throws TraceIoError there. On a big-endian
- * host the ops are decoded here and the buffer is a pushed one.
+ * Read a v3 trace file into a trace that owns its sections; throws
+ * TraceIoError on any malformed, truncated or other-version file. A
+ * concurrent in-place truncation of the file surfaces as a short
+ * read and throws too, which the trace cache heals by regenerating.
+ * Ops are decoded on first use, and a malformed op stream throws
+ * TraceIoError there.
  */
 TraceBuffer readTrace(const std::string &path);
 

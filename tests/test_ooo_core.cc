@@ -496,5 +496,20 @@ TEST(OooCore, RegisterZeroNeverWaits)
     EXPECT_EQ(r.cycles, 235u);
 }
 
+TEST(OooCore, RegistersPastSixtyThreeLinkLikeAnyOther)
+{
+    // Generated traces name r0-r63, but a trace file's meta word can
+    // name dst up to r255 and srcB up to r127. The branch waits on the
+    // multiply through r100 as the SameRegisterTwice test's branch
+    // waits through r5: it resolves at 234 and the run takes 236
+    // cycles.
+    TraceBuffer t;
+    t.push(opAt(0x1000, InstClass::IntMul, 100));
+    t.push(opAt(0x1004, InstClass::CondBranch, 0, 0, 100));
+    SimResult r;
+    EXPECT_EQ(resolveCycle(t, CoreConfig{}, r), 234u);
+    EXPECT_EQ(r.cycles, 236u);
+}
+
 } // namespace
 } // namespace bpsim

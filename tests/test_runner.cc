@@ -64,6 +64,60 @@ TEST(SuiteTraces, BuildsAllTwelveOnce)
     }
 }
 
+TEST(LazyDecode, AccuracyRunsNeverDecodeOps)
+{
+    // Accuracy replay reads the branch columns only: neither the
+    // single-predictor runner nor the batched suite sweep may decode
+    // the pc and extra columns, of a generated suite or of its
+    // prefix views.
+    const SuiteTraces suite(20000, 3, nullptr, TraceCache{});
+    const SuiteTraces view = suite.prefix(7000);
+    for (const SuiteTraces *s : {&suite, &view}) {
+        for (std::size_t i = 0; i < s->size(); ++i) {
+            auto pred = makePredictor(PredictorKind::Gshare, 4096);
+            runAccuracy(*pred, s->trace(i));
+        }
+        std::vector<AccuracyCellConfig> cells;
+        for (PredictorKind k : {PredictorKind::Gshare,
+                                PredictorKind::Perceptron,
+                                PredictorKind::Perceptron})
+            for (std::size_t budget : {4096u, 16384u})
+                cells.emplace_back(
+                    [k, budget] { return makePredictor(k, budget); },
+                    kindName(k), budget);
+        obs::RunReport report;
+        suiteAccuracyReportEnsemble(*s, cells, report);
+    }
+    for (const SuiteTraces *s : {&suite, &view})
+        for (std::size_t i = 0; i < s->size(); ++i)
+            EXPECT_FALSE(s->trace(i).opsMaterialized()) << s->name(i);
+}
+
+TEST(LazyDecode, OneTimingRunDecodesForEveryCopyAndPrefix)
+{
+    // The decode lives in the storage copies and views share: after
+    // one runTiming, a copy, a prefix cut before the run and one cut
+    // after it all read the very same pc and extra columns.
+    const TraceBuffer trace =
+        generateTrace(*makeWorkload("176.gcc"), 12000, 5);
+    const TraceBuffer early = trace.prefix(5000);
+    ASSERT_FALSE(trace.opsMaterialized());
+    auto fp = makeFetchPredictor(PredictorKind::Gshare, 4096,
+                                 DelayMode::Ideal);
+    runTiming(CoreConfig{}, *fp, trace);
+    ASSERT_TRUE(trace.opsMaterialized());
+
+    const TraceBuffer copy = trace;
+    const TraceBuffer late = trace.prefix(9000);
+    const OpColumns cols = trace.opColumns();
+    for (const TraceBuffer *t : {&copy, &early, &late}) {
+        EXPECT_TRUE(t->opsMaterialized());
+        EXPECT_EQ(t->opColumns().pc, cols.pc);
+        EXPECT_EQ(t->opColumns().extra, cols.extra);
+        EXPECT_EQ(t->opColumns().meta, cols.meta);
+    }
+}
+
 TEST(SuiteAccuracy, MeanIsArithmeticOverWorkloads)
 {
     SuiteTraces suite(15000, 2);

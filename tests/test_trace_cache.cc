@@ -249,30 +249,24 @@ TEST(TraceCache, CacheEntriesShrinkSuiteAtLeast2x)
     fs::remove_all(dir);
 }
 
-TEST(TraceCache, ConcurrentReadersShareOneDecode)
+/**
+ * Eight threads touch the ops of @p shared, not yet decoded, at
+ * once: first by index, then through the timing core. The trace
+ * decodes once under them; every thread must read @p want's ops and
+ * time @p shared as @p want times.
+ */
+void
+expectConcurrentFirstTouch(const TraceBuffer &shared,
+                           const TraceBuffer &want)
 {
-    // Eight threads touch the ops of one undecoded cache-loaded
-    // trace at once, first by index and then through the timing
-    // core. The backing decodes once under them; every thread must
-    // read the generated trace's ops and time it identically.
-    const auto w = makeWorkload("181.mcf");
-    const TraceBuffer generated = generateTrace(*w, 20000, 3);
-    const std::string dir = freshCacheDir("trace_cache_shared_decode");
-    const TraceCache cache(dir);
-    ASSERT_TRUE(cache.store("181.mcf", 20000, 3, generated));
-    auto loaded = cache.load("181.mcf", 20000, 3);
-    ASSERT_TRUE(loaded.has_value());
-    const auto shared =
-        std::make_shared<const TraceBuffer>(std::move(*loaded));
-    ASSERT_FALSE(shared->opsMaterialized());
-
+    ASSERT_FALSE(shared.opsMaterialized());
     const CoreConfig cfg;
     const auto timing = [&cfg](const TraceBuffer &t) {
         auto fp = makeFetchPredictor(PredictorKind::Gshare, 16 * 1024,
                                      DelayMode::Overriding);
         return runTiming(cfg, *fp, t);
     };
-    const SimResult want = timing(generated);
+    const SimResult wantResult = timing(want);
 
     constexpr int kThreads = 8;
     std::atomic<int> arrived{0};
@@ -284,31 +278,52 @@ TEST(TraceCache, ConcurrentReadersShareOneDecode)
             arrived.fetch_add(1);
             while (arrived.load() < kThreads)
                 std::this_thread::yield();
-            for (std::size_t i = 0; i < generated.size(); ++i) {
-                const MicroOp &a = (*shared)[i];
-                const MicroOp &b = generated[i];
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                const MicroOp a = shared[i];
+                const MicroOp b = want[i];
                 if (a.pc != b.pc || a.extra != b.extra ||
                     a.cls != b.cls || a.taken != b.taken ||
                     a.dst != b.dst || a.srcA != b.srcA ||
                     a.srcB != b.srcB)
                     ++mismatches[t];
             }
-            got[t] = timing(*shared);
+            got[t] = timing(shared);
         });
     }
     for (std::thread &th : threads)
         th.join();
 
-    EXPECT_TRUE(shared->opsMaterialized());
+    EXPECT_TRUE(shared.opsMaterialized());
     for (int t = 0; t < kThreads; ++t) {
         SCOPED_TRACE("thread " + std::to_string(t));
         EXPECT_EQ(mismatches[t], 0u);
-        EXPECT_EQ(got[t].cycles, want.cycles);
-        EXPECT_EQ(got[t].instructions, generated.size());
-        EXPECT_EQ(got[t].mispredictions, want.mispredictions);
-        EXPECT_EQ(got[t].flushes, want.flushes);
+        EXPECT_EQ(got[t].cycles, wantResult.cycles);
+        EXPECT_EQ(got[t].instructions, want.size());
+        EXPECT_EQ(got[t].mispredictions, wantResult.mispredictions);
+        EXPECT_EQ(got[t].flushes, wantResult.flushes);
     }
+}
+
+TEST(TraceCache, ConcurrentReadersShareOneDecode)
+{
+    const auto w = makeWorkload("181.mcf");
+    const TraceBuffer generated = generateTrace(*w, 20000, 3);
+    const std::string dir = freshCacheDir("trace_cache_shared_decode");
+    const TraceCache cache(dir);
+    ASSERT_TRUE(cache.store("181.mcf", 20000, 3, generated));
+    const auto loaded = cache.load("181.mcf", 20000, 3);
+    ASSERT_TRUE(loaded.has_value());
+    expectConcurrentFirstTouch(*loaded, generated);
     fs::remove_all(dir);
+}
+
+TEST(TraceCache, ConcurrentReadersShareOneDecodeOfAGeneratedTrace)
+{
+    // A generated trace holds the same encoded sections a loaded one
+    // does, so its first touch is the same race.
+    const auto w = makeWorkload("181.mcf");
+    const TraceBuffer shared = generateTrace(*w, 20000, 3);
+    expectConcurrentFirstTouch(shared, generateTrace(*w, 20000, 3));
 }
 
 TEST(TraceCache, RacingWritersAndACorruptorConverge)

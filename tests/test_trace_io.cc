@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -223,9 +224,9 @@ TEST(TraceIo, ServesBranchViewWithoutDecodingOps)
 
 TEST(TraceIo, CopiesOfALoadedTraceShareOneDecode)
 {
-    // The op stream is decoded inside the backing every copy shares:
+    // The op stream is decoded inside the storage every copy shares:
     // decoding through a copy decodes the original too, and both
-    // then read the same ops.
+    // then read the same columns.
     const auto w = makeWorkload("164.gzip");
     const TraceBuffer original = generateTrace(*w, 2000, 5);
     const std::string path = tempPath("shared_decode_v3.bpt");
@@ -239,8 +240,108 @@ TEST(TraceIo, CopiesOfALoadedTraceShareOneDecode)
     expectTracesEqual(original, copy);
     EXPECT_TRUE(copy.opsMaterialized());
     EXPECT_TRUE(loaded.opsMaterialized());
-    EXPECT_EQ(&loaded[0], &copy[0]);
+    EXPECT_EQ(loaded.opColumns().pc, copy.opColumns().pc);
+    EXPECT_EQ(loaded.opColumns().extra, copy.opColumns().extra);
     std::remove(path.c_str());
+}
+
+TEST(TraceBuffer, ReadsBackEveryPushedOp)
+{
+    // Ops of every class with pcs and extras that jump both ways and
+    // by every magnitude: what operator[], iteration and the timing
+    // columns return must be exactly what was pushed (the encoder
+    // and the decode must agree on each class's extra baseline), and
+    // must survive a file round trip.
+    Rng rng(0x7e57);
+    std::vector<MicroOp> pushed;
+    TraceBuffer trace;
+    Addr pc = 0x400000;
+    for (int i = 0; i < 5000; ++i) {
+        MicroOp op;
+        op.cls = static_cast<InstClass>(rng.nextRange(6));
+        pc += static_cast<Addr>(static_cast<std::int64_t>(
+                  rng.nextRange(1u << 12)) - 2048)
+              << rng.nextRange(40);
+        op.pc = pc;
+        op.extra = rng.nextRange(4) == 0 ? 0
+                                          : rng.next() >> rng.nextRange(64);
+        op.taken = rng.nextRange(2) != 0;
+        op.dst = static_cast<std::uint8_t>(rng.nextRange(64));
+        op.srcA = static_cast<std::uint8_t>(rng.nextRange(64));
+        op.srcB = static_cast<std::uint8_t>(rng.nextRange(64));
+        pushed.push_back(op);
+        trace.push(op);
+    }
+    const auto expectPushed = [&](const TraceBuffer &t) {
+        ASSERT_EQ(t.size(), pushed.size());
+        std::size_t i = 0;
+        for (const MicroOp op : t) {
+            const MicroOp &want = pushed[i];
+            ASSERT_EQ(op.pc, want.pc) << "op " << i;
+            ASSERT_EQ(op.extra, want.extra) << "op " << i;
+            ASSERT_EQ(op.cls, want.cls) << "op " << i;
+            ASSERT_EQ(op.taken, want.taken) << "op " << i;
+            ASSERT_EQ(op.dst, want.dst) << "op " << i;
+            ASSERT_EQ(op.srcA, want.srcA) << "op " << i;
+            ASSERT_EQ(op.srcB, want.srcB) << "op " << i;
+            ++i;
+        }
+        const OpColumns cols = t.opColumns();
+        for (std::size_t k = 0; k < pushed.size(); ++k) {
+            ASSERT_EQ(cols.pc[k], pushed[k].pc) << "op " << k;
+            ASSERT_EQ(cols.extra[k], pushed[k].extra) << "op " << k;
+            ASSERT_EQ(opmeta::srcB(cols.meta[k]), pushed[k].srcB)
+                << "op " << k;
+        }
+    };
+    expectPushed(trace);
+    const std::string path = tempPath("pushed_v3.bpt");
+    writeTraceV3(trace, path);
+    expectPushed(readTrace(path));
+    std::remove(path.c_str());
+}
+
+TEST(TraceBuffer, PushRefusesSharedCutAndReadTraces)
+{
+    const auto w = makeWorkload("164.gzip");
+    TraceBuffer built = generateTrace(*w, 1000, 2);
+    const MicroOp op = built[0];
+    TraceBuffer view = built.prefix(500);
+    EXPECT_THROW(view.push(op), std::logic_error);
+    {
+        const TraceBuffer copy = built;
+        EXPECT_THROW(built.push(op), std::logic_error);
+    }
+    // Alone again, and decoded above: the push drops the decode.
+    view = TraceBuffer{};
+    built.push(op);
+    EXPECT_FALSE(built.opsMaterialized());
+    EXPECT_EQ(built.size(), 1001u);
+    EXPECT_EQ(built[1000].pc, op.pc);
+
+    const std::string path = tempPath("push_read_v3.bpt");
+    writeTraceV3(built, path);
+    TraceBuffer loaded = readTrace(path);
+    EXPECT_THROW(loaded.push(op), std::logic_error);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, PrefixViewWritesTheShorterTrace)
+{
+    // A prefix view writes exactly the file the shorter generation
+    // writes: its sections stop at the cut, the delta streams
+    // included.
+    const auto w = makeWorkload("255.vortex");
+    const TraceBuffer longer = generateTrace(*w, 30000, 8);
+    const std::string a = tempPath("prefix_view_v3.bpt");
+    const std::string b = tempPath("prefix_gen_v3.bpt");
+    for (Counter ops : {0u, 1u, 777u, 20000u}) {
+        writeTraceV3(longer.prefix(ops), a);
+        writeTraceV3(generateTrace(*w, ops, 8), b);
+        EXPECT_EQ(slurp(a), slurp(b)) << ops << " ops";
+    }
+    std::remove(a.c_str());
+    std::remove(b.c_str());
 }
 
 TEST(TraceIo, FuzzTruncationAtEveryBoundary)

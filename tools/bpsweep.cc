@@ -275,6 +275,8 @@ main(int argc, char **argv)
     const auto sweepStart = std::chrono::steady_clock::now();
     bpsim::TimingMemo memo;
     std::optional<bpsim::SuiteTraces> suite;
+    // No report counts the "suite" pool's cells, so print them here.
+    double generationBusyMs = 0.0;
     std::vector<ArtifactResult> results(selected.size());
     std::vector<std::unique_ptr<bpsim::BufferedSweepContext>> contexts(
         selected.size());
@@ -287,6 +289,7 @@ main(int argc, char **argv)
         if (const bpsim::Counter ops = bpsim::longestSuiteOps(selected)) {
             bpsim::parallel::SweepPool generation(scheduler, "suite");
             suite.emplace(ops, bpsim::kSuiteSeed, &generation);
+            generationBusyMs = generation.stats().busyMs;
         }
 
         // Pools must die before the scheduler; contexts outlive the
@@ -408,13 +411,14 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(memoStats.joins));
     if (suite)
         std::printf("traces: %zu held at %llu ops, %llu generated, "
-                    "%llu disk hit(s)\n",
+                    "%llu disk hit(s), %.0f ms busy\n",
                     suite->size(),
                     static_cast<unsigned long long>(
                         suite->opsPerWorkload()),
                     static_cast<unsigned long long>(
                         suite->cacheMisses()),
-                    static_cast<unsigned long long>(suite->cacheHits()));
+                    static_cast<unsigned long long>(suite->cacheHits()),
+                    generationBusyMs);
     else
         std::printf("traces: none held\n");
     // Linux reports ru_maxrss in KiB.
