@@ -14,8 +14,8 @@
  * CellPool — exactly the old BenchSession behavior, byte for byte),
  * call the body. bpsweep instead builds a BufferedSweepContext per
  * artifact (in-memory output, own RunReport/MetricRegistry, a
- * SweepPool view onto the shared scheduler, a prefix of the sweep's
- * suite) and runs many bodies concurrently. Because every body
+ * CellPool on the shared scheduler, a prefix of the sweep's suite)
+ * and runs many bodies concurrently. Because every body
  * writes rows in commit order and text through ctx.printf(), its
  * RunReport and table text are byte-identical either way — the
  * contract test_artifact_registry and the CI sweep-check job
@@ -73,8 +73,9 @@ class SweepContext
     /** Event sink for timing runs; nullptr unless --trace. */
     virtual obs::EventTracer *tracer() = 0;
     virtual bool wantReport() const = 0;
-    /** The suite-cell executor (private CellPool standalone, a
-     *  SweepPool inside bpsweep). Never nullptr. */
+    /** The suite-cell executor (a standalone CellPool, or a
+     *  CellPool on the sweep's shared scheduler inside bpsweep).
+     *  Never nullptr. */
     virtual parallel::CellPool *pool() = 0;
     /** The memo timing sweeps share (core/runner.hh): one per
      *  standalone artifact, one per bpsweep invocation. */

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "core/factory.hh"
@@ -56,10 +57,10 @@ requireNoExtraArgs(int argc, char **argv)
 
 /**
  * The one shared `--jobs N` / `--jobs=N` parser: strips the flag
- * from argv and returns N. A non-numeric or zero value (either
- * form) is a usage error (exit 2, like requireNoExtraArgs); a
- * trailing `--jobs` with no value is left in argv for
- * requireNoExtraArgs to reject. Without the flag, 0 is returned and
+ * from argv and returns N. A non-numeric or zero value, or one too
+ * large for an unsigned (either form), is a usage error (exit 2,
+ * like requireNoExtraArgs); a trailing `--jobs` with no value is
+ * left in argv for requireNoExtraArgs to reject. Without the flag, 0 is returned and
  * the CellPool falls back to BPSIM_JOBS, then to the hardware
  * concurrency.
  */
@@ -68,12 +69,14 @@ takeJobsFlag(int &argc, char **argv)
 {
     const auto parse = [&](const char *val) {
         char *end = nullptr;
-        const long v = std::strtol(val, &end, 10);
-        if (end == val || *end != '\0' || v <= 0) {
+        const long long v = std::strtoll(val, &end, 10);
+        if (end == val || *end != '\0' || v <= 0 ||
+            v > std::numeric_limits<unsigned>::max()) {
             std::fprintf(stderr,
-                         "%s: --jobs needs a positive integer, "
-                         "got '%s'\n",
-                         argv[0], val);
+                         "%s: --jobs needs a positive integer up to "
+                         "%u, got '%s'\n",
+                         argv[0], std::numeric_limits<unsigned>::max(),
+                         val);
             std::fprintf(stderr,
                          "usage: %s [--report FILE] "
                          "[--trace FILE] [--jobs N]\n",

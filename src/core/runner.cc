@@ -44,22 +44,6 @@ runAccuracyLoop(Pred &pred, const TraceBuffer &trace)
     return r;
 }
 
-/** Run the cells serially or on the pool when one was passed. */
-void
-forEachCell(parallel::CellPool *pool, std::size_t count,
-            const std::function<void(std::size_t)> &compute,
-            const std::function<void(std::size_t)> &commit)
-{
-    if (pool) {
-        pool->run(count, compute, commit);
-        return;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-        compute(i);
-        commit(i);
-    }
-}
-
 } // namespace
 
 AccuracyResult
@@ -234,7 +218,8 @@ SuiteTraces::SuiteTraces(Counter ops_per_workload, std::uint64_t seed,
         else
             ++cacheMisses_;
     };
-    forEachCell(pool, names_.size(), compute, commit);
+    parallel::CellPool inlinePool(1);
+    (pool ? *pool : inlinePool).run(names_.size(), compute, commit);
 }
 
 SuiteTraces
@@ -349,8 +334,9 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
     for (auto &cfg : configs)
         cfg.results.assign(nw, AccuracyResult{});
     const std::size_t ng = groups.size();
-    forEachCell(
-        pool, ng * nw,
+    parallel::CellPool inlinePool(1);
+    (pool ? *pool : inlinePool).run(
+        ng * nw,
         [&](std::size_t cell) {
             const std::vector<std::size_t> &g = groups[cell % ng];
             const std::size_t w = cell / ng;
@@ -376,8 +362,7 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
                 if (metrics)
                     predStats[g[k]][w] = preds[k]->describeStats();
             }
-        },
-        [](std::size_t) {});
+        });
 
     // Emission phase, config-major / workload-minor: the same rows
     // and metrics whichever way the cells were grouped.
@@ -434,8 +419,9 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
     // and it must see every run's events, so it bypasses the memo.
     std::vector<std::vector<PredictorStat>> predStats(
         metrics ? nc * nw : 0);
-    forEachCell(
-        tracer ? nullptr : pool, nc * nw,
+    parallel::CellPool inlinePool(1);
+    (pool && !tracer ? *pool : inlinePool).run(
+        nc * nw,
         [&](std::size_t cell) {
             TimingCellConfig &c = configs[cell / nw];
             const std::size_t w = cell % nw;

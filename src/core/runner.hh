@@ -5,13 +5,15 @@
  * orchestration over the twelve SPECint stand-ins with the paper's
  * reductions (arithmetic-mean misprediction, harmonic-mean IPC).
  *
- * Both suite entry points optionally take a parallel::CellPool: when
- * one is passed, the cells execute concurrently on the pool's
- * workers while rows and metrics are committed in row order on the
- * calling thread, so a parallel run's RunReport is
- * byte-identical to the serial one. The predictor factory closure is
- * then invoked concurrently and must be safe to call from multiple
- * threads (the stock makePredictor/makeFetchPredictor factories are).
+ * Every suite loop runs its cells on a parallel::CellPool: the one
+ * the caller passes, or a one-job pool that computes each cell
+ * inline when none is passed (and for a traced timing suite). Cells
+ * may execute concurrently on the pool's workers while rows and
+ * metrics are committed in row order on the calling thread, so a
+ * parallel run's RunReport is byte-identical to the serial one. The
+ * predictor factory closure is then invoked concurrently and must be
+ * safe to call from multiple threads (the stock
+ * makePredictor/makeFetchPredictor factories are).
  */
 
 #ifndef BPSIM_CORE_RUNNER_HH

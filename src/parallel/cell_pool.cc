@@ -1,10 +1,10 @@
 #include "parallel/cell_pool.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -61,7 +61,10 @@ hardwareJobs()
 unsigned
 envJobs()
 {
-    return static_cast<unsigned>(positiveEnv("BPSIM_JOBS"));
+    const long long v = positiveEnv("BPSIM_JOBS");
+    return v <= std::numeric_limits<unsigned>::max()
+               ? static_cast<unsigned>(v)
+               : 0;
 }
 
 unsigned
@@ -77,27 +80,28 @@ resolveJobs(unsigned requested)
 CellPool::CellPool(unsigned jobs, std::string label)
     : jobs_(resolveJobs(jobs)), label_(std::move(label))
 {
+    if (jobs_ > 1) {
+        own_ = std::make_unique<SweepScheduler>(jobs_);
+        sched_ = own_.get();
+        queue_ = sched_->addQueue(label_);
+    }
     stats_.jobs = jobs_;
 }
 
-void
-CellPool::runSerial(std::size_t count,
-                    const std::function<void(std::size_t)> &compute,
-                    const std::function<void(std::size_t)> &commit)
+CellPool::CellPool(SweepScheduler &scheduler, std::string label)
+    : jobs_(scheduler.jobs()),
+      label_(std::move(label)),
+      sched_(&scheduler),
+      queue_(scheduler.addQueue(label_))
 {
-    for (std::size_t i = 0; i < count; ++i) {
-        const auto t0 = Clock::now();
-        {
-            obs::SpanScope cellSpan("cell", label_, "cell", i);
-            compute(i);
-        }
-        const double ms = msSince(t0);
-        stats_.busyMs += ms;
-        stats_.cellMs.push_back(ms);
-        ++stats_.cellsCompleted;
-        if (commit)
-            commit(i);
-    }
+    stats_.jobs = jobs_;
+}
+
+CellPool::~CellPool()
+{
+    // run() always drains before returning, so the deque is idle.
+    if (sched_)
+        sched_->removeQueue(queue_);
 }
 
 void
@@ -107,13 +111,7 @@ CellPool::run(std::size_t count,
 {
     ++stats_.runs;
     const auto runStart = Clock::now();
-    if (jobs_ <= 1 || count <= 1) {
-        runSerial(count, compute, commit);
-        stats_.wallMs += msSince(runStart);
-        return;
-    }
-
-    if (count > jobs_)
+    if (jobs_ > 1 && count > jobs_)
         stats_.maxQueueDepth =
             std::max(stats_.maxQueueDepth, count - jobs_);
 
@@ -126,47 +124,42 @@ CellPool::run(std::size_t count,
     std::vector<Slot> slots(count);
     std::mutex mu;
     std::condition_variable ready;
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> cancel{false};
-
-    auto workerLoop = [&] {
-        for (;;) {
-            if (cancel.load(std::memory_order_relaxed))
-                return;
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count)
-                return;
-            Slot s;
-            const auto t0 = Clock::now();
-            try {
-                obs::SpanScope cellSpan("cell", label_, "cell", i);
-                compute(i);
-            } catch (...) {
-                s.error = std::current_exception();
-            }
-            s.ms = msSince(t0);
-            s.ready = true;
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                slots[i] = std::move(s);
-            }
-            ready.notify_all();
+    const auto computeCell = [&](std::size_t i) {
+        Slot s;
+        const auto t0 = Clock::now();
+        try {
+            obs::SpanScope cellSpan("cell", label_, "cell", i);
+            compute(i);
+        } catch (...) {
+            s.error = std::current_exception();
         }
+        s.ms = msSince(t0);
+        s.ready = true;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            slots[i] = std::move(s);
+        }
+        ready.notify_all();
     };
 
-    std::vector<std::thread> workers;
-    const std::size_t nThreads =
-        std::min<std::size_t>(jobs_, count);
-    workers.reserve(nThreads);
-    for (std::size_t t = 0; t < nThreads; ++t)
-        workers.emplace_back(workerLoop);
+    // The queued tasks reference this frame: run() returns only after
+    // drain() below, and cancelled tasks are dropped unexecuted.
+    if (sched_) {
+        std::vector<std::function<void()>> tasks;
+        tasks.reserve(count);
+        for (std::size_t i = 0; i < count; ++i)
+            tasks.push_back([&computeCell, i] { computeCell(i); });
+        sched_->enqueue(*queue_, std::move(tasks));
+    }
 
-    // In-order committer: the calling thread waits for each cell in
-    // index order, so rows/metrics/checkpoints land in exactly the
-    // serial sequence no matter how the workers interleave.
+    // In-order committer: the calling thread takes each cell in index
+    // order (computing it first when there are no workers), so rows,
+    // metrics and checkpoints land in exactly the serial sequence no
+    // matter how the workers interleave.
     std::exception_ptr failure;
     for (std::size_t i = 0; i < count && !failure; ++i) {
+        if (!sched_)
+            computeCell(i);
         Slot s;
         {
             std::unique_lock<std::mutex> lock(mu);
@@ -193,10 +186,11 @@ CellPool::run(std::size_t count,
         }
     }
 
-    if (failure)
-        cancel.store(true, std::memory_order_relaxed);
-    for (auto &w : workers)
-        w.join();
+    if (sched_) {
+        if (failure)
+            sched_->cancelPending(*queue_);
+        sched_->drain(*queue_);
+    }
     stats_.wallMs += msSince(runStart);
     if (failure)
         std::rethrow_exception(failure);

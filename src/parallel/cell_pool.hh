@@ -1,25 +1,34 @@
 /**
  * @file
- * Deterministic task-pool execution of suite cells.
+ * The one executor of suite cells.
  *
  * Every reproduction artifact walks a (predictor x budget x workload)
  * grid whose cells are embarrassingly parallel: each cell constructs
  * its own predictor, reads a shared immutable trace and produces one
- * RunReport row. The CellPool runs those cells on N worker threads
- * while keeping every observable output identical to a serial run:
+ * RunReport row. A CellPool runs those cells while keeping every
+ * observable output identical to a serial run:
  *
  *  - cells are enumerated with stable indices [0, count);
- *  - compute(i) runs concurrently on the workers and must only write
- *    cell-private state (its result slot);
+ *  - compute(i) may run concurrently on worker threads and must only
+ *    write cell-private state (its result slot);
  *  - commit(i) runs on the *calling* thread in strict index order, so
  *    report rows and metric publication happen in exactly the serial
  *    sequence.
  *
- * With jobs == 1 (or a single cell) no threads are spawned at all —
- * compute/commit alternate inline, byte-for-byte the serial code path.
+ * Where compute(i) runs depends on how the pool was built:
+ *
+ *  - CellPool(jobs) with jobs <= 1 has no workers: the commit loop
+ *    computes cell i inline, then commits it, on the calling thread.
+ *  - CellPool(jobs) with jobs > 1 owns a private SweepScheduler whose
+ *    workers start lazily, never more than the cells queued so far.
+ *  - CellPool(scheduler, label) is one participant of a shared
+ *    scheduler (bpsweep): its cells always run on that scheduler's
+ *    workers, even a 1-cell run at jobs == 1.
+ *
  * A compute or commit failure cancels the remaining unclaimed cells,
- * joins the workers and rethrows the first failure in index order,
- * matching where a serial loop would have stopped.
+ * waits out the in-flight ones and rethrows the lowest-index failure,
+ * matching where a serial loop would have stopped. Other participants
+ * of a shared scheduler are unaffected.
  */
 
 #ifndef BPSIM_PARALLEL_CELL_POOL_HH
@@ -27,11 +36,13 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/types.hh"
 #include "obs/metrics.hh"
+#include "parallel/sweep_scheduler.hh"
 
 namespace bpsim::parallel {
 
@@ -66,7 +77,8 @@ struct PoolStats
 /** max(1, std::thread::hardware_concurrency()). */
 unsigned hardwareJobs();
 
-/** Parse BPSIM_JOBS; 0 when unset or not a positive integer. */
+/** Parse BPSIM_JOBS; 0 when unset, not a positive integer, or too
+ *  large for an unsigned. */
 unsigned envJobs();
 
 /**
@@ -76,49 +88,50 @@ unsigned envJobs();
 unsigned resolveJobs(unsigned requested);
 
 /** Runs indexed cells with deterministic commit order; see file
- *  comment. run() is virtual so executors with a different worker
- *  organization (the cross-artifact SweepPool in sweep_scheduler.hh)
- *  can slot into every suite helper that takes a CellPool*. */
+ *  comment. */
 class CellPool
 {
   public:
-    /** @param jobs Worker budget; 0 resolves via resolveJobs().
+    /** A standalone pool.
+     *  @param jobs Worker budget; 0 resolves via resolveJobs().
      *  @param label Name cell spans carry when a flight recorder
      *  (obs::SpanRecorder) is installed; typically the artifact. */
     explicit CellPool(unsigned jobs = 0, std::string label = "pool");
 
+    /** A participant of @p scheduler, which must outlive the pool;
+     *  jobs() is the scheduler's budget. */
+    CellPool(SweepScheduler &scheduler, std::string label);
+
     CellPool(const CellPool &) = delete;
     CellPool &operator=(const CellPool &) = delete;
 
-    virtual ~CellPool() = default;
+    ~CellPool();
 
     unsigned jobs() const { return jobs_; }
     const std::string &label() const { return label_; }
 
     /**
-     * Execute @p compute for every index in [0, @p count) across the
-     * workers, invoking @p commit (when non-empty) on the calling
-     * thread in strict index order as results become ready. Either
-     * callback throwing cancels outstanding cells and rethrows the
-     * lowest-index failure after the workers are joined.
+     * Execute @p compute for every index in [0, @p count), invoking
+     * @p commit (when non-empty) on the calling thread in strict
+     * index order as results become ready. Either callback throwing
+     * cancels outstanding cells and rethrows the lowest-index failure
+     * once no cell of this run is still executing.
      */
-    virtual void run(std::size_t count,
-                     const std::function<void(std::size_t)> &compute,
-                     const std::function<void(std::size_t)> &commit = {});
+    void run(std::size_t count,
+             const std::function<void(std::size_t)> &compute,
+             const std::function<void(std::size_t)> &commit = {});
 
     /** Stats accumulated over every run() so far. */
     const PoolStats &stats() const { return stats_; }
 
-  protected:
-    PoolStats stats_;
-
   private:
-    void runSerial(std::size_t count,
-                   const std::function<void(std::size_t)> &compute,
-                   const std::function<void(std::size_t)> &commit);
-
     unsigned jobs_;
     std::string label_;
+    std::unique_ptr<SweepScheduler> own_; ///< standalone, jobs > 1
+    /** own_ or the shared scheduler; nullptr computes inline. */
+    SweepScheduler *sched_ = nullptr;
+    SweepScheduler::QueuePtr queue_;
+    PoolStats stats_;
 };
 
 } // namespace bpsim::parallel

@@ -1,26 +1,12 @@
 #include "parallel/sweep_scheduler.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <exception>
 #include <utility>
 
 #include "obs/span_trace.hh"
+#include "parallel/cell_pool.hh"
 
 namespace bpsim::parallel {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-msSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-}
-
-} // namespace
 
 void
 SweepSchedulerStats::publish(obs::MetricRegistry &reg,
@@ -36,9 +22,6 @@ SweepSchedulerStats::publish(obs::MetricRegistry &reg,
 SweepScheduler::SweepScheduler(unsigned jobs)
     : jobs_(resolveJobs(jobs))
 {
-    workers_.reserve(jobs_);
-    for (unsigned t = 0; t < jobs_; ++t)
-        workers_.emplace_back([this, t] { workerLoop(t); });
 }
 
 SweepScheduler::~SweepScheduler()
@@ -48,6 +31,7 @@ SweepScheduler::~SweepScheduler()
         stop_ = true;
     }
     work_.notify_all();
+    // No enqueue can race this: every participant is gone.
     for (auto &w : workers_)
         w.join();
 }
@@ -88,23 +72,11 @@ SweepScheduler::progress() const
     std::lock_guard<std::mutex> lock(mu_);
     SweepProgress p;
     p.jobs = jobs_;
-    p.cellsDone = 0;
     for (const auto &q : queues_) {
-        SweepQueueProgress qp;
-        qp.label = q->label;
-        qp.enqueued = q->enqueued;
-        qp.done = q->done;
-        qp.pending = q->tasks.size();
-        qp.inFlight = q->inFlight;
         p.busyWorkers += q->inFlight;
-        p.queues.push_back(std::move(qp));
+        p.enqueued += q->enqueued;
+        p.done += q->done;
     }
-    // cells_ counts claims, including cells still in flight; "done"
-    // for the human-facing meter means finished.
-    Counter inFlight = 0;
-    for (const auto &q : queues_)
-        inFlight += q->inFlight;
-    p.cellsDone = cells_ >= inFlight ? cells_ - inFlight : 0;
     return p;
 }
 
@@ -112,8 +84,18 @@ void
 SweepScheduler::enqueue(Queue &q,
                         std::vector<std::function<void()>> tasks)
 {
+    if (tasks.empty())
+        return;
     {
         std::lock_guard<std::mutex> lock(mu_);
+        // Start workers before queueing: if a thread cannot start,
+        // nothing referencing the caller's frame is left queued.
+        const std::size_t want =
+            std::min<std::size_t>(jobs_, workers_.size() + tasks.size());
+        while (workers_.size() < want) {
+            const auto index = static_cast<unsigned>(workers_.size());
+            workers_.emplace_back([this, index] { workerLoop(index); });
+        }
         q.enqueued += tasks.size();
         for (auto &t : tasks)
             q.tasks.push_back(std::move(t));
@@ -126,13 +108,11 @@ SweepScheduler::enqueue(Queue &q,
     work_.notify_all();
 }
 
-std::size_t
+void
 SweepScheduler::cancelPending(Queue &q)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    const std::size_t dropped = q.tasks.size();
     q.tasks.clear();
-    return dropped;
 }
 
 void
@@ -196,118 +176,6 @@ SweepScheduler::workerLoop(unsigned index)
         if (--q->inFlight == 0 && q->tasks.empty())
             idle_.notify_all();
     }
-}
-
-SweepPool::SweepPool(SweepScheduler &scheduler, std::string label)
-    : CellPool(scheduler.jobs()),
-      sched_(scheduler),
-      queue_(scheduler.addQueue(std::move(label)))
-{
-}
-
-SweepPool::~SweepPool()
-{
-    // run() always drains before returning, so the deque is idle.
-    sched_.removeQueue(queue_);
-}
-
-void
-SweepPool::run(std::size_t count,
-               const std::function<void(std::size_t)> &compute,
-               const std::function<void(std::size_t)> &commit)
-{
-    ++stats_.runs;
-    const auto runStart = Clock::now();
-    if (count == 0) {
-        stats_.wallMs += msSince(runStart);
-        return;
-    }
-    // Same backlog accounting as a standalone CellPool at this
-    // worker budget, so the published gauges stay comparable.
-    if (jobs() > 1 && count > jobs())
-        stats_.maxQueueDepth =
-            std::max(stats_.maxQueueDepth, count - jobs());
-
-    struct Slot
-    {
-        bool ready = false; ///< guarded by st.mu
-        double ms = 0.0;
-        std::exception_ptr error;
-    };
-    struct RunState
-    {
-        std::mutex mu;
-        std::condition_variable ready;
-        std::vector<Slot> slots;
-    };
-    RunState st;
-    st.slots.resize(count);
-
-    // The enqueued closures reference st/compute on this frame; run()
-    // never returns before every claimed task finished (drain below),
-    // and cancelled tasks are dropped unexecuted.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(count);
-    const std::string &label = queue_->label;
-    for (std::size_t i = 0; i < count; ++i)
-        tasks.push_back([i, &st, &compute, &label] {
-            Slot s;
-            const auto t0 = Clock::now();
-            try {
-                obs::SpanScope cellSpan("cell", label, "cell", i);
-                compute(i);
-            } catch (...) {
-                s.error = std::current_exception();
-            }
-            s.ms = msSince(t0);
-            s.ready = true;
-            {
-                std::lock_guard<std::mutex> lock(st.mu);
-                st.slots[i] = std::move(s);
-            }
-            st.ready.notify_all();
-        });
-    sched_.enqueue(*queue_, std::move(tasks));
-
-    // In-order committer on the artifact's driver thread — the same
-    // loop a standalone CellPool runs, against scheduler-fed slots.
-    std::exception_ptr failure;
-    for (std::size_t i = 0; i < count && !failure; ++i) {
-        Slot s;
-        {
-            std::unique_lock<std::mutex> lock(st.mu);
-            if (!st.slots[i].ready) {
-                // The driver is stalled on an out-of-order cell —
-                // the commit-order wait the timeline attributes.
-                obs::SpanScope waitSpan("commit_wait", label, "cell",
-                                        i);
-                st.ready.wait(lock,
-                              [&] { return st.slots[i].ready; });
-            }
-            s = std::move(st.slots[i]);
-        }
-        if (s.error) {
-            failure = s.error;
-            break;
-        }
-        stats_.busyMs += s.ms;
-        stats_.cellMs.push_back(s.ms);
-        ++stats_.cellsCompleted;
-        if (commit) {
-            try {
-                commit(i);
-            } catch (...) {
-                failure = std::current_exception();
-            }
-        }
-    }
-
-    if (failure)
-        sched_.cancelPending(*queue_);
-    sched_.drain(*queue_);
-    stats_.wallMs += msSince(runStart);
-    if (failure)
-        std::rethrow_exception(failure);
 }
 
 } // namespace bpsim::parallel

@@ -3,8 +3,8 @@
  * Contract tests for the artifact registry (bench/artifact_registry):
  * stable unique names, and the determinism guarantee the sweep
  * engine rests on — every artifact produces byte-identical RunReport
- * rows and table text whether its body runs against a private
- * CellPool and its own suite (the standalone bench) or a SweepPool
+ * rows and table text whether its body runs against a standalone
+ * CellPool and its own suite (the standalone bench) or a CellPool
  * sharing one SweepScheduler with the other artifacts and replaying
  * prefixes of the sweep's one suite (bpsweep).
  */
@@ -26,7 +26,6 @@
 
 #include "obs/span_trace.hh"
 #include "parallel/cell_pool.hh"
-#include "parallel/sweep_scheduler.hh"
 
 namespace bpsim {
 namespace {
@@ -113,7 +112,7 @@ deterministicMetrics(const obs::MetricRegistry &reg)
 
 /**
  * Every registered artifact body run concurrently, each on a
- * SweepPool view of one shared 4-worker scheduler, sharing one timing
+ * CellPool of one shared 4-worker scheduler, sharing one timing
  * memo and replaying prefixes of @p held (what bpsweep --all --jobs 4
  * does, minus the CLI).
  */
@@ -123,10 +122,10 @@ sweepAll(const SuiteTraces &held, TimingMemo &memo)
     const auto &defs = artifactRegistry();
     std::vector<Capture> swept(defs.size());
     parallel::SweepScheduler scheduler(4);
-    std::vector<std::unique_ptr<parallel::SweepPool>> pools;
+    std::vector<std::unique_ptr<parallel::CellPool>> pools;
     std::vector<std::unique_ptr<BufferedSweepContext>> contexts;
     for (const auto &def : defs) {
-        pools.push_back(std::make_unique<parallel::SweepPool>(
+        pools.push_back(std::make_unique<parallel::CellPool>(
             scheduler, def.spec.name));
         contexts.push_back(std::make_unique<BufferedSweepContext>(
             def.spec, pools.back().get(), /*want_report=*/true, &memo,
@@ -146,7 +145,7 @@ sweepAll(const SuiteTraces &held, TimingMemo &memo)
         swept[i].metrics = deterministicMetrics(contexts[i]->metrics());
     }
     contexts.clear();
-    pools.clear(); // all SweepPools die before the scheduler
+    pools.clear(); // every pool dies before the scheduler
     return swept;
 }
 
@@ -269,10 +268,10 @@ TEST(ArtifactRegistry,
     obs::SpanRecorder::install(recorder.get());
     {
         parallel::SweepScheduler scheduler(4);
-        std::vector<std::unique_ptr<parallel::SweepPool>> pools;
+        std::vector<std::unique_ptr<parallel::CellPool>> pools;
         std::vector<std::unique_ptr<BufferedSweepContext>> contexts;
         for (const auto *def : defs) {
-            pools.push_back(std::make_unique<parallel::SweepPool>(
+            pools.push_back(std::make_unique<parallel::CellPool>(
                 scheduler, def->spec.name));
             contexts.push_back(
                 std::make_unique<BufferedSweepContext>(
@@ -427,10 +426,10 @@ TEST(ArtifactRegistry, BufferedOutputStaysOrderedWhenABodyFails)
     std::vector<std::string> errors(defs.size());
     {
         parallel::SweepScheduler scheduler(2);
-        std::vector<std::unique_ptr<parallel::SweepPool>> pools;
+        std::vector<std::unique_ptr<parallel::CellPool>> pools;
         std::vector<std::unique_ptr<BufferedSweepContext>> contexts;
         for (const auto *def : defs) {
-            pools.push_back(std::make_unique<parallel::SweepPool>(
+            pools.push_back(std::make_unique<parallel::CellPool>(
                 scheduler, def->spec.name));
             contexts.push_back(
                 std::make_unique<BufferedSweepContext>(

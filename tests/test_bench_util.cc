@@ -76,18 +76,31 @@ TEST(TakeJobsFlag, TrailingFlagIsLeftForUnknownArgCheck)
 
 using BenchUtilDeathTest = ::testing::Test;
 
+// Values past UINT_MAX used to wrap: 2^32 ran at the hardware
+// default, 2^32 + 1 at one job and 2^32 + 3 at three.
+const char *const kBadJobs[] = {"zero", "-3", "4294967296", "4294967297",
+                                "4294967299", "99999999999999999999"};
+
 TEST(BenchUtilDeathTest, SeparatedGarbageExits2)
 {
-    Argv a({"bench", "--jobs", "zero"});
-    EXPECT_EXIT(takeJobsFlag(a.argc, a.data()),
-                ::testing::ExitedWithCode(2), "positive integer");
+    for (const char *bad : kBadJobs) {
+        Argv a({"bench", "--jobs", bad});
+        EXPECT_EXIT(takeJobsFlag(a.argc, a.data()),
+                    ::testing::ExitedWithCode(2),
+                    "positive integer(.|\n)*usage: .*\\[--jobs N\\]")
+            << bad;
+    }
 }
 
 TEST(BenchUtilDeathTest, EqualsGarbageExits2)
 {
-    Argv a({"bench", "--jobs=-3"});
-    EXPECT_EXIT(takeJobsFlag(a.argc, a.data()),
-                ::testing::ExitedWithCode(2), "positive integer");
+    for (const char *bad : kBadJobs) {
+        Argv a({"bench", std::string("--jobs=") + bad});
+        EXPECT_EXIT(takeJobsFlag(a.argc, a.data()),
+                    ::testing::ExitedWithCode(2),
+                    "positive integer(.|\n)*usage: .*\\[--jobs N\\]")
+            << bad;
+    }
 }
 
 TEST(BenchUtilDeathTest, EqualsEmptyExits2)

@@ -1,22 +1,17 @@
 /**
  * @file
- * Tests for the deterministic cell pool (src/parallel) and the
- * parallel suite helpers: every index computed exactly once, commits
- * in strict index order, serial-exact exception semantics, and —
- * the contract the whole subsystem exists for — RunReports that are
- * byte-identical to a serial run at any job count.
+ * Tests for the parallel suite helpers: trace generation and
+ * RunReports that are byte-identical to a serial run at any job
+ * count, the contract the cell pool exists for. The pool's own
+ * contract (commit order, exception semantics, stats) is tested in
+ * test_cell_pool.cc.
  */
 
 #include "parallel/cell_pool.hh"
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <atomic>
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/factory.hh"
@@ -28,125 +23,6 @@ namespace bpsim {
 namespace {
 
 using parallel::CellPool;
-
-TEST(CellPool, ComputesEveryIndexOnceAndCommitsInOrder)
-{
-    constexpr std::size_t kCells = 32;
-    CellPool pool(4);
-    std::array<std::atomic<int>, kCells> computed{};
-    std::vector<std::size_t> committed; // commit is single-threaded
-    pool.run(
-        kCells, [&](std::size_t i) { computed[i].fetch_add(1); },
-        [&](std::size_t i) { committed.push_back(i); });
-    for (std::size_t i = 0; i < kCells; ++i)
-        EXPECT_EQ(computed[i].load(), 1) << "cell " << i;
-    ASSERT_EQ(committed.size(), kCells);
-    for (std::size_t i = 0; i < kCells; ++i)
-        EXPECT_EQ(committed[i], i);
-}
-
-TEST(CellPool, SingleJobRunsInlineOnCallingThread)
-{
-    CellPool pool(1);
-    const auto caller = std::this_thread::get_id();
-    std::size_t calls = 0;
-    pool.run(8, [&](std::size_t) {
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        ++calls;
-    });
-    EXPECT_EQ(calls, 8u);
-    EXPECT_EQ(pool.stats().jobs, 1u);
-}
-
-TEST(CellPool, MoreJobsThanCells)
-{
-    CellPool pool(32);
-    std::array<std::atomic<int>, 3> computed{};
-    std::vector<std::size_t> committed;
-    pool.run(
-        3, [&](std::size_t i) { computed[i].fetch_add(1); },
-        [&](std::size_t i) { committed.push_back(i); });
-    for (auto &c : computed)
-        EXPECT_EQ(c.load(), 1);
-    EXPECT_EQ(committed, (std::vector<std::size_t>{0, 1, 2}));
-    EXPECT_EQ(pool.stats().maxQueueDepth, 0u);
-}
-
-TEST(CellPool, ComputeFailureRethrowsLowestIndexAfterJoin)
-{
-    // Whichever worker fails first, the pool joins and rethrows the
-    // lowest failing index, exactly where a serial loop would have
-    // stopped, with every cell before it committed in order.
-    for (unsigned jobs : {4u, 8u}) {
-        CellPool pool(jobs);
-        std::vector<std::size_t> committed;
-        try {
-            pool.run(
-                16,
-                [&](std::size_t i) {
-                    if (i >= 3)
-                        throw std::runtime_error("cell " +
-                                                 std::to_string(i));
-                },
-                [&](std::size_t i) { committed.push_back(i); });
-            ADD_FAILURE() << "expected run() to throw at jobs "
-                          << jobs;
-        } catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "cell 3") << "jobs " << jobs;
-        }
-        EXPECT_EQ(committed, (std::vector<std::size_t>{0, 1, 2}))
-            << "jobs " << jobs;
-    }
-}
-
-TEST(CellPool, CommitFailureCancelsOutstandingCells)
-{
-    CellPool pool(4);
-    std::vector<std::size_t> committed;
-    EXPECT_THROW(
-        pool.run(
-            64, [](std::size_t) {},
-            [&](std::size_t i) {
-                if (i == 2)
-                    throw std::runtime_error("commit failed");
-                committed.push_back(i);
-            }),
-        std::runtime_error);
-    EXPECT_EQ(committed, (std::vector<std::size_t>{0, 1}));
-}
-
-TEST(CellPool, StatsAccumulateAcrossRuns)
-{
-    CellPool pool(2);
-    pool.run(5, [](std::size_t) {});
-    pool.run(3, [](std::size_t) {});
-    const auto &s = pool.stats();
-    EXPECT_EQ(s.jobs, 2u);
-    EXPECT_EQ(s.runs, 2u);
-    EXPECT_EQ(s.cellsCompleted, 8u);
-    EXPECT_EQ(s.cellMs.size(), 8u);
-    EXPECT_GE(s.wallMs, 0.0);
-}
-
-TEST(JobsResolution, EnvAndFallbacks)
-{
-    unsetenv("BPSIM_JOBS");
-    EXPECT_EQ(parallel::envJobs(), 0u);
-    EXPECT_EQ(parallel::resolveJobs(5), 5u);
-    EXPECT_EQ(parallel::resolveJobs(0), parallel::hardwareJobs());
-
-    setenv("BPSIM_JOBS", "3", 1);
-    EXPECT_EQ(parallel::envJobs(), 3u);
-    EXPECT_EQ(parallel::resolveJobs(0), 3u);
-    EXPECT_EQ(parallel::resolveJobs(7), 7u); // explicit request wins
-
-    setenv("BPSIM_JOBS", "0", 1);
-    EXPECT_EQ(parallel::envJobs(), 0u);
-    setenv("BPSIM_JOBS", "banana", 1);
-    EXPECT_EQ(parallel::envJobs(), 0u);
-    unsetenv("BPSIM_JOBS");
-    EXPECT_GE(parallel::hardwareJobs(), 1u);
-}
 
 // ---------------------------------------------------------------------
 // Suite-level determinism: the acceptance contract is that a parallel

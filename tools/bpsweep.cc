@@ -12,7 +12,7 @@
  * whenever one bench is in a serial phase (trace generation, report
  * assembly, the tail of an uneven grid). bpsweep instead hosts every
  * artifact body in one process: each gets a driver thread and a
- * SweepPool view onto one SweepScheduler, whose N workers drain all
+ * CellPool on one shared SweepScheduler, whose N workers drain all
  * artifacts' cell deques with work stealing — so the long-pole
  * artifact keeps every core busy while short ones finish. One suite
  * of traces, generated before any body starts at the longest length
@@ -67,7 +67,7 @@
 #include "artifact_registry.hh"
 #include "obs/report_session.hh"
 #include "obs/span_trace.hh"
-#include "parallel/sweep_scheduler.hh"
+#include "parallel/cell_pool.hh"
 
 namespace {
 
@@ -147,11 +147,7 @@ class ProgressMeter
     render()
     {
         const auto p = sched_.progress();
-        bpsim::Counter enqueued = 0, done = 0;
-        for (const auto &q : p.queues) {
-            enqueued += q.enqueued;
-            done += q.done;
-        }
+        const bpsim::Counter enqueued = p.enqueued, done = p.done;
         const double elapsed =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start_)
@@ -287,20 +283,20 @@ main(int argc, char **argv)
 
         // Generated on the sweep's workers before the bodies start.
         if (const bpsim::Counter ops = bpsim::longestSuiteOps(selected)) {
-            bpsim::parallel::SweepPool generation(scheduler, "suite");
+            bpsim::parallel::CellPool generation(scheduler, "suite");
             suite.emplace(ops, bpsim::kSuiteSeed, &generation);
             generationBusyMs = generation.stats().busyMs;
         }
 
         // Pools must die before the scheduler; contexts outlive the
         // pools only because nothing touches ctx.pool() after join.
-        std::vector<std::unique_ptr<bpsim::parallel::SweepPool>> pools(
+        std::vector<std::unique_ptr<bpsim::parallel::CellPool>> pools(
             selected.size());
         std::vector<std::thread> drivers;
         drivers.reserve(selected.size());
         for (std::size_t i = 0; i < selected.size(); ++i) {
             const ArtifactDef *def = selected[i];
-            pools[i] = std::make_unique<bpsim::parallel::SweepPool>(
+            pools[i] = std::make_unique<bpsim::parallel::CellPool>(
                 scheduler, def->spec.name);
             contexts[i] = std::make_unique<bpsim::BufferedSweepContext>(
                 def->spec, pools[i].get(), wantReport, &memo,
