@@ -52,8 +52,8 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
         accCells.push_back({make, name, budget});
         timCells.push_back(
             {[make] {
-                 return std::make_unique<SingleCycleFetchPredictor>(
-                     make());
+                 return std::make_unique<FetchPredictor>(
+                     DelayMode::Ideal, make());
              },
              name, delayModeName(DelayMode::Ideal), budget, cfg});
     }

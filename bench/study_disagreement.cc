@@ -42,8 +42,8 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
         std::vector<double> rates;
         // Per-workload cells on the pool; predictors stay alive past
         // compute so their disagreement counters can be read at
-        // commit time, in workload order. An event tracer needs one
-        // ordered stream, so it forces the serial path.
+        // commit time, in workload order. An event tracer records a
+        // single ordered stream, so a traced run never fans out.
         std::vector<std::unique_ptr<FetchPredictor>> preds(
             suite.size());
         std::vector<SimResult> results(suite.size());
@@ -59,8 +59,7 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
         };
         const auto commit = [&](std::size_t i) {
             const auto &r = results[i];
-            auto *over = dynamic_cast<OverridingFetchPredictor *>(
-                preds[i].get());
+            const double dis = preds[i]->disagreements().percent();
             ctx.report().rows.push_back(reportRow(
                 suite.name(i), kindName(kind),
                 delayModeName(DelayMode::Overriding), 64 * 1024, cfg,
@@ -71,10 +70,8 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
                            "predictor=" +
                            kindName(kind) +
                            ",workload=" + suite.name(i) + "}")
-                    .set(over ? over->disagreements().percent() : 0.0);
+                    .set(dis);
             }
-            const double dis =
-                over ? over->disagreements().percent() : 0.0;
             rates.push_back(dis);
             ctx.printf("%-12s %-16.2f %-16.2f %-14.3f\n",
                        shortName(suite.name(i)).c_str(), dis,
@@ -85,14 +82,9 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
                        r.ipc());
             preds[i].reset();
         };
-        if (ctx.tracer()) {
-            for (std::size_t i = 0; i < suite.size(); ++i) {
-                compute(i);
-                commit(i);
-            }
-        } else {
-            ctx.pool()->run(suite.size(), compute, commit);
-        }
+        parallel::CellPool serial(1);
+        (ctx.tracer() ? serial : *ctx.pool())
+            .run(suite.size(), compute, commit);
         ctx.printf("%-12s %-16.2f\n", "arith.mean",
                    arithmeticMean(rates));
     }

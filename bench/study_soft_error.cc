@@ -107,10 +107,10 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
             plan.upsetRatePerBit = rate;
             plan.intervalBranches = 256;
             plan.seed = cellSeed(99, ri, wi);
-            return std::unique_ptr<FetchPredictor>(
-                std::make_unique<robust::FaultInjectingFetchPredictor>(
-                    makeFetchPredictor(PredictorKind::GshareFast,
-                                       budget, DelayMode::Pipelined),
+            return std::make_unique<FetchPredictor>(
+                DelayMode::Ideal,
+                std::make_unique<robust::FaultInjectingPredictor>(
+                    makePredictor(PredictorKind::GshareFast, budget),
                     plan));
         };
         c.name = cellLabel(PredictorKind::GshareFast, rate);

@@ -2,7 +2,7 @@
  * @file
  * Design your own predictor: the library's DirectionPredictor
  * interface is the extension point — implement predict()/update()
- * and every runner, wrapper, and bench works with your design.
+ * and every runner, delay mode, and bench works with your design.
  *
  * As a worked example we build an "agree" predictor (Sprangle et
  * al.): the PHT stores whether the branch will *agree* with a
@@ -131,7 +131,7 @@ main()
                 agree.meanPercent);
 
     std::printf("\nThe same object plugs into the timing simulator "
-                "via SingleCycleFetchPredictor or\nOverridingFetchPredictor "
-                "— see examples/quickstart.cpp.\n");
+                "as the slow predictor of a FetchPredictor\n(any "
+                "DelayMode) — see examples/quickstart.cpp.\n");
     return 0;
 }

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/bitutil.hh"
-#include "pipeline/alt_delay_hiding.hh"
 #include "predictors/bimodal.hh"
 #include "predictors/bimode.hh"
 #include "predictors/gshare.hh"
@@ -360,8 +359,8 @@ protectedPredictorLatencyCycles(PredictorKind kind,
 
 namespace {
 
-/** Mode dispatch shared by the bare and protected fetch factories:
- *  wrap @p pred for @p mode at @p latency cycles. */
+/** Mode rule shared by the bare and protected fetch factories:
+ *  put @p pred behind @p mode at @p latency cycles. */
 std::unique_ptr<FetchPredictor>
 wrapFetchPredictor(std::unique_ptr<DirectionPredictor> pred,
                    PredictorKind kind, DelayMode mode,
@@ -369,31 +368,16 @@ wrapFetchPredictor(std::unique_ptr<DirectionPredictor> pred,
 {
     // gshare.fast is pipelined: single-cycle at any budget.
     if (kind == PredictorKind::GshareFast || mode == DelayMode::Ideal ||
-        mode == DelayMode::Pipelined || latency <= 1) {
-        return std::make_unique<SingleCycleFetchPredictor>(
-            std::move(pred));
-    }
-
-    if (mode == DelayMode::Stall) {
-        return std::make_unique<DelayedFetchPredictor>(std::move(pred),
-                                                       latency);
-    }
-    if (mode == DelayMode::DualPath) {
-        return std::make_unique<DualPathFetchPredictor>(
-            std::move(pred), latency);
-    }
-    if (mode == DelayMode::Cascading) {
-        auto quick =
-            std::make_unique<GsharePredictor>(quickPredictorEntries);
-        return std::make_unique<CascadingFetchPredictor>(
-            std::move(quick), std::move(pred), latency);
-    }
-
-    // Overriding: quick 2K-entry single-cycle gshare in front.
-    auto quick =
-        std::make_unique<GsharePredictor>(quickPredictorEntries);
-    return std::make_unique<OverridingFetchPredictor>(
-        std::move(quick), std::move(pred), latency);
+        mode == DelayMode::Pipelined || latency <= 1)
+        return std::make_unique<FetchPredictor>(DelayMode::Ideal,
+                                                std::move(pred));
+    // Overriding and cascading put the paper's 2K-entry single-cycle
+    // gshare in front.
+    std::unique_ptr<DirectionPredictor> quick;
+    if (mode == DelayMode::Overriding || mode == DelayMode::Cascading)
+        quick = std::make_unique<GsharePredictor>(quickPredictorEntries);
+    return std::make_unique<FetchPredictor>(mode, std::move(pred), latency,
+                                            std::move(quick));
 }
 
 } // namespace
@@ -423,26 +407,6 @@ makeProtectedFetchPredictor(PredictorKind kind,
     const unsigned latency = protectedPredictorLatencyCycles(
         kind, budget_bytes, prot, sram, clock);
     return wrapFetchPredictor(std::move(pred), kind, mode, latency);
-}
-
-std::string
-delayModeName(DelayMode mode)
-{
-    switch (mode) {
-      case DelayMode::Ideal:
-        return "ideal";
-      case DelayMode::Overriding:
-        return "overriding";
-      case DelayMode::Stall:
-        return "stall";
-      case DelayMode::Pipelined:
-        return "pipelined";
-      case DelayMode::DualPath:
-        return "dual-path";
-      case DelayMode::Cascading:
-        return "cascading";
-    }
-    return "unknown";
 }
 
 } // namespace bpsim

@@ -66,21 +66,8 @@ unsigned predictorLatencyCycles(PredictorKind kind,
                                 const SramModel &sram = SramModel{},
                                 const ClockModel &clock = ClockModel{});
 
-/** How a predictor's delay is presented to the fetch engine. */
-enum class DelayMode {
-    Ideal,      ///< zero-delay (the paper's "No Delay" curves)
-    Overriding, ///< quick 2K gshare + slow predictor (realistic)
-    Stall,      ///< no hiding: fetch stalls for the full latency
-    Pipelined,  ///< single-cycle by construction (gshare.fast only)
-    DualPath,   ///< fetch both paths at half bandwidth (Section 2.6.2)
-    Cascading,  ///< bank the slow answer for the next instance
-};
-
-/** Printable delay-mode name. */
-std::string delayModeName(DelayMode mode);
-
 /**
- * Build the fetch-side wrapper the timing simulator consumes.
+ * Build the FetchPredictor the timing simulator consumes.
  * GshareFast always presents as single-cycle (its pipelining hides
  * the delay); other kinds honour @p mode. Note that requesting
  * DelayMode::Pipelined for a predictor that cannot be pipelined
@@ -99,9 +86,9 @@ makeFetchPredictor(PredictorKind kind, std::size_t budget_bytes,
  * Protected variant of makeFetchPredictor: the slow predictor is a
  * ProtectedPredictor built at the effective budget (the quick 2K
  * front predictor, where the mode has one, stays unprotected and
- * unbombarded — the policy protects the big table), and the fetch
- * wrapper is sized with protectedPredictorLatencyCycles so the delay
- * tax reaches the timing core.
+ * unbombarded — the policy protects the big table), and its latency is
+ * protectedPredictorLatencyCycles so the delay tax reaches the timing
+ * core.
  */
 std::unique_ptr<FetchPredictor>
 makeProtectedFetchPredictor(PredictorKind kind,

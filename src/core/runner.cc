@@ -70,13 +70,6 @@ runAccuracyVirtual(DirectionPredictor &pred, const TraceBuffer &trace)
 
 SimResult
 runTiming(const CoreConfig &cfg, FetchPredictor &pred,
-          const TraceBuffer &trace)
-{
-    return runTiming(cfg, pred, trace, nullptr);
-}
-
-SimResult
-runTiming(const CoreConfig &cfg, FetchPredictor &pred,
           const TraceBuffer &trace, obs::EventTracer *tracer)
 {
     const PredictionColumn column = predictColumn(pred, trace);

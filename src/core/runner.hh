@@ -75,16 +75,12 @@ AccuracyResult runAccuracyVirtual(DirectionPredictor &pred,
 
 /**
  * Run the timing simulator over @p trace with @p pred: the column
- * pass (predictColumn()) and then the core pass (OooCore::run).
+ * pass (predictColumn()) and then the core pass (OooCore::run), with
+ * per-cycle events recorded into @p tracer when it is not nullptr.
  */
 SimResult runTiming(const CoreConfig &cfg, FetchPredictor &pred,
-                    const TraceBuffer &trace);
-
-/** As above, with per-cycle events recorded into @p tracer
- *  (ignored when nullptr). */
-SimResult runTiming(const CoreConfig &cfg, FetchPredictor &pred,
                     const TraceBuffer &trace,
-                    obs::EventTracer *tracer);
+                    obs::EventTracer *tracer = nullptr);
 
 /** Build a RunReport row from one accuracy run. */
 obs::RunReport::Row reportRow(const std::string &workload,

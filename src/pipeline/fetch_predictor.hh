@@ -1,33 +1,36 @@
 /**
  * @file
- * Fetch-side predictor wrappers: how a direction predictor's access
- * delay presents itself to the fetch engine.
+ * The fetch-side view of a direction predictor: how its access delay
+ * presents itself to the fetch engine.
  *
- * The timing simulator consumes this interface through a
- * PredictionColumn (predictColumn() below). Every wrapper
- * returns a final direction plus the number of fetch-bubble cycles
- * the prediction costs *even when it is correct*:
+ * The timing simulator consumes a FetchPredictor through a
+ * PredictionColumn (predictColumn() below). Every prediction is a
+ * final direction plus the number of fetch-bubble cycles it costs
+ * *even when it is correct*. Each delay mode of Section 2.6 is a small
+ * rule over two answers, the quick single-cycle predictor's (q) and
+ * the slow predictor's (s), with L the slow predictor's latency:
  *
- *  - SingleCycleFetchPredictor: zero bubbles. Used for the paper's
- *    ideal (zero-delay) configurations and for gshare.fast, whose
+ *  - Ideal / Pipelined: s, zero bubbles. Used for the paper's ideal
+ *    (zero-delay) configurations and for gshare.fast, whose
  *    pipelining delivers every prediction in one cycle (Section 3).
- *  - OverridingFetchPredictor: a quick single-cycle predictor is
- *    overridden by a slow, accurate one; when they disagree the
- *    instructions fetched meanwhile are squashed, costing bubbles
- *    equal to the slow predictor's access latency (the paper's
- *    optimistic assumption, Section 4.1.2).
- *  - DelayedFetchPredictor: no delay hiding at all — every branch
- *    stalls fetch for (latency - 1) cycles. Used in ablations to
- *    show why overriding exists.
+ *  - Overriding: s, with L bubbles where q != s: the instructions
+ *    fetched down q's path are squashed (the paper's optimistic
+ *    assumption, Section 4.1.2).
+ *  - Stall: s, with L - 1 bubbles on every branch: no delay hiding
+ *    at all, used in ablations to show why overriding exists.
+ *  - DualPath: s, with L / 2 bubbles on every branch: both paths are
+ *    fetched at half bandwidth for L cycles (Section 2.6.2).
+ *  - Cascading: zero bubbles; the slow answer is banked per pc and
+ *    used for that branch's *next* instance once L branches have
+ *    passed, q otherwise (Driesen and Hoelzle).
  */
 
 #ifndef BPSIM_PIPELINE_FETCH_PREDICTOR_HH
 #define BPSIM_PIPELINE_FETCH_PREDICTOR_HH
 
-#include <cassert>
 #include <memory>
 #include <string>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -37,6 +40,19 @@
 
 namespace bpsim {
 
+/** How a predictor's delay is presented to the fetch engine. */
+enum class DelayMode {
+    Ideal,      ///< zero-delay (the paper's "No Delay" curves)
+    Overriding, ///< quick 2K gshare + slow predictor (realistic)
+    Stall,      ///< no hiding: fetch stalls for the full latency
+    Pipelined,  ///< single-cycle by construction (gshare.fast only)
+    DualPath,   ///< fetch both paths at half bandwidth (Section 2.6.2)
+    Cascading,  ///< bank the slow answer for the next instance
+};
+
+/** Printable delay-mode name. */
+std::string delayModeName(DelayMode mode);
+
 /** A direction prediction plus its fetch-bubble cost. */
 struct FetchPrediction
 {
@@ -45,207 +61,96 @@ struct FetchPrediction
     unsigned bubbleCycles = 0;
 };
 
-/** Fetch-engine view of a (possibly delay-hidden) predictor. */
-class FetchPredictor
+/** A slow direction predictor behind one delay mode. */
+class FetchPredictor final
 {
   public:
-    virtual ~FetchPredictor() = default;
-
-    virtual std::string name() const = 0;
-    virtual std::size_t storageBits() const = 0;
-    virtual FetchPrediction predict(Addr pc) = 0;
-    virtual void update(Addr pc, bool taken) = 0;
-
     /**
-     * Internal statistics for reports: wrappers forward their inner
-     * predictor's describeStats() and add their own delay-hiding
-     * counters (disagreements, pipeline restarts).
+     * @p slow answers in every mode, @p latency cycles after the
+     * request (>= 1). @p quick, the single-cycle front predictor, is
+     * required by Overriding and Cascading and must be null in every
+     * other mode; std::invalid_argument otherwise.
      */
-    virtual std::vector<PredictorStat> describeStats() const
+    FetchPredictor(DelayMode mode, std::unique_ptr<DirectionPredictor> slow,
+                   unsigned latency = 1,
+                   std::unique_ptr<DirectionPredictor> quick = nullptr);
+
+    /** The slow predictor's name, suffixed by the delay mode unless
+     *  the mode is ideal or pipelined. */
+    std::string name() const;
+    /** Quick plus slow; the cascading bank is idealized and free. */
+    std::size_t storageBits() const;
+
+    FetchPrediction
+    predict(Addr pc)
     {
+        switch (mode_) {
+          case DelayMode::Ideal:
+          case DelayMode::Pipelined:
+            return {slow_->predict(pc), 0};
+          case DelayMode::Overriding: {
+            const bool q = quick_->predict(pc);
+            const bool s = slow_->predict(pc);
+            const bool disagree = q != s;
+            disagreements_.event(disagree);
+            return {s, disagree ? latency_ : 0};
+          }
+          case DelayMode::Stall:
+            return {slow_->predict(pc), latency_ - 1};
+          case DelayMode::DualPath:
+            return {slow_->predict(pc), latency_ / 2};
+          case DelayMode::Cascading:
+            return {predictCascading(pc), 0};
+        }
         return {};
     }
 
+    void update(Addr pc, bool taken);
+
     /**
-     * Expose the wrapped predictors' SRAM state for fault injection
-     * (robust/state_visitor.hh); wrappers forward to every inner
-     * predictor. Default exposes nothing.
+     * The slow predictor's describeStats() in every mode; overriding
+     * appends its disagreement rate, pipeline restarts and latency.
      */
-    virtual void visitState(robust::StateVisitor &v) { (void)v; }
-};
+    std::vector<PredictorStat> describeStats() const;
 
-/** Zero-bubble wrapper: ideal predictors and gshare.fast. */
-class SingleCycleFetchPredictor : public FetchPredictor
-{
-  public:
-    explicit SingleCycleFetchPredictor(
-        std::unique_ptr<DirectionPredictor> pred)
-        : pred_(std::move(pred))
-    {
-        assert(pred_);
-    }
+    /**
+     * Expose the quick and slow predictors' SRAM state for fault
+     * injection (robust/state_visitor.hh): exactly what storageBits()
+     * counts.
+     */
+    void visitState(robust::StateVisitor &v);
 
-    std::string name() const override { return pred_->name(); }
-    std::size_t storageBits() const override
-    {
-        return pred_->storageBits();
-    }
-
-    FetchPrediction
-    predict(Addr pc) override
-    {
-        return {pred_->predict(pc), 0};
-    }
-
-    void update(Addr pc, bool taken) override
-    {
-        pred_->update(pc, taken);
-    }
-
-    std::vector<PredictorStat> describeStats() const override
-    {
-        return pred_->describeStats();
-    }
-
-    void visitState(robust::StateVisitor &v) override
-    {
-        pred_->visitState(v);
-    }
-
-    DirectionPredictor &inner() { return *pred_; }
-
-  private:
-    std::unique_ptr<DirectionPredictor> pred_;
-};
-
-/**
- * Hierarchical overriding wrapper (Section 2.6.1): quick predictor
- * answers in one cycle; the slow predictor's answer arrives
- * slowLatency cycles later and, when it disagrees, squashes the
- * fetched instructions at a cost of slowLatency bubbles.
- */
-class OverridingFetchPredictor : public FetchPredictor
-{
-  public:
-    OverridingFetchPredictor(std::unique_ptr<DirectionPredictor> quick,
-                             std::unique_ptr<DirectionPredictor> slow,
-                             unsigned slow_latency)
-        : quick_(std::move(quick)),
-          slow_(std::move(slow)),
-          slowLatency_(slow_latency)
-    {
-        assert(quick_ && slow_ && slow_latency >= 1);
-    }
-
-    std::string name() const override
-    {
-        return slow_->name() + "+overriding";
-    }
-    std::size_t storageBits() const override
-    {
-        return quick_->storageBits() + slow_->storageBits();
-    }
-
-    FetchPrediction
-    predict(Addr pc) override
-    {
-        const bool q = quick_->predict(pc);
-        const bool s = slow_->predict(pc);
-        const bool disagree = q != s;
-        disagreements_.event(disagree);
-        // The slow predictor's answer is final; disagreement costs
-        // its access latency in squashed fetch cycles.
-        return {s, disagree ? slowLatency_ : 0};
-    }
-
-    void
-    update(Addr pc, bool taken) override
-    {
-        quick_->update(pc, taken);
-        slow_->update(pc, taken);
-    }
-
-    std::vector<PredictorStat>
-    describeStats() const override
-    {
-        std::vector<PredictorStat> stats = slow_->describeStats();
-        stats.push_back({"fetch.overriding.disagree_rate",
-                         disagreements_.rate()});
-        stats.push_back(
-            {"fetch.overriding.pipeline_restarts",
-             static_cast<double>(disagreements_.hits())});
-        stats.push_back({"fetch.overriding.slow_latency_cycles",
-                         static_cast<double>(slowLatency_)});
-        return stats;
-    }
-
-    void visitState(robust::StateVisitor &v) override
-    {
-        quick_->visitState(v);
-        slow_->visitState(v);
-    }
-
-    /** Fraction of predictions the slow predictor overrode (E10). */
-    const RateStat &disagreements() const { return disagreements_; }
-    /** Fetch-pipeline restarts caused by overrides (== hits()). */
-    Counter pipelineRestarts() const { return disagreements_.hits(); }
-    unsigned slowLatency() const { return slowLatency_; }
+    DelayMode mode() const { return mode_; }
+    unsigned slowLatency() const { return latency_; }
     DirectionPredictor &slow() { return *slow_; }
+    /** The quick predictor; only Overriding and Cascading have one. */
     DirectionPredictor &quick() { return *quick_; }
+    /** Overriding: fraction of predictions the slow one overrode. */
+    const RateStat &disagreements() const { return disagreements_; }
+    /** Cascading: fraction served by a banked slow answer. */
+    const RateStat &slowUsed() const { return slowUsed_; }
 
   private:
-    std::unique_ptr<DirectionPredictor> quick_;
+    struct Banked
+    {
+        Counter readyAt;
+        bool taken;
+    };
+
+    bool predictCascading(Addr pc);
+
+    DelayMode mode_;
     std::unique_ptr<DirectionPredictor> slow_;
-    unsigned slowLatency_;
-    RateStat disagreements_;
-};
-
-/** No delay hiding: every branch pays (latency - 1) fetch bubbles. */
-class DelayedFetchPredictor : public FetchPredictor
-{
-  public:
-    DelayedFetchPredictor(std::unique_ptr<DirectionPredictor> pred,
-                          unsigned latency)
-        : pred_(std::move(pred)), latency_(latency)
-    {
-        assert(pred_ && latency >= 1);
-    }
-
-    std::string name() const override
-    {
-        return pred_->name() + "+stall";
-    }
-    std::size_t storageBits() const override
-    {
-        return pred_->storageBits();
-    }
-
-    FetchPrediction
-    predict(Addr pc) override
-    {
-        return {pred_->predict(pc), latency_ - 1};
-    }
-
-    void update(Addr pc, bool taken) override
-    {
-        pred_->update(pc, taken);
-    }
-
-    std::vector<PredictorStat> describeStats() const override
-    {
-        return pred_->describeStats();
-    }
-
-    void visitState(robust::StateVisitor &v) override
-    {
-        pred_->visitState(v);
-    }
-
-    DirectionPredictor &inner() { return *pred_; }
-
-  private:
-    std::unique_ptr<DirectionPredictor> pred_;
     unsigned latency_;
+    std::unique_ptr<DirectionPredictor> quick_;
+    RateStat disagreements_;
+    /** Cascading's clock: one branch per cycle, the same worst case
+     *  the gshare.fast analysis uses. */
+    Counter now_ = 0;
+    /** Idealized unbounded prediction bank, generous to cascading
+     *  (a real design would use a small tagged cache here). */
+    std::unordered_map<Addr, Banked> banked_;
+    RateStat slowUsed_;
 };
 
 /**

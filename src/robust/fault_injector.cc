@@ -157,33 +157,4 @@ FaultInjectingPredictor::describeStats() const
     return stats;
 }
 
-FaultInjectingFetchPredictor::FaultInjectingFetchPredictor(
-    std::unique_ptr<FetchPredictor> inner, const FaultPlan &plan)
-    : inner_(std::move(inner)),
-      injector_(plan),
-      toInject_(plan.intervalBranches)
-{
-}
-
-void
-FaultInjectingFetchPredictor::update(Addr pc, bool taken)
-{
-    inner_->update(pc, taken);
-    if (toInject_ != 0 && --toInject_ == 0) {
-        toInject_ = injector_.plan().intervalBranches;
-        injector_.inject(*inner_);
-    }
-}
-
-std::vector<PredictorStat>
-FaultInjectingFetchPredictor::describeStats() const
-{
-    std::vector<PredictorStat> stats = inner_->describeStats();
-    stats.push_back({"robust.faults.flips",
-                     static_cast<double>(injector_.flips())});
-    stats.push_back({"robust.faults.events",
-                     static_cast<double>(injector_.events())});
-    return stats;
-}
-
 } // namespace bpsim::robust

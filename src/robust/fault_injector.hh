@@ -29,7 +29,6 @@
 
 #include "common/rng.hh"
 #include "common/types.hh"
-#include "pipeline/fetch_predictor.hh"
 #include "predictors/predictor.hh"
 #include "robust/state_visitor.hh"
 
@@ -131,7 +130,7 @@ class FaultInjector : public StateVisitor
  * predictor's SRAM per a FaultPlan: every plan.intervalBranches
  * updates, one injection event walks the inner visitState(). Used by
  * the soft-error study and the robustness tests; composes with every
- * fetch wrapper since it is itself a DirectionPredictor.
+ * delay mode since it is itself a DirectionPredictor.
  */
 class FaultInjectingPredictor : public DirectionPredictor
 {
@@ -157,40 +156,6 @@ class FaultInjectingPredictor : public DirectionPredictor
 
   private:
     std::unique_ptr<DirectionPredictor> inner_;
-    FaultInjector injector_;
-    Counter toInject_; ///< updates left to the next event (0: never)
-};
-
-/**
- * Fetch-side analogue: decorates any FetchPredictor (overriding,
- * delayed, single-cycle) so timing campaigns can be bombarded too.
- */
-class FaultInjectingFetchPredictor : public FetchPredictor
-{
-  public:
-    FaultInjectingFetchPredictor(std::unique_ptr<FetchPredictor> inner,
-                                 const FaultPlan &plan);
-
-    std::string name() const override { return inner_->name(); }
-    std::size_t storageBits() const override
-    {
-        return inner_->storageBits();
-    }
-    FetchPrediction predict(Addr pc) override
-    {
-        return inner_->predict(pc);
-    }
-    void update(Addr pc, bool taken) override;
-    std::vector<PredictorStat> describeStats() const override;
-    void visitState(StateVisitor &v) override
-    {
-        inner_->visitState(v);
-    }
-
-    const FaultInjector &injector() const { return injector_; }
-
-  private:
-    std::unique_ptr<FetchPredictor> inner_;
     FaultInjector injector_;
     Counter toInject_; ///< updates left to the next event (0: never)
 };

@@ -1,9 +1,11 @@
-/** @file Tests for the dual-path and cascading delay-hiding
- *  wrappers (Section 2.6 alternatives to overriding). */
+/** @file Tests for the dual-path and cascading delay modes of
+ *  FetchPredictor (Section 2.6 alternatives to overriding). */
 
-#include "pipeline/alt_delay_hiding.hh"
+#include "pipeline/fetch_predictor.hh"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "predictors/gshare.hh"
 #include "predictors/static_pred.hh"
@@ -13,8 +15,8 @@ namespace {
 
 TEST(DualPath, ChargesHalfLatencyEveryBranch)
 {
-    DualPathFetchPredictor p(std::make_unique<StaticPredictor>(true),
-                             8);
+    FetchPredictor p(DelayMode::DualPath,
+                     std::make_unique<StaticPredictor>(true), 8);
     for (int i = 0; i < 10; ++i) {
         const auto fp = p.predict(0x40);
         EXPECT_TRUE(fp.taken);
@@ -26,16 +28,16 @@ TEST(DualPath, ChargesHalfLatencyEveryBranch)
 
 TEST(DualPath, SingleCycleCostsNothing)
 {
-    DualPathFetchPredictor p(std::make_unique<StaticPredictor>(true),
-                             1);
+    FetchPredictor p(DelayMode::DualPath,
+                     std::make_unique<StaticPredictor>(true), 1);
     EXPECT_EQ(p.predict(0x40).bubbleCycles, 0u);
 }
 
 TEST(Cascading, NeverBubbles)
 {
-    CascadingFetchPredictor p(
-        std::make_unique<StaticPredictor>(true),
-        std::make_unique<StaticPredictor>(false), 4);
+    FetchPredictor p(DelayMode::Cascading,
+                     std::make_unique<StaticPredictor>(false), 4,
+                     std::make_unique<StaticPredictor>(true));
     for (int i = 0; i < 20; ++i) {
         EXPECT_EQ(p.predict(0x40).bubbleCycles, 0u);
         p.update(0x40, false);
@@ -46,18 +48,18 @@ TEST(Cascading, FirstInstanceUsesQuickPredictor)
 {
     // quick says taken, slow says not-taken: with no banked result
     // yet, the quick answer is used.
-    CascadingFetchPredictor p(
-        std::make_unique<StaticPredictor>(true),
-        std::make_unique<StaticPredictor>(false), 4);
+    FetchPredictor p(DelayMode::Cascading,
+                     std::make_unique<StaticPredictor>(false), 4,
+                     std::make_unique<StaticPredictor>(true));
     EXPECT_TRUE(p.predict(0x40).taken);
     EXPECT_EQ(p.slowUsed().hits(), 0u);
 }
 
 TEST(Cascading, BankedSlowAnswerUsedWhenEnoughTimePassed)
 {
-    CascadingFetchPredictor p(
-        std::make_unique<StaticPredictor>(true),
-        std::make_unique<StaticPredictor>(false), 3);
+    FetchPredictor p(DelayMode::Cascading,
+                     std::make_unique<StaticPredictor>(false), 3,
+                     std::make_unique<StaticPredictor>(true));
     // First instance: quick (taken). Bank slow (not-taken), ready
     // after 3 more branches.
     EXPECT_TRUE(p.predict(0x40).taken);
@@ -76,9 +78,9 @@ TEST(Cascading, TightLoopFallsBackToQuick)
 {
     // A branch re-fetched every cycle never has its slow answer
     // ready: latency 5, but only 1 branch between instances.
-    CascadingFetchPredictor p(
-        std::make_unique<StaticPredictor>(true),
-        std::make_unique<StaticPredictor>(false), 5);
+    FetchPredictor p(DelayMode::Cascading,
+                     std::make_unique<StaticPredictor>(false), 5,
+                     std::make_unique<StaticPredictor>(true));
     for (int i = 0; i < 10; ++i) {
         EXPECT_TRUE(p.predict(0x40).taken) << "iteration " << i;
         p.update(0x40, false);
@@ -90,9 +92,9 @@ TEST(Cascading, TightLoopFallsBackToQuick)
 
 TEST(Cascading, StorageAndNameAggregate)
 {
-    CascadingFetchPredictor p(
-        std::make_unique<GsharePredictor>(2048),
-        std::make_unique<GsharePredictor>(1 << 14), 3);
+    FetchPredictor p(DelayMode::Cascading,
+                     std::make_unique<GsharePredictor>(1 << 14), 3,
+                     std::make_unique<GsharePredictor>(2048));
     EXPECT_GT(p.storageBits(), (1u << 14) * 2);
     EXPECT_NE(p.name().find("cascading"), std::string::npos);
 }

@@ -118,13 +118,12 @@ TEST(Factory, OverridingWrapsComplexPredictors)
 {
     auto fp = makeFetchPredictor(PredictorKind::Perceptron, 256 * 1024,
                                  DelayMode::Overriding);
-    auto *over = dynamic_cast<OverridingFetchPredictor *>(fp.get());
-    ASSERT_NE(over, nullptr);
-    EXPECT_EQ(over->slowLatency(),
+    ASSERT_EQ(fp->mode(), DelayMode::Overriding);
+    EXPECT_EQ(fp->slowLatency(),
               predictorLatencyCycles(PredictorKind::Perceptron,
                                      256 * 1024));
     // The quick predictor is the paper's 2K-entry gshare.
-    EXPECT_EQ(over->quick().storageBits(),
+    EXPECT_EQ(fp->quick().storageBits(),
               quickPredictorEntries * 2 + 11);
 }
 

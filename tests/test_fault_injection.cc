@@ -66,8 +66,8 @@ TEST(StateVisitor, ExposedBitsMatchStorageBits)
 
 TEST(StateVisitor, FetchWrappersForwardToComponents)
 {
-    // Every wrapper exposes exactly the predictors its storageBits()
-    // counts, so a fault plan can bombard any delay mode.
+    // Every delay mode exposes exactly the predictors its
+    // storageBits() counts, so a fault plan can bombard any of them.
     const TraceBuffer trace =
         generateTrace(*makeWorkload("176.gcc"), 20000, 3);
     for (auto mode : {DelayMode::Ideal, DelayMode::Overriding,
@@ -83,14 +83,17 @@ TEST(StateVisitor, FetchWrappersForwardToComponents)
 
         robust::FaultPlan plan;
         plan.upsetRatePerBit = 1e-3;
-        plan.intervalBranches = 256;
         plan.seed = 17;
-        robust::FaultInjectingFetchPredictor faulty(
-            makeFetchPredictor(PredictorKind::Perceptron, 64 * 1024,
-                               mode),
-            plan);
-        EXPECT_NO_THROW(predictColumn(faulty, trace));
-        EXPECT_GT(faulty.injector().flips(), 0u);
+        robust::FaultInjector injector(plan);
+        const BranchSpan view = trace.branchView();
+        for (std::size_t i = 0; i < view.size(); ++i) {
+            fp->predict(view.pc(i));
+            fp->update(view.pc(i), view.taken(i));
+            if ((i + 1) % 256 == 0) {
+                EXPECT_NO_THROW(injector.inject(*fp)) << "update " << i;
+            }
+        }
+        EXPECT_GT(injector.flips(), 0u);
     }
 }
 
@@ -297,7 +300,7 @@ TEST(FaultInjector, RateZeroIsTransparent)
 
 TEST(FaultInjector, EventsFireEveryIntervalUpdates)
 {
-    // Both decorators fire on update interval, 2 * interval, ...;
+    // The decorator fires on update interval, 2 * interval, ...;
     // interval 0 never fires. Pinned after every update.
     for (const Counter interval : {Counter{0}, Counter{1}, Counter{256}}) {
         robust::FaultPlan plan;
@@ -305,18 +308,11 @@ TEST(FaultInjector, EventsFireEveryIntervalUpdates)
         plan.intervalBranches = interval;
         robust::FaultInjectingPredictor direct(
             makePredictor(PredictorKind::Gshare, 1024), plan);
-        robust::FaultInjectingFetchPredictor fetch(
-            makeFetchPredictor(PredictorKind::Gshare, 1024,
-                               DelayMode::Ideal),
-            plan);
         for (Counter u = 1; u <= 1000; ++u) {
             const Addr pc = 0x4000 + 4 * (u % 37);
             direct.update(pc, u % 3 == 0);
-            fetch.update(pc, u % 3 == 0);
             const Counter want = interval == 0 ? 0 : u / interval;
             ASSERT_EQ(direct.injector().events(), want)
-                << "interval " << interval << ", update " << u;
-            ASSERT_EQ(fetch.injector().events(), want)
                 << "interval " << interval << ", update " << u;
         }
     }

@@ -1,10 +1,15 @@
-/** @file Tests for the fetch-side delay wrappers. */
+/** @file Tests for FetchPredictor's delay modes and the column
+ *  pass. */
 
 #include "pipeline/fetch_predictor.hh"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/factory.hh"
 #include "predictors/gshare.hh"
@@ -17,7 +22,8 @@ namespace {
 
 TEST(SingleCycle, NeverBubbles)
 {
-    SingleCycleFetchPredictor p(std::make_unique<StaticPredictor>(true));
+    FetchPredictor p(DelayMode::Ideal,
+                     std::make_unique<StaticPredictor>(true));
     for (int i = 0; i < 100; ++i) {
         const auto fp = p.predict(0x100 + i * 16);
         EXPECT_TRUE(fp.taken);
@@ -29,9 +35,9 @@ TEST(SingleCycle, NeverBubbles)
 TEST(Overriding, AgreementCostsNothing)
 {
     // Quick and slow both always-taken: never a bubble.
-    OverridingFetchPredictor p(std::make_unique<StaticPredictor>(true),
-                               std::make_unique<StaticPredictor>(true),
-                               4);
+    FetchPredictor p(DelayMode::Overriding,
+                     std::make_unique<StaticPredictor>(true), 4,
+                     std::make_unique<StaticPredictor>(true));
     for (int i = 0; i < 50; ++i) {
         const auto fp = p.predict(0x40);
         EXPECT_TRUE(fp.taken);
@@ -44,9 +50,9 @@ TEST(Overriding, AgreementCostsNothing)
 
 TEST(Overriding, DisagreementCostsSlowLatencyAndSlowWins)
 {
-    OverridingFetchPredictor p(
-        std::make_unique<StaticPredictor>(true),
-        std::make_unique<StaticPredictor>(false), 7);
+    FetchPredictor p(DelayMode::Overriding,
+                     std::make_unique<StaticPredictor>(false), 7,
+                     std::make_unique<StaticPredictor>(true));
     const auto fp = p.predict(0x40);
     EXPECT_FALSE(fp.taken) << "the slow predictor's answer is final";
     EXPECT_EQ(fp.bubbleCycles, 7u);
@@ -58,9 +64,9 @@ TEST(Overriding, TracksDisagreementRateOnRealPredictors)
 {
     // A warm slow predictor corrects a cold quick one on a
     // structured stream, producing a nonzero but sub-50% rate.
-    OverridingFetchPredictor p(
-        std::make_unique<GsharePredictor>(64),
-        std::make_unique<GsharePredictor>(1 << 14), 3);
+    FetchPredictor p(DelayMode::Overriding,
+                     std::make_unique<GsharePredictor>(1 << 14), 3,
+                     std::make_unique<GsharePredictor>(64));
     std::uint64_t x = 88172645463325252ULL;
     for (int i = 0; i < 20000; ++i) {
         x ^= x << 13;
@@ -78,9 +84,9 @@ TEST(Overriding, TracksDisagreementRateOnRealPredictors)
 
 TEST(Overriding, StorageIsQuickPlusSlow)
 {
-    OverridingFetchPredictor p(
-        std::make_unique<GsharePredictor>(2048),
-        std::make_unique<GsharePredictor>(1 << 16), 3);
+    FetchPredictor p(DelayMode::Overriding,
+                     std::make_unique<GsharePredictor>(1 << 16), 3,
+                     std::make_unique<GsharePredictor>(2048));
     EXPECT_EQ(p.storageBits(),
               p.quick().storageBits() + p.slow().storageBits());
     EXPECT_NE(p.name().find("overriding"), std::string::npos);
@@ -88,7 +94,8 @@ TEST(Overriding, StorageIsQuickPlusSlow)
 
 TEST(Delayed, EveryPredictionBubbles)
 {
-    DelayedFetchPredictor p(std::make_unique<StaticPredictor>(true), 5);
+    FetchPredictor p(DelayMode::Stall,
+                     std::make_unique<StaticPredictor>(true), 5);
     for (int i = 0; i < 10; ++i) {
         const auto fp = p.predict(0x40);
         EXPECT_EQ(fp.bubbleCycles, 4u) << "latency - 1 stall cycles";
@@ -98,7 +105,8 @@ TEST(Delayed, EveryPredictionBubbles)
 
 TEST(Delayed, SingleCycleLatencyMeansNoBubble)
 {
-    DelayedFetchPredictor p(std::make_unique<StaticPredictor>(true), 1);
+    FetchPredictor p(DelayMode::Stall,
+                     std::make_unique<StaticPredictor>(true), 1);
     EXPECT_EQ(p.predict(0x40).bubbleCycles, 0u);
 }
 
@@ -178,6 +186,131 @@ TEST(ColumnPass, GshareFastIdealAndOverridingColumnsAreIdentical)
             EXPECT_EQ(std::memcmp(a.data(), b.data(),
                                   a.size() * sizeof(*a.data())),
                       0);
+        }
+    }
+}
+
+TEST(FetchPredictor, QuickPredictorOnlyWhereTheModeUsesOne)
+{
+    EXPECT_THROW(FetchPredictor(DelayMode::Overriding,
+                                std::make_unique<StaticPredictor>(true),
+                                4),
+                 std::invalid_argument);
+    EXPECT_THROW(FetchPredictor(DelayMode::Stall,
+                                std::make_unique<StaticPredictor>(true),
+                                4,
+                                std::make_unique<StaticPredictor>(true)),
+                 std::invalid_argument);
+    EXPECT_THROW(FetchPredictor(DelayMode::Ideal, nullptr),
+                 std::invalid_argument);
+}
+
+TEST(FetchPredictor, EveryModeForwardsSlowStats)
+{
+    // Every delay mode reports its slow predictor's describeStats(),
+    // as a lone replay of that predictor would; overriding appends
+    // its three fetch.overriding.* gauges.
+    const std::size_t budget = 64 * 1024;
+    const TraceBuffer t =
+        generateTrace(*makeWorkload("300.twolf"), 20000, 42);
+    const BranchSpan view = t.branchView();
+    auto lone = makePredictor(PredictorKind::MultiComponent, budget);
+    for (std::size_t i = 0; i < view.size(); ++i) {
+        lone->predict(view.pc(i));
+        lone->update(view.pc(i), view.taken(i));
+    }
+    const auto want = lone->describeStats();
+    ASSERT_FALSE(want.empty());
+    for (auto mode : {DelayMode::Ideal, DelayMode::Overriding,
+                      DelayMode::Stall, DelayMode::Pipelined,
+                      DelayMode::DualPath, DelayMode::Cascading}) {
+        SCOPED_TRACE(delayModeName(mode));
+        auto fp =
+            makeFetchPredictor(PredictorKind::MultiComponent, budget, mode);
+        predictColumn(*fp, t);
+        const auto got = fp->describeStats();
+        const std::size_t extra = mode == DelayMode::Overriding ? 3 : 0;
+        ASSERT_EQ(got.size(), want.size() + extra);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].name, want[i].name);
+            EXPECT_EQ(got[i].value, want[i].value) << got[i].name;
+        }
+        for (std::size_t i = want.size(); i < got.size(); ++i)
+            EXPECT_EQ(got[i].name.rfind("fetch.overriding.", 0), 0u)
+                << got[i].name;
+    }
+}
+
+TEST(ColumnPass, DelayModesAreFunctionsOfTheDirectionStreams)
+{
+    // Each delay mode is a rule over two direction streams, a lone
+    // quick 2K gshare's (q) and a lone slow predictor's (s), with L
+    // the slow predictor's latency: ideal gives s with no bubble,
+    // overriding s with L bubbles where q != s, stall s with L - 1
+    // and dual-path s with L / 2 on every branch. Cascading serves
+    // the s a branch's previous instance banked once L branches have
+    // passed, q otherwise, with no bubble.
+    const std::size_t budget = 64 * 1024;
+    for (const std::string &name : specint2000Names()) {
+        const TraceBuffer t =
+            generateTrace(*makeWorkload(name), 20000, 42);
+        const BranchSpan view = t.branchView();
+        for (auto kind : {PredictorKind::Perceptron,
+                          PredictorKind::MultiComponent,
+                          PredictorKind::Gshare}) {
+            SCOPED_TRACE(name + " " + kindName(kind));
+            const unsigned L = predictorLatencyCycles(kind, budget);
+            ASSERT_GT(L, 1u) << "every mode would be ideal";
+            GsharePredictor quick(quickPredictorEntries);
+            auto slow = makePredictor(kind, budget);
+            std::vector<bool> q(view.size()), s(view.size());
+            for (std::size_t i = 0; i < view.size(); ++i) {
+                q[i] = quick.predict(view.pc(i));
+                s[i] = slow->predict(view.pc(i));
+                quick.update(view.pc(i), view.taken(i));
+                slow->update(view.pc(i), view.taken(i));
+            }
+            std::vector<bool> cascaded(view.size());
+            std::unordered_map<Addr, std::pair<std::size_t, bool>> bank;
+            for (std::size_t i = 0; i < view.size(); ++i) {
+                const auto it = bank.find(view.pc(i));
+                cascaded[i] = it != bank.end() && it->second.first <= i
+                                  ? it->second.second
+                                  : q[i];
+                bank[view.pc(i)] = {i + L, s[i]};
+            }
+
+            for (auto mode : {DelayMode::Ideal, DelayMode::Overriding,
+                              DelayMode::Stall, DelayMode::DualPath,
+                              DelayMode::Cascading}) {
+                auto fp = makeFetchPredictor(kind, budget, mode);
+                const PredictionColumn col = predictColumn(*fp, t);
+                ASSERT_EQ(col.size(), view.size());
+                for (std::size_t i = 0; i < view.size(); ++i) {
+                    bool taken = s[i];
+                    unsigned bubbles = 0;
+                    switch (mode) {
+                      case DelayMode::Overriding:
+                        bubbles = q[i] != s[i] ? L : 0;
+                        break;
+                      case DelayMode::Stall:
+                        bubbles = L - 1;
+                        break;
+                      case DelayMode::DualPath:
+                        bubbles = L / 2;
+                        break;
+                      case DelayMode::Cascading:
+                        taken = cascaded[i];
+                        break;
+                      default:
+                        break;
+                    }
+                    ASSERT_EQ(col.taken(i), taken)
+                        << delayModeName(mode) << ", branch " << i;
+                    ASSERT_EQ(col.bubbleCycles(i), bubbles)
+                        << delayModeName(mode) << ", branch " << i;
+                }
+            }
         }
     }
 }

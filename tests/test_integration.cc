@@ -139,12 +139,11 @@ TEST_F(IntegrationTest, DisagreementRateInPaperRange)
     for (std::size_t i = 0; i < suite().size(); ++i) {
         auto fp = makeFetchPredictor(PredictorKind::Perceptron,
                                      64 * 1024, DelayMode::Overriding);
-        auto *over = dynamic_cast<OverridingFetchPredictor *>(fp.get());
-        ASSERT_NE(over, nullptr);
+        ASSERT_EQ(fp->mode(), DelayMode::Overriding);
         runTiming(cfg, *fp, suite().trace(i));
-        agg.addEvents(over->disagreements().hits(),
-                      over->disagreements().total());
-        worst = std::max(worst, over->disagreements().percent());
+        agg.addEvents(fp->disagreements().hits(),
+                      fp->disagreements().total());
+        worst = std::max(worst, fp->disagreements().percent());
     }
     EXPECT_GT(agg.percent(), 1.0);
     EXPECT_LT(agg.percent(), 25.0);

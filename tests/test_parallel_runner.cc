@@ -94,7 +94,7 @@ TEST(ParallelSuite, AccuracyReportByteIdenticalAtAnyJobCount)
     }
 }
 
-/** A mixed timing sweep: two delay wrappers, a non-default core and
+/** A mixed timing sweep: two delay modes, a non-default core and
  *  a per-workload protected fetch predictor. */
 std::vector<TimingCellConfig>
 mixedTimingConfigs()
@@ -105,7 +105,8 @@ mixedTimingConfigs()
     std::vector<TimingCellConfig> cells;
     cells.push_back(
         {[] {
-             return std::make_unique<SingleCycleFetchPredictor>(
+             return std::make_unique<FetchPredictor>(
+                 DelayMode::Ideal,
                  makePredictor(PredictorKind::GshareFast, 16 * 1024));
          },
          "gshare.fast", "ideal", 16 * 1024, cfg});

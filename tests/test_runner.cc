@@ -140,8 +140,8 @@ TEST(SuiteTiming, HarmonicMeanAndPerWorkloadResults)
     SuiteTraces suite(15000, 3);
     std::vector<TimingCellConfig> cells = {
         {[] {
-             return std::make_unique<SingleCycleFetchPredictor>(
-                 std::make_unique<StaticPredictor>(true));
+             return std::make_unique<FetchPredictor>(
+                 DelayMode::Ideal, std::make_unique<StaticPredictor>(true));
          },
          "static", "ideal", 0, CoreConfig{}}};
     obs::RunReport report;
@@ -229,10 +229,10 @@ timingSweepConfigs()
         plan.upsetRatePerBit = 1e-3;
         plan.intervalBranches = 256;
         plan.seed = 11 + w;
-        return std::unique_ptr<FetchPredictor>(
-            std::make_unique<robust::FaultInjectingFetchPredictor>(
-                makeFetchPredictor(PredictorKind::GshareFast,
-                                   16 * 1024, DelayMode::Pipelined),
+        return std::make_unique<FetchPredictor>(
+            DelayMode::Ideal,
+            std::make_unique<robust::FaultInjectingPredictor>(
+                makePredictor(PredictorKind::GshareFast, 16 * 1024),
                 plan));
     };
     fault.name = "gshare.fast.fault";
@@ -616,7 +616,8 @@ countedTimingConfigs(bool gated)
     for (int k = 0; k < 2; ++k) {
         TimingCellConfig c;
         c.makeForWorkload = [gated, k](std::size_t w) {
-            return std::make_unique<SingleCycleFetchPredictor>(
+            return std::make_unique<FetchPredictor>(
+                DelayMode::Ideal,
                 std::make_unique<CountedPredictor>(gated && k == 0 &&
                                                    w == 0));
         };

@@ -206,7 +206,7 @@ artifactLines(const std::vector<std::string> &names,
     }
 }
 
-/** Every delay wrapper plus the per-workload protected and
+/** Every delay mode plus the per-workload protected and
  *  fault-injecting forms the studies use. */
 std::vector<TimingCellConfig>
 runnerConfigs()
@@ -247,11 +247,10 @@ runnerConfigs()
         plan.upsetRatePerBit = 1e-3;
         plan.intervalBranches = 256;
         plan.seed = 2000 + wi;
-        return std::unique_ptr<FetchPredictor>(
-            std::make_unique<robust::FaultInjectingFetchPredictor>(
-                makeFetchPredictor(PredictorKind::GshareFast, budget,
-                                   DelayMode::Pipelined),
-                plan));
+        return std::make_unique<FetchPredictor>(
+            DelayMode::Ideal,
+            std::make_unique<robust::FaultInjectingPredictor>(
+                makePredictor(PredictorKind::GshareFast, budget), plan));
     };
     faulty.name = "gshare.fast+upsets";
     faulty.mode = delayModeName(DelayMode::Pipelined);

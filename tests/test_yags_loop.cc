@@ -1,10 +1,8 @@
-/** @file Tests for the YAGS and loop predictors. */
+/** @file Tests for the YAGS predictor. */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "predictors/gshare.hh"
-#include "predictors/loop.hh"
 #include "predictors/yags.hh"
 
 namespace bpsim {
@@ -67,79 +65,6 @@ TEST(Yags, StorageCountsTagsAndValidBits)
     // choice 2048b + 2 caches x 512 x (2+8+1)b + history.
     EXPECT_GE(y.storageBits(), 2048u + 2 * 512 * 11);
     EXPECT_LE(y.storageBits(), 2048u + 2 * 512 * 11 + 64);
-}
-
-TEST(Loop, LearnsExactTripCount)
-{
-    LoopPredictor loop(256);
-    // 7-taken-then-exit loop: after two complete executions the
-    // predictor must nail both body and exit.
-    auto run_loop = [&](bool count_errors) {
-        std::size_t wrong = 0;
-        for (int k = 0; k < 8; ++k) {
-            const bool taken = k != 7;
-            const bool pred = loop.predict(0x40);
-            loop.update(0x40, taken);
-            if (count_errors && pred != taken)
-                ++wrong;
-        }
-        return wrong;
-    };
-    for (int warm = 0; warm < 4; ++warm)
-        run_loop(false);
-    EXPECT_TRUE(loop.confident(0x40));
-    EXPECT_EQ(run_loop(true), 0u)
-        << "a learned loop mispredicts neither body nor exit";
-}
-
-TEST(Loop, BeatsGshareOnLongLoops)
-{
-    // Trip count 50 exceeds a 12-bit gshare history window; the
-    // loop table learns it outright.
-    LoopPredictor loop(256);
-    GsharePredictor gshare(4096);
-    std::size_t loop_wrong = 0, gshare_wrong = 0, total = 0;
-    for (int rep = 0; rep < 200; ++rep) {
-        for (int k = 0; k < 51; ++k) {
-            const bool taken = k != 50;
-            if (loop.predict(0x40) != taken)
-                ++loop_wrong;
-            if (gshare.predict(0x40) != taken)
-                ++gshare_wrong;
-            loop.update(0x40, taken);
-            gshare.update(0x40, taken);
-            ++total;
-        }
-    }
-    EXPECT_LT(loop_wrong, gshare_wrong);
-    EXPECT_LT(static_cast<double>(loop_wrong) / total, 0.01);
-}
-
-TEST(Loop, RelearnsChangedTripCount)
-{
-    LoopPredictor loop(256);
-    auto run = [&](int trips) {
-        for (int k = 0; k <= trips; ++k)
-            loop.update(0x40, k != trips);
-    };
-    for (int i = 0; i < 5; ++i)
-        run(5);
-    EXPECT_TRUE(loop.confident(0x40));
-    run(9); // trip count changed: confidence must drop
-    EXPECT_FALSE(loop.confident(0x40));
-    for (int i = 0; i < 5; ++i)
-        run(9);
-    EXPECT_TRUE(loop.confident(0x40));
-}
-
-TEST(Loop, GivesUpOnOverflowingCounts)
-{
-    LoopPredictor loop(64, 4); // max learnable trip count 15
-    for (int rep = 0; rep < 6; ++rep)
-        for (int k = 0; k <= 40; ++k)
-            loop.update(0x40, k != 40);
-    EXPECT_FALSE(loop.confident(0x40));
-    EXPECT_TRUE(loop.predict(0x40)) << "falls back to taken";
 }
 
 } // namespace
